@@ -92,7 +92,7 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     under the c0 visit cap, otherwise widen to the whole frontier plus the
     verified set for undirected exploration."""
     awm = state.awm
-    if not awm.unverified():
+    if len(awm.verified) == len(awm.nodes):  # verified nodes are a subset of nodes
         raise ExplorationComplete
     frontier = awm.frontier()
     selectable = frontier
@@ -213,15 +213,6 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     )
 
 
-def _finished(state: AgentState, config: AgentConfig) -> bool:
-    if config.mode == GOAL:
-        return config.goal in state.awm.verified
-    # Open-ended: every node the world actually contains is verified;
-    # hypothesis-only fictional nodes can never be.
-    discoverable = {n for n in state.awm.nodes if n in state.tree}
-    return discoverable <= state.awm.verified
-
-
 def run_with_state(
     config: AgentConfig, tree: TechTree, initial_awm: Awm
 ) -> tuple[list[IterationRecord], AgentState]:
@@ -232,8 +223,12 @@ def run_with_state(
     if missing:
         raise ValueError(f"belief graph is missing tree items: {sorted(missing)}")
     state = AgentState.create(tree, initial_awm.copy(), config)
+    # Open-ended runs end when every item the world contains is verified;
+    # hypothesis-only fictional nodes can never be. Every tree item is a node
+    # (checked above), so this set cannot change during the run.
+    finish = {config.goal} if config.mode == GOAL else set(tree.items)
     records: list[IterationRecord] = []
-    while state.iteration_index < config.max_iterations and not _finished(state, config):
+    while state.iteration_index < config.max_iterations and not finish <= state.awm.verified:
         try:
             sampled = dream(state, config)
         except ExplorationComplete:

@@ -12,11 +12,12 @@ import heapq
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, KeysView
+from dataclasses import dataclass, replace
 from random import Random
 from typing import Literal
 
-from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, WORKBENCH, ParentSpec
+from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec
 
 SubgoalAction = Literal["collect", "craft"]
 
@@ -55,12 +56,11 @@ class NodeBelief:
     """What the agent currently believes about one item.
 
     collectable=None means unknown (tabula rasa); craft_yield is 1 until a
-    craft for the item has actually been observed.
+    craft for the item has actually been observed. Tools and workbenches are
+    the node's incoming edges, not labels.
     """
 
     collectable: bool | None = None
-    required_tool: str | None = None
-    workbench: str | None = None
     craft_yield: int = 1
 
 
@@ -86,12 +86,96 @@ class Branch:
         return len(self.steps)
 
 
-@dataclass
 class Awm:
-    nodes: set[str] = field(default_factory=set)
-    edges: set[AwmEdge] = field(default_factory=set)
-    verified: set[str] = field(default_factory=set)
-    beliefs: dict[str, NodeBelief] = field(default_factory=dict)
+    """The belief graph, indexed by node.
+
+    Each edge is stored once, in the incoming set of its child; the outgoing
+    sets index the same edges by parent. An edge may name a parent that is not
+    a node, which keeps its child off the frontier for good. The frontier is
+    kept up to date by counting, per child, the incoming edges whose parent is
+    unverified. Only `add_node`, `add_edge`, `discard_edge` and `verify_node`
+    change the graph: `nodes` and `verified` are read-only views and `edges`
+    is a new set on every read.
+    """
+
+    def __init__(
+        self,
+        nodes: Iterable[str] = (),
+        edges: Iterable[AwmEdge] = (),
+        verified: Iterable[str] = (),
+        beliefs: dict[str, NodeBelief] | None = None,
+    ):
+        self._nodes: dict[str, None] = {}
+        self._verified: dict[str, None] = {}
+        self._incoming: dict[str, set[AwmEdge]] = {}
+        self._outgoing: dict[str, set[AwmEdge]] = {}
+        self._blocked: dict[str, int] = {}  # incoming edges from unverified parents
+        self._frontier: set[str] = set()
+        self.beliefs: dict[str, NodeBelief] = dict(beliefs or {})
+        for node in nodes:
+            self.add_node(node)
+        for edge in edges:
+            self.add_edge(edge)
+        for node in verified:
+            if node not in self._nodes:
+                raise UnknownNodeError(f"verified node '{node}' is not in the graph")
+            if node not in self._verified:
+                self._mark_verified(node)
+
+    # -- read-only state ------------------------------------------------------
+
+    @property
+    def nodes(self) -> KeysView[str]:
+        return self._nodes.keys()
+
+    @property
+    def verified(self) -> KeysView[str]:
+        return self._verified.keys()
+
+    @property
+    def edges(self) -> set[AwmEdge]:
+        return {e for incoming in self._incoming.values() for e in incoming}
+
+    # -- writes -----------------------------------------------------------------
+
+    def add_node(self, item: str) -> None:
+        if item in self._nodes:
+            return
+        self._nodes[item] = None
+        self._update_frontier(item)
+
+    def add_edge(self, edge: AwmEdge) -> None:
+        """Store the edge; its endpoints are not added as nodes."""
+        incoming = self._incoming.setdefault(edge.child, set())
+        if edge in incoming:
+            return
+        incoming.add(edge)
+        self._outgoing.setdefault(edge.parent, set()).add(edge)
+        if edge.parent not in self._verified:
+            self._blocked[edge.child] = self._blocked.get(edge.child, 0) + 1
+            self._frontier.discard(edge.child)
+
+    def discard_edge(self, edge: AwmEdge) -> None:
+        incoming = self._incoming.get(edge.child)
+        if incoming is None or edge not in incoming:
+            return
+        incoming.remove(edge)
+        self._outgoing[edge.parent].remove(edge)
+        if edge.parent not in self._verified:
+            self._blocked[edge.child] -= 1
+            self._update_frontier(edge.child)
+
+    def _mark_verified(self, item: str) -> None:
+        self._verified[item] = None
+        self._frontier.discard(item)
+        for e in self._outgoing.get(item, ()):
+            self._blocked[e.child] -= 1
+            self._update_frontier(e.child)
+
+    def _update_frontier(self, item: str) -> None:
+        # Called when the item may have just qualified for the frontier.
+        if item in self._nodes and item not in self._verified and not self._blocked.get(item):
+            self._frontier.add(item)
 
     # -- basic queries ------------------------------------------------------
 
@@ -99,13 +183,13 @@ class Awm:
         return self.beliefs.setdefault(item, NodeBelief())
 
     def parents_of(self, item: str) -> list[AwmEdge]:
-        return sorted(e for e in self.edges if e.child == item)
+        return sorted(self._incoming.get(item, ()))
 
     def children_of(self, item: str) -> list[AwmEdge]:
-        return sorted(e for e in self.edges if e.parent == item)
+        return sorted(self._outgoing.get(item, ()))
 
     def ingredient_parents(self, item: str) -> dict[str, int]:
-        return {e.parent: e.quantity for e in self.edges if e.child == item and e.kind == INGREDIENT}
+        return {e.parent: e.quantity for e in self._incoming.get(item, ()) if e.kind == INGREDIENT}
 
     def believed_collectable(self, item: str) -> bool:
         """Collect is the believed action when the node is labeled collectable,
@@ -113,10 +197,10 @@ class Awm:
         b = self.beliefs.get(item)
         if b is not None and b.collectable is not None:
             return b.collectable
-        return not any(e.child == item and e.kind == INGREDIENT for e in self.edges)
+        return not any(e.kind == INGREDIENT for e in self._incoming.get(item, ()))
 
     def unverified(self) -> set[str]:
-        return self.nodes - self.verified
+        return self._nodes.keys() - self._verified.keys()
 
     def is_acyclic(self) -> bool:
         try:
@@ -127,9 +211,9 @@ class Awm:
 
     def copy(self) -> "Awm":
         return Awm(
-            nodes=set(self.nodes),
-            edges=set(self.edges),
-            verified=set(self.verified),
+            nodes=self.nodes,
+            edges=self.edges,
+            verified=self.verified,
             beliefs={k: replace(v) for k, v in self.beliefs.items()},
         )
 
@@ -138,21 +222,16 @@ class Awm:
     def frontier(self) -> set[str]:
         """Unverified nodes whose hypothesized parents (all kinds) are all
         verified; parentless unverified nodes qualify."""
-        out = set()
-        for node in self.nodes - self.verified:
-            if all(e.parent in self.verified for e in self.edges if e.child == node):
-                out.add(node)
-        return out
+        return set(self._frontier)
 
     def ancestors(self, item: str) -> set[str]:
-        if item not in self.nodes:
+        if item not in self._nodes:
             raise UnknownNodeError(f"unknown node '{item}'")
         seen: set[str] = set()
         stack = [item]
         while stack:
-            node = stack.pop()
-            for e in self.edges:
-                if e.child == node and e.parent not in seen:
+            for e in self._incoming.get(stack.pop(), ()):
+                if e.parent not in seen:
                     seen.add(e.parent)
                     stack.append(e.parent)
         return seen
@@ -166,14 +245,15 @@ class Awm:
 
     # -- branch expansion -----------------------------------------------------
 
-    def _topo_order(self, subset: set[str]) -> list[str]:
+    def _topo_order(self, subset: set[str] | KeysView[str]) -> list[str]:
         """Deterministic topological order of `subset` (prerequisites first),
         lexicographic tie-break. Parallel edges of different kinds between the
         same pair count once."""
         pairs = {
-            (e.parent, e.child)
-            for e in self.edges
-            if e.parent in subset and e.child in subset
+            (e.parent, child)
+            for child in subset
+            for e in self._incoming.get(child, ())
+            if e.parent in subset
         }
         indeg = {n: 0 for n in subset}
         children: dict[str, list[str]] = {n: [] for n in subset}
@@ -202,7 +282,7 @@ class Awm:
         Quantities are computed bottom-up with ceiling division by believed
         yields; tool/workbench uses add one non-consumed copy.
         """
-        if target not in self.nodes:
+        if target not in self._nodes:
             raise UnknownNodeError(f"unknown node '{target}'")
         closure = self.ancestors(target) | {target}
         order = self._topo_order(closure)
@@ -218,8 +298,8 @@ class Awm:
             else:
                 per_craft = max(1, self.belief(node).craft_yield)
                 reps[node] = max(1, math.ceil(need / per_craft))
-            for e in self.edges:
-                if e.child != node or e.parent not in closure:
+            for e in self._incoming.get(node, ()):
+                if e.parent not in closure:
                     continue
                 if e.kind == INGREDIENT:
                     consumed[e.parent] += reps[node] * e.quantity
@@ -239,9 +319,9 @@ class Awm:
     def path_to(self, goal: str) -> Branch | None:
         """Executable branch to a goal whose whole ancestor closure is
         verified; None when any of it is still hypothesis."""
-        if goal not in self.nodes:
+        if goal not in self._nodes:
             raise UnknownNodeError(f"unknown node '{goal}'")
-        if goal not in self.verified:
+        if goal not in self._verified:
             return None
         if not self.ancestors(goal) <= self.verified:
             return None
@@ -253,23 +333,20 @@ class Awm:
         """Replace the item's hypothesized incoming edges with the observed
         ground-truth parents and mark it verified. Verified edges are never
         changed again; re-verification warns and leaves the graph untouched."""
-        if item not in self.nodes:
+        if item not in self._nodes:
             raise UnknownNodeError(f"unknown node '{item}'")
-        if item in self.verified:
+        if item in self._verified:
             warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
             return self
-        self.edges = {e for e in self.edges if e.child != item}
+        for e in list(self._incoming.get(item, ())):
+            self.discard_edge(e)
         for parent, kind, quantity in observed:
-            self.nodes.add(parent)
-            self.edges.add(AwmEdge(parent=parent, child=item, kind=kind, quantity=quantity))
-        self.verified.add(item)
+            self.add_node(parent)
+            self.add_edge(AwmEdge(parent=parent, child=item, kind=kind, quantity=quantity))
+        self._mark_verified(item)
 
         b = self.belief(item)
         b.collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
-        tools = sorted(p for p, kind, _ in observed if kind == TOOL)
-        b.required_tool = tools[0] if tools else None
-        benches = sorted(p for p, kind, _ in observed if kind == WORKBENCH)
-        b.workbench = benches[0] if benches else None
         b.craft_yield = craft_yield if not b.collectable else 1
         return self
 
@@ -284,12 +361,7 @@ class Awm:
             ],
             "verified": sorted(self.verified),
             "beliefs": {
-                n: {
-                    "collectable": b.collectable,
-                    "required_tool": b.required_tool,
-                    "workbench": b.workbench,
-                    "craft_yield": b.craft_yield,
-                }
+                n: {"collectable": b.collectable, "craft_yield": b.craft_yield}
                 for n, b in sorted(self.beliefs.items())
             },
         }
@@ -299,22 +371,21 @@ class Awm:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Awm":
-        awm = cls(
-            nodes=set(doc.get("nodes", [])),
-            edges={
+        """Inverse of `to_json_dict`. Belief keys other than collectable and
+        craft_yield, such as the required_tool and workbench labels older
+        checkpoints carry, are ignored: the edges hold those facts."""
+        return cls(
+            nodes=doc.get("nodes", []),
+            edges=(
                 AwmEdge(e["parent"], e["child"], e["kind"], int(e.get("quantity", 1)))
                 for e in doc.get("edges", [])
+            ),
+            verified=doc.get("verified", []),
+            beliefs={
+                n: NodeBelief(collectable=b.get("collectable"), craft_yield=int(b.get("craft_yield", 1)))
+                for n, b in doc.get("beliefs", {}).items()
             },
-            verified=set(doc.get("verified", [])),
         )
-        for n, b in doc.get("beliefs", {}).items():
-            awm.beliefs[n] = NodeBelief(
-                collectable=b.get("collectable"),
-                required_tool=b.get("required_tool"),
-                workbench=b.get("workbench"),
-                craft_yield=int(b.get("craft_yield", 1)),
-            )
-        return awm
 
     @classmethod
     def from_json(cls, text: str) -> "Awm":
@@ -340,14 +411,11 @@ def _workbench_or_tool_nodes(awm: Awm) -> set[str]:
 def _find_cycle(awm: Awm) -> list[AwmEdge] | None:
     # DFS returning the edge list of one cycle, or None; graphs here are small.
     color: dict[str, int] = {n: 0 for n in awm.nodes}
-    out: dict[str, list[AwmEdge]] = {n: [] for n in awm.nodes}
-    for e in sorted(awm.edges):
-        out[e.parent].append(e)
     path: list[AwmEdge] = []
 
     def dfs(node: str) -> list[AwmEdge] | None:
         color[node] = 1
-        for e in out[node]:
+        for e in awm.children_of(node):
             if color[e.child] == 1:
                 idx = next(i for i, pe in enumerate(path) if pe.parent == e.child)
                 return path[idx:] + [e]
@@ -378,40 +446,21 @@ def remove_cycles(awm: Awm) -> Awm:
     """
     out = awm.copy()
 
-    special = _workbench_or_tool_nodes(out)
-    for node in sorted(special):
-        own_recipe = set(out.ingredient_parents(node))
-        drop = {e for e in out.edges if e.parent == node and e.child in own_recipe}
-        out.edges -= drop
-        for e in drop:
-            _clear_belief_for_removed_edge(out, e)
+    for node in sorted(_workbench_or_tool_nodes(out)):
+        own_recipe = out.ingredient_parents(node)
+        for e in out.children_of(node):
+            if e.child in own_recipe:
+                out.discard_edge(e)
 
-    pairs = {(e.parent, e.child) for e in out.edges}
-    mutual = {frozenset((a, b)) for a, b in pairs if (b, a) in pairs}
-    drop = {e for e in out.edges if frozenset((e.parent, e.child)) in mutual}
-    out.edges -= drop
-    for e in drop:
-        _clear_belief_for_removed_edge(out, e)
+    edges = out.edges
+    pairs = {(e.parent, e.child) for e in edges}
+    for e in edges:
+        if (e.child, e.parent) in pairs:
+            out.discard_edge(e)
 
     while True:
         cycle = _find_cycle(out)
         if cycle is None:
             break
-        victim = max(cycle, key=lambda e: (e.parent, e.child, e.kind))
-        out.edges.discard(victim)
-        _clear_belief_for_removed_edge(out, victim)
+        out.discard_edge(max(cycle, key=lambda e: (e.parent, e.child, e.kind)))
     return out
-
-
-def _clear_belief_for_removed_edge(awm: Awm, edge: AwmEdge) -> None:
-    # Keep belief labels consistent with the surviving edge set.
-    b = awm.beliefs.get(edge.child)
-    if b is None:
-        return
-    if edge.kind == TOOL and b.required_tool == edge.parent:
-        b.required_tool = None
-    if edge.kind == WORKBENCH and b.workbench == edge.parent:
-        remaining = sorted(
-            e.parent for e in awm.edges if e.child == edge.child and e.kind == WORKBENCH
-        )
-        b.workbench = remaining[0] if remaining else None

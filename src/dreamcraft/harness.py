@@ -19,6 +19,7 @@ from .agent import GOAL, OPEN_ENDED, AgentConfig, IterationRecord, run_with_stat
 from .awm import Awm
 from .hypotheses import (
     ErrorSpec,
+    build_hypothesized_awm,
     empty_hypothesis,
     ground_truth_awm,
     normalize_aliases,
@@ -114,8 +115,6 @@ def build_hypothesis(tree: TechTree, source: str, seed: int, distractor: str = "
         text = Path(arg).read_text(encoding="utf-8")
         parsed = parse_recipe_dict(text)
         entries = normalize_aliases(parsed.entries)
-        from .hypotheses import build_hypothesized_awm
-
         return build_hypothesized_awm(entries, universe)
     raise ValueError(f"unknown hypothesis source {source!r}")
 

@@ -415,32 +415,28 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
     ingredient names become definition-less nodes. Cycle removal is applied,
     and everything starts unverified.
     """
-    awm = Awm(nodes=set(universe))
+    awm = Awm(nodes=universe)
+
+    def add(parent: str, child: str, kind: str, quantity: int) -> None:
+        awm.add_node(parent)
+        awm.add_edge(AwmEdge(parent, child, kind, quantity))
+
     for e in entries:
-        awm.nodes.add(e.item)
-        belief = NodeBelief(collectable=e.collectable)
+        awm.add_node(e.item)
         merged: dict[str, int] = {}
         for ingredient, qty in e.recipe:
             if ingredient == e.item:
                 continue  # self references carry no information
             merged[ingredient] = merged.get(ingredient, 0) + qty
         for ingredient, qty in merged.items():
-            awm.nodes.add(ingredient)
-            awm.edges.add(AwmEdge(ingredient, e.item, INGREDIENT, qty))
+            add(ingredient, e.item, INGREDIENT, qty)
         if e.required_tool and e.required_tool != e.item:
-            awm.nodes.add(e.required_tool)
-            awm.edges.add(AwmEdge(e.required_tool, e.item, TOOL, 1))
-            belief.required_tool = e.required_tool
+            add(e.required_tool, e.item, TOOL, 1)
         if e.requires_crafting_table and e.item != CRAFTING_TABLE:
-            awm.nodes.add(CRAFTING_TABLE)
-            awm.edges.add(AwmEdge(CRAFTING_TABLE, e.item, WORKBENCH, 1))
-            belief.workbench = CRAFTING_TABLE
+            add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
         if e.requires_furnace and e.item != FURNACE:
-            awm.nodes.add(FURNACE)
-            awm.edges.add(AwmEdge(FURNACE, e.item, WORKBENCH, 1))
-            if belief.workbench is None:
-                belief.workbench = FURNACE
-        awm.beliefs[e.item] = belief
+            add(FURNACE, e.item, WORKBENCH, 1)
+        awm.beliefs[e.item] = NodeBelief(collectable=e.collectable)
     for node in awm.nodes:
         awm.beliefs.setdefault(node, NodeBelief())
     return remove_cycles(awm)
@@ -448,27 +444,24 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
 
 def empty_hypothesis(universe: set[str]) -> Awm:
     """The no-guidance configuration: all nodes, zero edges, zero verified."""
-    awm = Awm(nodes=set(universe))
-    for node in awm.nodes:
-        awm.beliefs[node] = NodeBelief()
-    return awm
+    return Awm(nodes=universe, beliefs={node: NodeBelief() for node in universe})
 
 
 def ground_truth_awm(tree: TechTree) -> Awm:
     """Exact dependency graph of the tree as an unverified hypothesis,
     including true yields and collectability labels."""
-    awm = Awm(nodes=set(tree.items))
-    for item, d in tree.items.items():
-        for parent, kind, qty in tree.ground_truth_parents(item):
-            awm.edges.add(AwmEdge(parent, item, kind, qty))
-        workbench = CRAFTING_TABLE if d.requires_crafting_table else (FURNACE if d.requires_furnace else None)
-        awm.beliefs[item] = NodeBelief(
-            collectable=d.collectable,
-            required_tool=d.required_tool,
-            workbench=workbench,
-            craft_yield=d.craft_yield if not d.collectable else 1,
-        )
-    return awm
+    return Awm(
+        nodes=tree.items,
+        edges=(
+            AwmEdge(parent, item, kind, qty)
+            for item in tree.items
+            for parent, kind, qty in tree.ground_truth_parents(item)
+        ),
+        beliefs={
+            item: NodeBelief(collectable=d.collectable, craft_yield=d.craft_yield if not d.collectable else 1)
+            for item, d in tree.items.items()
+        },
+    )
 
 
 @dataclass(frozen=True)
@@ -495,17 +488,11 @@ def perturb_ground_truth(tree: TechTree, spec: ErrorSpec) -> Awm:
     rng = Random(spec.seed)
     for item in sorted(awm.nodes):
         if item != spec.distractor and rng.random() < spec.insert_rate:
-            awm.edges.add(AwmEdge(spec.distractor, item, INGREDIENT, 1))
+            awm.add_edge(AwmEdge(spec.distractor, item, INGREDIENT, 1))
         if rng.random() < spec.delete_rate:
-            incoming = sorted(e for e in awm.edges if e.child == item)
+            incoming = awm.parents_of(item)
             if incoming:
-                victim = incoming[rng.randrange(len(incoming))]
-                awm.edges.discard(victim)
-                b = awm.beliefs[item]
-                if victim.kind == TOOL and b.required_tool == victim.parent:
-                    b.required_tool = None
-                if victim.kind == WORKBENCH and b.workbench == victim.parent:
-                    b.workbench = None
+                awm.discard_edge(incoming[rng.randrange(len(incoming))])
     if not awm.is_acyclic():
         awm = remove_cycles(awm)  # unreachable with the default sand distractor
     return awm

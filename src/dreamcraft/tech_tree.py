@@ -74,18 +74,12 @@ class StepBudget:
 
     collect_steps: int = 1000
     craft_steps: int = 0
-    episode_cap_collect: int = 1000
-    episode_cap_craft: int = 5000
 
     def __post_init__(self):
         if self.collect_steps <= 0:
             raise ValueError("collect_steps must be positive")
         if self.craft_steps < 0:
             raise ValueError("craft_steps must be non-negative")
-        if self.episode_cap_collect < self.collect_steps:
-            raise ValueError("episode_cap_collect below per-attempt collect cost")
-        if self.episode_cap_craft < self.craft_steps:
-            raise ValueError("episode_cap_craft below per-attempt craft cost")
 
 
 DEFAULT_BUDGET = StepBudget()

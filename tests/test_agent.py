@@ -13,7 +13,7 @@ from dreamcraft.agent import (
     state_to_json,
     wake,
 )
-from dreamcraft.awm import NodeBelief
+from dreamcraft.awm import Awm, AwmEdge, NodeBelief
 from dreamcraft.hypotheses import empty_hypothesis, ground_truth_awm
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import ItemDef, RecipeEntry, make_tree
@@ -150,8 +150,8 @@ def test_dream_fallback_after_c0(tree):
 
 
 def test_dream_completion_signal(tree):
-    awm = ground_truth_awm(tree)
-    awm.verified = set(awm.nodes)
+    truth = ground_truth_awm(tree)
+    awm = Awm(nodes=truth.nodes, edges=truth.edges, verified=truth.nodes, beliefs=truth.beliefs)
     config = AgentConfig()
     with pytest.raises(ExplorationComplete):
         dream(AgentState.create(tree, awm, config), config)
@@ -160,8 +160,6 @@ def test_dream_completion_signal(tree):
 def test_dream_degenerate_graph_raises(tree):
     # A node gated behind a parent that is not even in the graph can never be
     # a frontier node; with nothing verified there is nowhere to sample from.
-    from dreamcraft.awm import Awm, AwmEdge
-
     awm = Awm(nodes={"b"}, edges={AwmEdge("ghost", "b", "ingredient", 1)})
     config = AgentConfig()
     state = AgentState.create(tree, awm, config)
@@ -201,7 +199,8 @@ def test_wake_prefix_failure_charges_steps_and_counts_target(tree):
 def test_glass_error_corrected_via_fallback(tree):
     # The flagship correction: glass believed collectable and parentless.
     awm = ground_truth_awm(tree)
-    awm.edges = {e for e in awm.edges if e.child != "glass"}
+    for e in awm.parents_of("glass"):
+        awm.discard_edge(e)
     awm.beliefs["glass"] = NodeBelief(collectable=True)
     config = certain_config(mode="open_ended", c0=4, seed=8, max_iterations=400)
     records, state = run_with_state(config, tree, awm)
@@ -235,8 +234,9 @@ def test_policy_scope_before_first_fallback(tree):
     # every learned policy lies on the believed goal path.
     def broken():
         awm = ground_truth_awm(tree)
-        awm.edges = {e for e in awm.edges if e.child != "cobblestone"}
-        awm.beliefs["cobblestone"].required_tool = None
+        assert awm.parents_of("cobblestone") == [AwmEdge("wooden_pickaxe", "cobblestone", "tool", 1)]
+        for e in awm.parents_of("cobblestone"):
+            awm.discard_edge(e)
         return awm
 
     config = AgentConfig(mode="goal", goal="stone_pickaxe", c0=4, seed=6, max_iterations=400)

@@ -178,7 +178,9 @@ def test_verify_node_corrects_glass_error(tree):
     assert "glass" in awm.verified
     assert {(e.parent, e.kind, e.quantity) for e in awm.parents_of("glass")} == observed
     assert awm.beliefs["glass"].collectable is False
-    assert awm.beliefs["glass"].workbench == "furnace"
+    assert [e for e in awm.parents_of("glass") if e.kind == "workbench"] == [
+        AwmEdge("furnace", "glass", "workbench", 1)
+    ]
 
 
 def test_verify_node_exact_hypothesis_keeps_edges(tree, perfect_awm):
@@ -226,12 +228,12 @@ def test_remove_cycles_workbench_rule():
             AwmEdge("planks", "crafting_table", "ingredient", 4),
             AwmEdge("crafting_table", "planks", "workbench", 1),
         },
-        beliefs={"planks": NodeBelief(collectable=False, workbench="crafting_table")},
+        beliefs={"planks": NodeBelief(collectable=False)},
     )
     fixed = remove_cycles(awm)
     assert AwmEdge("crafting_table", "planks", "workbench", 1) not in fixed.edges
     assert AwmEdge("planks", "crafting_table", "ingredient", 4) in fixed.edges
-    assert fixed.beliefs["planks"].workbench is None
+    assert [e for e in fixed.parents_of("planks") if e.kind == "workbench"] == []
     assert fixed.is_acyclic()
 
 
@@ -286,4 +288,11 @@ def test_awm_json_round_trip(tree, perfect_awm):
     assert clone.nodes == perfect_awm.nodes
     assert clone.edges == perfect_awm.edges
     assert clone.verified == perfect_awm.verified
+    assert clone.frontier() == perfect_awm.frontier()
     assert clone.beliefs["planks"].craft_yield == 4
+    # Older checkpoints also carry required_tool and workbench labels; the
+    # edges hold those facts, so loading ignores the labels.
+    doc = perfect_awm.to_json_dict()
+    assert set(doc["beliefs"]["planks"]) == {"collectable", "craft_yield"}
+    doc["beliefs"]["planks"].update(required_tool=None, workbench="crafting_table")
+    assert Awm.from_json_dict(doc).to_json() == perfect_awm.to_json()

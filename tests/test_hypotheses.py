@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from dreamcraft.awm import AwmEdge
+from dreamcraft.awm import Awm, AwmEdge
 from dreamcraft.hypotheses import (
     DEFAULT_PROMPT,
     DocumentSyntaxError,
@@ -308,9 +308,12 @@ def test_score_single_quantity_pair():
 
 
 def test_score_missing_item_counts_all_wrong(tree):
-    awm = ground_truth_awm(tree)
-    awm.nodes.discard("glass")
-    awm.edges = {e for e in awm.edges if e.child != "glass"}
+    truth = ground_truth_awm(tree)
+    awm = Awm(
+        nodes=truth.nodes - {"glass"},
+        edges={e for e in truth.edges if e.child != "glass"},
+        beliefs=truth.beliefs,
+    )
     report = score_hypothesis(awm, tree, {"glass", "log"})
     assert report.collectable_vs_craftable_acc == 50.0
     assert report.pct_items_missing_deps == 50.0

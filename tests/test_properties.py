@@ -125,6 +125,62 @@ def test_remove_cycles_always_acyclic(awm):
         assert fixed.edges == awm.edges  # acyclic graphs are fixed points
 
 
+def check_index_against_scans(awm):
+    """Every indexed query equals a brute-force scan over `awm.edges`."""
+    edges = awm.edges
+    verified = set(awm.verified)
+    assert verified <= set(awm.nodes)
+    assert awm.frontier() == {
+        n
+        for n in awm.nodes
+        if n not in verified and all(e.parent in verified for e in edges if e.child == n)
+    }
+    for n in awm.nodes:
+        assert awm.parents_of(n) == sorted(e for e in edges if e.child == n)
+        assert awm.children_of(n) == sorted(e for e in edges if e.parent == n)
+        closure = {e.parent for e in edges if e.child == n}
+        while True:
+            more = {e.parent for e in edges if e.child in closure} - closure
+            if not more:
+                break
+            closure |= more
+        assert awm.ancestors(n) == closure
+        b = awm.beliefs.get(n)
+        labelled = b is not None and b.collectable is not None
+        expected = b.collectable if labelled else not any(
+            e.child == n and e.kind == "ingredient" for e in edges
+        )
+        assert awm.believed_collectable(n) == expected
+
+
+@given(digraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_index_matches_edge_scans_under_writes(awm, data):
+    # "ghost" starts outside the graph: edges may name it before it is a node.
+    names = sorted(awm.nodes) + ["ghost"]
+    kinds = st.sampled_from(["ingredient", "tool", "workbench"])
+    check_index_against_scans(awm)
+    for _ in range(data.draw(st.integers(1, 12))):
+        op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node"]))
+        if op == "add_edge":
+            a, b = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+            awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
+        elif op == "discard_edge" and awm.edges:
+            awm.discard_edge(data.draw(st.sampled_from(sorted(awm.edges))))
+        elif op == "verify_node" and awm.unverified():
+            item = data.draw(st.sampled_from(sorted(awm.unverified())))
+            parents = data.draw(
+                st.lists(st.sampled_from([n for n in names if n != item]), max_size=3, unique=True)
+            )
+            awm.verify_node(item, {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents})
+        elif op == "add_node":
+            awm.add_node("ghost")
+        check_index_against_scans(awm)
+    clone = awm.copy()
+    check_index_against_scans(clone)
+    assert (clone.nodes, clone.edges, clone.verified) == (awm.nodes, awm.edges, awm.verified)
+
+
 @given(tech_trees(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_expand_requirements_feasible(tree, data):

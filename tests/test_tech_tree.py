@@ -128,6 +128,5 @@ def test_inventory_never_negative():
 
 def test_step_budget_validation():
     with pytest.raises(ValueError):
-        StepBudget(collect_steps=2000, episode_cap_collect=1000)
+        StepBudget(collect_steps=0)
     assert StepBudget().collect_steps == 1000
-    assert StepBudget().episode_cap_craft == 5000
