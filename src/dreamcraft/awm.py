@@ -437,30 +437,35 @@ def _find_cycle(awm: Awm) -> list[AwmEdge] | None:
 
 
 def remove_cycles(awm: Awm) -> Awm:
-    """Break circular dependencies in a hypothesized graph.
+    """A copy of the graph with its circular dependencies broken by
+    `break_cycles`; the graph itself is left as it is."""
+    out = awm.copy()
+    break_cycles(out)
+    return out
+
+
+def break_cycles(awm: Awm) -> None:
+    """Break circular dependencies in a hypothesized graph, in place.
 
     Rule 1: a workbench/tool node drops its outgoing edges to items that appear
     in its own recipe. Rule 2: remaining mutual pairs lose both directions.
     Longer cycles (if any remain) lose their lexicographically-last edge, one
-    per pass, until the graph is acyclic. Acyclic inputs are returned as-is.
+    per pass, until the graph is acyclic. Acyclic graphs are left as they are.
     """
-    out = awm.copy()
-
-    for node in sorted(_workbench_or_tool_nodes(out)):
-        own_recipe = out.ingredient_parents(node)
-        for e in out.children_of(node):
+    for node in sorted(_workbench_or_tool_nodes(awm)):
+        own_recipe = awm.ingredient_parents(node)
+        for e in awm.children_of(node):
             if e.child in own_recipe:
-                out.discard_edge(e)
+                awm.discard_edge(e)
 
-    edges = out.edges
+    edges = awm.edges
     pairs = {(e.parent, e.child) for e in edges}
     for e in edges:
         if (e.child, e.parent) in pairs:
-            out.discard_edge(e)
+            awm.discard_edge(e)
 
     while True:
-        cycle = _find_cycle(out)
+        cycle = _find_cycle(awm)
         if cycle is None:
             break
-        out.discard_edge(max(cycle, key=lambda e: (e.parent, e.child, e.kind)))
-    return out
+        awm.discard_edge(max(cycle, key=lambda e: (e.parent, e.child, e.kind)))

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import statistics
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
+from itertools import islice
 from random import Random
 
-from .awm import Awm, AwmEdge, NodeBelief, remove_cycles
+from .awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
 from .tech_tree import (
     CRAFTING_TABLE,
     FURNACE,
@@ -65,174 +67,148 @@ class ParseResult:
 # Tokenizer / parser for the pinned dict-literal grammar: double-quoted string
 # keys, True/False/None literals, integer or quoted-integer quantities,
 # brackets and braces, tolerated trailing commas, '#' line comments.
+#
+# A token is its lexeme: a string keeps its quotes and escapes, and the end of
+# the document is the empty lexeme. Positions are computed only when one is
+# reported. A token's line is 1 plus the newlines before it, its column 1 plus
+# the characters since the last of them; the end of the document is the
+# position after its last character.
 # ---------------------------------------------------------------------------
 
+_LEXEME = r"""
+      "[^"\\\n]*(?:\\.[^"\\\n]*)*"  # string: a backslash escapes any character
+    | [{}\[\],:=]                   # punctuation
+    | -?\d+                         # integer
+    | [^\W\d]\w*                    # name
+"""
+# One match per token: the whitespace and comments before it, then its
+# lexeme. A character that starts no token takes the rest of the text as its
+# lexeme, and the end of the text is the empty lexeme.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*(" + _LEXEME + r"| .+ | \Z)", re.S | re.X)
+_WHOLE_LEXEME = re.compile(_LEXEME, re.S | re.X)
+_NAME_START = re.compile(r"[^\W\d]")
+_ESCAPE = re.compile(r"\\(.)", re.S)
+_LITERALS = {"True": True, "False": False, "None": None}
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # STRING, INT, NAME, PUNCT, EOF
-    value: str
-    line: int
-    column: int
+
+def _tokenize(text: str) -> list[str]:
+    lexemes = _TOKEN.findall(text)
+    rest = lexemes[-2] if len(lexemes) > 1 else ""
+    if rest and not _WHOLE_LEXEME.fullmatch(rest):
+        message = "unterminated string" if rest[0] == '"' else f"unexpected character {rest[0]!r}"
+        raise DocumentSyntaxError(message, *_line_column(text, len(text) - len(rest)))
+    return lexemes
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                elif text[j] == "\n":
-                    raise DocumentSyntaxError("unterminated string", start_line, start_col)
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise DocumentSyntaxError("unterminated string", start_line, start_col)
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in "{}[],:=":
-            tokens.append(_Token("PUNCT", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise DocumentSyntaxError(f"unexpected character {ch!r}", start_line, start_col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _token_offsets(text: str, indices: list[int]):
+    """Offsets of the tokens at the given increasing indices, from one more
+    pass of the tokenizer up to the last of them."""
+    matches = _TOKEN.finditer(text)
+    done = 0
+    for index in indices:
+        yield next(islice(matches, index - done, None)).start(1)
+        done = index + 1
+
+
+def _syntax_error(text: str, message: str, index: int) -> DocumentSyntaxError:
+    (offset,) = _token_offsets(text, [index])
+    return DocumentSyntaxError(message, *_line_column(text, offset))
+
+
+def _string_value(lexeme: str) -> str:
+    body = lexeme[1:-1]
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 class _EntryError(ValueError):
-    def __init__(self, message: str, token: _Token):
+    def __init__(self, message: str, index: int):
         super().__init__(message)
-        self.token = token
+        self.index = index  # of the token at fault
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
+        if tok:  # the end of the document is never consumed
             self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> _Token:
+    def expect(self, lexeme: str) -> None:
+        index = self.pos
         tok = self.next()
-        if tok.kind != "PUNCT" or tok.value != ch:
-            raise _EntryError(f"expected {ch!r}, found {tok.value!r}", tok)
-        return tok
+        if tok != lexeme:
+            found = _string_value(tok) if tok[:1] == '"' else tok
+            raise _EntryError(f"expected {lexeme!r}, found {found!r}", index)
 
     def parse_value(self):
+        index = self.pos
         tok = self.next()
-        if tok.kind == "STRING":
-            return tok.value
-        if tok.kind == "INT":
-            return int(tok.value)
-        if tok.kind == "NAME":
-            if tok.value == "True":
-                return True
-            if tok.value == "False":
-                return False
-            if tok.value == "None":
-                return None
-            raise _EntryError(f"unexpected name {tok.value!r}", tok)
-        if tok.kind == "PUNCT" and tok.value == "[":
+        if tok[:1] == '"':
+            return _string_value(tok)
+        if tok == "[":
             values = []
             while True:
-                nxt = self.peek()
-                if nxt.kind == "PUNCT" and nxt.value == "]":
-                    self.next()
+                if self.peek() == "]":
+                    self.pos += 1
                     return values
                 values.append(self.parse_value())
                 nxt = self.peek()
-                if nxt.kind == "PUNCT" and nxt.value == ",":
-                    self.next()
-                elif not (nxt.kind == "PUNCT" and nxt.value == "]"):
-                    raise _EntryError("expected ',' or ']'", nxt)
-        if tok.kind == "PUNCT" and tok.value == "{":
+                if nxt == ",":
+                    self.pos += 1
+                elif nxt != "]":
+                    raise _EntryError("expected ',' or ']'", self.pos)
+        if tok == "{":
             mapping = {}
             while True:
-                nxt = self.peek()
-                if nxt.kind == "PUNCT" and nxt.value == "}":
-                    self.next()
+                key = self.peek()
+                if key == "}":
+                    self.pos += 1
                     return mapping
-                if nxt.kind != "STRING":
-                    raise _EntryError("expected double-quoted key", nxt)
-                key = self.next().value
-                self.expect_punct(":")
-                mapping[key] = self.parse_value()
+                if key[:1] != '"':
+                    raise _EntryError("expected double-quoted key", self.pos)
+                self.pos += 1
+                self.expect(":")
+                mapping[_string_value(key)] = self.parse_value()
                 nxt = self.peek()
-                if nxt.kind == "PUNCT" and nxt.value == ",":
-                    self.next()
-                elif not (nxt.kind == "PUNCT" and nxt.value == "}"):
-                    raise _EntryError("expected ',' or '}'", nxt)
-        else:
-            raise _EntryError(f"unexpected token {tok.value!r}", tok)
+                if nxt == ",":
+                    self.pos += 1
+                elif nxt != "}":
+                    raise _EntryError("expected ',' or '}'", self.pos)
+        if tok in _LITERALS:
+            return _LITERALS[tok]
+        if tok[:1] == "-" or tok[:1].isdecimal():
+            return int(tok)
+        if _NAME_START.match(tok):
+            raise _EntryError(f"unexpected name {tok!r}", index)
+        raise _EntryError(f"unexpected token {tok!r}", index)
 
     def skip_entry_from(self, entry_start: int) -> None:
         """Abandon a broken entry: rewind to just after its key, skip one
         balanced value (brace/bracket matching), and a trailing comma."""
         self.pos = entry_start
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == ":":
-            self.next()
-        tok = self.next()
-        if tok.kind == "PUNCT" and tok.value in "{[":
+        if self.peek() == ":":
+            self.pos += 1
+        if self.next() in ("{", "["):
             depth = 1
-            while depth and self.peek().kind != "EOF":
+            while depth and self.peek():
                 tok = self.next()
-                if tok.kind == "PUNCT" and tok.value in "{[":
+                if tok in ("{", "["):
                     depth += 1
-                elif tok.kind == "PUNCT" and tok.value in "}]":
+                elif tok in ("}", "]"):
                     depth -= 1
-        nxt = self.peek()
-        if nxt.kind == "PUNCT" and nxt.value == ",":
-            self.next()
+        if self.peek() == ",":
+            self.pos += 1
 
 
 def _coerce_quantity(raw) -> int:
@@ -283,48 +259,57 @@ def parse_recipe_dict(text: str) -> ParseResult:
     One entry per top-level key; entries that fail to parse or violate the
     schema are skipped and reported rather than failing the document.
     """
-    parser = _Parser(_tokenize(text))
+    tokens = _tokenize(text)
+    parser = _Parser(tokens)
 
     # Optional `identifier =` assignment prefix.
-    if parser.peek().kind == "NAME":
-        save = parser.pos
-        parser.next()
-        if parser.peek().kind == "PUNCT" and parser.peek().value == "=":
-            parser.next()
-        else:
-            parser.pos = save
+    if _NAME_START.match(tokens[0]) and tokens[1] == "=":
+        parser.pos = 2
 
-    opening = parser.next()
-    if opening.kind != "PUNCT" or opening.value != "{":
-        raise DocumentSyntaxError("document must be a dictionary literal", opening.line, opening.column)
+    opening = parser.pos
+    if parser.next() != "{":
+        raise _syntax_error(text, "document must be a dictionary literal", opening)
 
-    result = ParseResult(entries=[])
+    entries: list[ParsedEntry] = []
+    skipped: list[tuple[str, int, str]] = []  # key, index of the token to report, reason
     while True:
-        tok = parser.peek()
-        if tok.kind == "EOF":
-            break  # truncated document: keep what parsed
-        if tok.kind == "PUNCT" and tok.value == "}":
-            parser.next()
-            break
-        if tok.kind != "STRING":
-            raise DocumentSyntaxError(f"expected entry key, found {tok.value!r}", tok.line, tok.column)
-        key_tok = parser.next()
-        key = key_tok.value
+        key_index = parser.pos
+        tok = parser.next()
+        if tok in ("", "}"):
+            break  # the empty lexeme ends a truncated document: keep what parsed
+        if tok[0] != '"':
+            raise _syntax_error(text, f"expected entry key, found {tok!r}", key_index)
+        key = _string_value(tok)
         entry_start = parser.pos
         try:
-            parser.expect_punct(":")
-            body = parser.parse_value()
-            result.entries.append(_entry_from_body(key, body))
-        except (_EntryError, ValueError) as exc:
-            line = exc.token.line if isinstance(exc, _EntryError) else key_tok.line
-            result.skipped.append(SkippedEntry(key=key, line=line, reason=str(exc)))
-            if isinstance(exc, _EntryError):
-                parser.skip_entry_from(entry_start)
-                continue
-        nxt = parser.peek()
-        if nxt.kind == "PUNCT" and nxt.value == ",":
-            parser.next()
+            parser.expect(":")
+            entries.append(_entry_from_body(key, parser.parse_value()))
+        except _EntryError as exc:
+            skipped.append((key, exc.index, str(exc)))
+            parser.skip_entry_from(entry_start)
+            continue
+        except RecursionError:
+            skipped.append((key, key_index, "entry nested too deeply"))
+            parser.skip_entry_from(entry_start)
+            continue
+        except ValueError as exc:
+            skipped.append((key, key_index, str(exc)))
+        if parser.peek() == ",":
+            parser.pos += 1
+
+    # Each skip moves the parser past the token it reports, so the indices increase.
+    result = ParseResult(entries=entries)
+    line, last = 1, 0
+    for (key, _, reason), offset in zip(skipped, _token_offsets(text, [index for _, index, _ in skipped])):
+        line += text.count("\n", last, offset)
+        last = offset
+        result.skipped.append(SkippedEntry(key=key, line=line, reason=reason))
     return result
+
+
+def _quoted(name: str) -> str:
+    """The string token for a name: backslash, quote and newline escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n") + '"'
 
 
 def serialize_recipe_dict(entries: list[ParsedEntry], name: str = "item_info") -> str:
@@ -332,16 +317,16 @@ def serialize_recipe_dict(entries: list[ParsedEntry], name: str = "item_info") -
     same entries (round trips are lossless modulo whitespace)."""
     lines = [f"{name} = {{"]
     for e in entries:
-        lines.append(f'    "{e.item}": {{')
+        lines.append(f"    {_quoted(e.item)}: {{")
         lines.append(f'        "requires_crafting_table": {e.requires_crafting_table},')
         lines.append(f'        "requires_furnace": {e.requires_furnace},')
-        tool = f'"{e.required_tool}"' if e.required_tool is not None else "None"
+        tool = _quoted(e.required_tool) if e.required_tool is not None else "None"
         lines.append(f'        "required_tool": {tool},')
         if e.recipe:
             lines.append('        "recipe": [')
             for ingredient, qty in e.recipe:
                 lines.append("            {")
-                lines.append(f'                "item": "{ingredient}",')
+                lines.append(f'                "item": {_quoted(ingredient)},')
                 lines.append(f'                "quantity": {qty}')
                 lines.append("            },")
             lines.append("        ]")
@@ -384,10 +369,17 @@ def normalize_aliases(
     """Rewrite every item and ingredient name through the alias table; the
     first occurrence wins when normalization creates duplicates."""
     table = DEFAULT_ALIASES if alias_map is None else alias_map
+    resolved: dict[str, str] = {}  # each distinct name is looked up once
+
+    def alias(name: str) -> str:
+        if name not in resolved:
+            resolved[name] = _apply_alias(name, table)
+        return resolved[name]
+
     out: list[ParsedEntry] = []
     seen: set[str] = set()
     for e in entries:
-        item = _apply_alias(e.item, table)
+        item = alias(e.item)
         if item in seen:
             continue
         seen.add(item)
@@ -396,8 +388,8 @@ def normalize_aliases(
                 item=item,
                 requires_crafting_table=e.requires_crafting_table,
                 requires_furnace=e.requires_furnace,
-                required_tool=_apply_alias(e.required_tool, table) if e.required_tool else None,
-                recipe=tuple((_apply_alias(i, table), q) for i, q in e.recipe),
+                required_tool=alias(e.required_tool) if e.required_tool else None,
+                recipe=tuple((alias(i), q) for i, q in e.recipe),
             )
         )
     return out
@@ -439,7 +431,8 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
         awm.beliefs[e.item] = NodeBelief(collectable=e.collectable)
     for node in awm.nodes:
         awm.beliefs.setdefault(node, NodeBelief())
-    return remove_cycles(awm)
+    break_cycles(awm)
+    return awm
 
 
 def empty_hypothesis(universe: set[str]) -> Awm:

@@ -98,3 +98,20 @@ def test_from_llm_requires_endpoint(capsys):
     rc = main(["parse", "--from-llm"])
     assert rc == 2
     assert "--endpoint" in capsys.readouterr().err
+
+
+def test_parse_deep_nesting_is_reported_as_skipped(tmp_path, capsys):
+    document = tmp_path / "deep.txt"
+    document.write_text('{"log": {"recipe": []},\n "a": ' + "[" * 5000 + "\n}\n", encoding="utf-8")
+    rc = main(["parse", str(document), "--out", str(tmp_path / "awm.json")])
+    assert rc == 0
+    assert "skipped entry 'a' (line 2): entry nested too deeply" in capsys.readouterr().err
+    assert "log" in json.loads((tmp_path / "awm.json").read_text())["nodes"]
+
+
+def test_parse_syntax_error_is_exit_2_with_position(tmp_path, capsys):
+    document = tmp_path / "bad.txt"
+    document.write_text('{"log": {"recipe": []},\n "sand": ~}\n', encoding="utf-8")
+    rc = main(["parse", str(document)])
+    assert rc == 2
+    assert "unexpected character '~' (line 2, column 10)" in capsys.readouterr().err

@@ -40,7 +40,7 @@ def test_parse_fixture_document(llm_document):
     assert pickaxe.requires_crafting_table
     assert dict(pickaxe.recipe) == {"stick": 2, "diamond": 3}  # quoted "2"/"3" coerced
 
-    assert [s.key for s in result.skipped] == ["torch", "brown_mushroom_block"]
+    assert [(s.key, s.line) for s in result.skipped] == [("torch", 183), ("brown_mushroom_block", 194)]
     reasons = {s.key: s.reason for s in result.skipped}
     assert "recipe" in reasons["torch"]
 
@@ -70,13 +70,16 @@ def test_parse_truncated_document_keeps_prior_entries():
 
 def test_parse_document_level_error_has_position():
     with pytest.raises(DocumentSyntaxError) as info:
-        parse_recipe_dict("[1, 2]")
-    assert info.value.line == 1
+        parse_recipe_dict("\n  [1, 2]")
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert str(info.value) == "document must be a dictionary literal (line 2, column 3)"
 
 
 def test_parse_rejects_unquoted_toplevel_key():
-    with pytest.raises(DocumentSyntaxError):
-        parse_recipe_dict("{log: {}}")
+    with pytest.raises(DocumentSyntaxError) as info:
+        parse_recipe_dict('{"log": {"recipe": []},\n  log: {}}')
+    assert (info.value.line, info.value.column) == (2, 3)
+    assert str(info.value) == "expected entry key, found 'log' (line 2, column 3)"
 
 
 def test_parse_skips_bad_quantities():
@@ -84,6 +87,58 @@ def test_parse_skips_bad_quantities():
     result = parse_recipe_dict(text)
     assert [e.item for e in result.entries] == ["c"]
     assert result.skipped[0].key == "a"
+
+
+# ---------------------------------------------------------------------------
+# Positions: a line is 1 plus the newlines before the token, a column 1 plus
+# the characters since the last newline; the end of the document is the
+# position after its last character.
+# ---------------------------------------------------------------------------
+
+
+def test_line_after_escaped_newline():
+    text = '{"a\\\nb": {"recipe": []},\n\n "c": {"recipe": [}}'
+    result = parse_recipe_dict(text)
+    assert [e.item for e in result.entries] == ["a\nb"]
+    assert [(s.key, s.line, s.reason) for s in result.skipped] == [("c", 4, "unexpected token '}'")]
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ('{\n  "log": {"recipe": []},\n  "sand', "unterminated string", 3, 3),
+        ('{"a": "b\n"}', "unterminated string", 1, 7),
+        ('{\n  "log": ~}', "unexpected character '~'", 2, 10),
+        ("# a comment\nitem_info = # no document", "document must be a dictionary literal", 2, 26),
+    ],
+)
+def test_syntax_error_positions(text, message, line, column):
+    with pytest.raises(DocumentSyntaxError) as info:
+        parse_recipe_dict(text)
+    assert (str(info.value), info.value.line, info.value.column) == (
+        f"{message} (line {line}, column {column})",
+        line,
+        column,
+    )
+
+
+def test_deep_nesting_is_a_skipped_entry():
+    text = '{"log": {"recipe": []},\n "a": ' + "[" * 5000 + "]" * 5000 + ',\n "sand": {"recipe": []}}'
+    result = parse_recipe_dict(text)
+    assert [e.item for e in result.entries] == ["log", "sand"]
+    assert [(s.key, s.line, s.reason) for s in result.skipped] == [("a", 2, "entry nested too deeply")]
+
+
+def test_non_decimal_digits_are_names():
+    # A name may start with any letter-like or numeric character but a decimal
+    # digit: '²' and '½' start names, so an entry using one as a value is
+    # skipped and the parser goes on after it.
+    text = '{"a": {"recipe": [{"item": "b", "quantity": ²}]}, "c": {"recipe": [], "n": ½}, "d": {"recipe": []}}'
+    result = parse_recipe_dict(text)
+    assert [e.item for e in result.entries] == ["d"]
+    assert [(s.key, s.reason) for s in result.skipped] == [("a", "unexpected name '²'"), ("c", "unexpected name '½'")]
+    # Decimal digits of any script are integers.
+    assert parse_recipe_dict('{"a": {"recipe": [{"item": "b", "quantity": ٣}]}}').entries[0].recipe == (("b", 3),)
 
 
 # ---------------------------------------------------------------------------

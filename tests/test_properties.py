@@ -6,7 +6,16 @@ from hypothesis import given, settings
 
 from dreamcraft.agent import AgentConfig, run, run_with_state
 from dreamcraft.awm import Awm, AwmEdge, remove_cycles
-from dreamcraft.hypotheses import ErrorSpec, ground_truth_awm, perturb_ground_truth
+from dreamcraft.hypotheses import (
+    DocumentSyntaxError,
+    ErrorSpec,
+    ParsedEntry,
+    ParseResult,
+    ground_truth_awm,
+    parse_recipe_dict,
+    perturb_ground_truth,
+    serialize_recipe_dict,
+)
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
@@ -250,3 +259,41 @@ def test_perturb_identity_at_zero_rates(tree, seed):
         tree, ErrorSpec(0.0, 0.0, distractor=tree.names()[0], seed=seed)
     )
     assert perturbed.edges == truth.edges
+
+
+parsed_entries = st.builds(
+    ParsedEntry,
+    item=st.text(),
+    requires_crafting_table=st.booleans(),
+    requires_furnace=st.booleans(),
+    required_tool=st.none() | st.text(),
+    recipe=st.lists(st.tuples(st.text(min_size=1), st.integers(1, 10**6)), max_size=3).map(tuple),
+)
+
+
+@given(st.lists(parsed_entries, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_serialize_round_trips_arbitrary_names(entries):
+    result = parse_recipe_dict(serialize_recipe_dict(entries))
+    assert result.entries == entries
+    assert result.skipped == []
+
+
+# Pieces of recipe documents, so that generated text reaches past the first token.
+DOCUMENT_PIECES = [
+    "{", "}", "[", "]", ",", ":", "=", " ", "\n", "#", '"', "\\", "-", "0", "12", "²", "½",
+    "True", "None", "item_info", '"recipe"', '"item"', '"quantity"', '"a"', '"b\\"c"',
+]
+
+
+@given(st.lists(st.sampled_from(DOCUMENT_PIECES) | st.text(max_size=3), max_size=40).map("".join) | st.text())
+@settings(max_examples=400, deadline=None)
+def test_parse_returns_a_result_or_a_syntax_error(text):
+    try:
+        result = parse_recipe_dict(text)
+    except DocumentSyntaxError as exc:
+        assert exc.line >= 1 and exc.column >= 1
+        assert exc.line <= text.count("\n") + 1
+    else:
+        assert isinstance(result, ParseResult)
+        assert all(1 <= s.line <= text.count("\n") + 1 for s in result.skipped)
