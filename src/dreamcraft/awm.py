@@ -13,9 +13,9 @@ import json
 import math
 import warnings
 from collections.abc import Iterable, KeysView
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from random import Random
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec
 
@@ -37,18 +37,29 @@ class UnknownNodeError(AwmError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class AwmEdge:
+# A NamedTuple class may not define __new__, so AwmEdge's checks live in a subclass.
+class _EdgeFields(NamedTuple):
     parent: str
     child: str
     kind: str
     quantity: int = 1
 
-    def __post_init__(self):
-        if self.parent == self.child:
-            raise AwmError(f"self edge on {self.parent}")
-        if self.quantity < 1:
+
+class AwmEdge(_EdgeFields):
+    """A typed edge from a prerequisite to the item that needs it.
+
+    A tuple of its fields, so it hashes, compares and sorts as one and equals
+    the plain tuple `(parent, child, kind, quantity)`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parent: str, child: str, kind: str, quantity: int = 1):
+        if parent == child:
+            raise AwmError(f"self edge on {parent}")
+        if quantity < 1:
             raise AwmError("edge quantity must be positive")
+        return tuple.__new__(cls, (parent, child, kind, quantity))
 
 
 @dataclass
@@ -95,7 +106,7 @@ class Awm:
     kept up to date by counting, per child, the incoming edges whose parent is
     unverified. Only `add_node`, `add_edge`, `discard_edge` and `verify_node`
     change the graph: `nodes` and `verified` are read-only views and `edges`
-    is a new set on every read.
+    is a new set on every read. `copy` clones the index and the beliefs.
     """
 
     def __init__(
@@ -210,12 +221,16 @@ class Awm:
             return False
 
     def copy(self) -> "Awm":
-        return Awm(
-            nodes=self.nodes,
-            edges=self.edges,
-            verified=self.verified,
-            beliefs={k: replace(v) for k, v in self.beliefs.items()},
-        )
+        """An independent graph: the index is cloned, not rebuilt."""
+        out = Awm.__new__(Awm)
+        out._nodes = dict(self._nodes)
+        out._verified = dict(self._verified)
+        out._incoming = {child: set(edges) for child, edges in self._incoming.items()}
+        out._outgoing = {parent: set(edges) for parent, edges in self._outgoing.items()}
+        out._blocked = dict(self._blocked)
+        out._frontier = set(self._frontier)
+        out.beliefs = {k: NodeBelief(b.collectable, b.craft_yield) for k, b in self.beliefs.items()}
+        return out
 
     # -- frontier and pruning ------------------------------------------------
 
@@ -408,34 +423,6 @@ def _workbench_or_tool_nodes(awm: Awm) -> set[str]:
     return special
 
 
-def _find_cycle(awm: Awm) -> list[AwmEdge] | None:
-    # DFS returning the edge list of one cycle, or None; graphs here are small.
-    color: dict[str, int] = {n: 0 for n in awm.nodes}
-    path: list[AwmEdge] = []
-
-    def dfs(node: str) -> list[AwmEdge] | None:
-        color[node] = 1
-        for e in awm.children_of(node):
-            if color[e.child] == 1:
-                idx = next(i for i, pe in enumerate(path) if pe.parent == e.child)
-                return path[idx:] + [e]
-            if color[e.child] == 0:
-                path.append(e)
-                found = dfs(e.child)
-                if found:
-                    return found
-                path.pop()
-        color[node] = 2
-        return None
-
-    for n in sorted(awm.nodes):
-        if color[n] == 0:
-            found = dfs(n)
-            if found:
-                return found
-    return None
-
-
 def remove_cycles(awm: Awm) -> Awm:
     """A copy of the graph with its circular dependencies broken by
     `break_cycles`; the graph itself is left as it is."""
@@ -449,8 +436,13 @@ def break_cycles(awm: Awm) -> None:
 
     Rule 1: a workbench/tool node drops its outgoing edges to items that appear
     in its own recipe. Rule 2: remaining mutual pairs lose both directions.
-    Longer cycles (if any remain) lose their lexicographically-last edge, one
-    per pass, until the graph is acyclic. Acyclic graphs are left as they are.
+    Longer cycles lose their lexicographically-last edge. One depth-first
+    search (roots and children in sorted order) does this: at each back edge it
+    drops the cycle's last edge, returns to that edge's parent and goes on with
+    the parent's next child. A node the search has finished reaches no cycle,
+    and dropping edges cannot create one, so it is not searched again: the
+    search drops the same edges as one restarted after every drop. Acyclic
+    graphs are left as they are.
     """
     for node in sorted(_workbench_or_tool_nodes(awm)):
         own_recipe = awm.ingredient_parents(node)
@@ -464,8 +456,34 @@ def break_cycles(awm: Awm) -> None:
         if (e.child, e.parent) in pairs:
             awm.discard_edge(e)
 
-    while True:
-        cycle = _find_cycle(awm)
-        if cycle is None:
-            break
-        awm.discard_edge(max(cycle, key=lambda e: (e.parent, e.child, e.kind)))
+    finished: set[str] = set()
+    for root in sorted(awm.nodes):
+        if root in finished:
+            continue
+        path = [root]  # the nodes being searched; path_edges[i] runs path[i] -> path[i + 1]
+        depth = {root: 0}
+        path_edges: list[AwmEdge] = []
+        pending = [iter(awm.children_of(root))]  # each path node's unsearched edges
+        while pending:
+            for e in pending[-1]:
+                if e.child in depth:
+                    dropped = max(path_edges[depth[e.child]:] + [e])  # distinct parents: no ties
+                    awm.discard_edge(dropped)
+                    keep = depth[dropped.parent] + 1
+                    for node in path[keep:]:
+                        del depth[node]
+                    del path[keep:], pending[keep:], path_edges[keep - 1:]
+                    break
+                if e.child not in finished:
+                    depth[e.child] = len(path)
+                    path.append(e.child)
+                    path_edges.append(e)
+                    pending.append(iter(awm.children_of(e.child)))
+                    break
+            else:
+                node = path.pop()
+                del depth[node]
+                finished.add(node)
+                pending.pop()
+                if path_edges:
+                    path_edges.pop()

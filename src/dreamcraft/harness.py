@@ -229,7 +229,7 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     budget = StepBudget()
     collectables = tree.collectables()
     craftables = tree.craftables()
-    held: set[str] = set()
+    held: set[str] = set()  # a success adds its item; a craft consumes only items already held
     steps = 0
     curve: list[BaselinePoint] = []
     for iteration in range(1, spec.max_iterations + 1):
@@ -237,12 +237,14 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
             item = collectables[rng.randrange(len(collectables))]
             out = attempt_collect(tree, item, inventory, spec.p0, rng, budget)
             steps += out.steps
-            held |= inventory.items_held()
+            if out.success:
+                held.add(item)
         if craftables:
             item = craftables[rng.randrange(len(craftables))]
             out = attempt_craft(tree, item, inventory, budget)
             steps += out.steps
-            held |= inventory.items_held()
+            if out.success:
+                held.add(item)
         curve.append(BaselinePoint(iteration, len(held), steps))
         if len(held) == len(tree.items):
             break

@@ -15,7 +15,6 @@ import statistics
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from itertools import islice
 from random import Random
 
 from .awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
@@ -81,10 +80,16 @@ _LEXEME = r"""
     | -?\d+                         # integer
     | [^\W\d]\w*                    # name
 """
-# One match per token: the whitespace and comments before it, then its
-# lexeme. A character that starts no token takes the rest of the text as its
-# lexeme, and the end of the text is the empty lexeme.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*(" + _LEXEME + r"| .+ | \Z)", re.S | re.X)
+_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
+# One match per token: the gap before it, then its lexeme. A character that
+# starts no token takes the rest of the text as its lexeme, and the end of the
+# text is the empty lexeme.
+_TOKEN = re.compile(_GAP + r"(" + _LEXEME + r"| .+ | \Z)", re.S | re.X)
+# Blocks of tokens to skip when looking for the offset of a later one: one
+# match per block, and no match object per token.
+_BLOCKS = [
+    (n, re.compile(r"(?:" + _GAP + r"(?:" + _LEXEME + r")){%d}" % n, re.S | re.X)) for n in (256, 16, 1)
+]
 _WHOLE_LEXEME = re.compile(_LEXEME, re.S | re.X)
 _NAME_START = re.compile(r"[^\W\d]")
 _ESCAPE = re.compile(r"\\(.)", re.S)
@@ -105,13 +110,15 @@ def _line_column(text: str, offset: int) -> tuple[int, int]:
 
 
 def _token_offsets(text: str, indices: list[int]):
-    """Offsets of the tokens at the given increasing indices, from one more
-    pass of the tokenizer up to the last of them."""
-    matches = _TOKEN.finditer(text)
-    done = 0
+    """Offsets of the tokens at the given increasing indices: the tokens
+    before each are skipped in blocks."""
+    start = done = 0  # where the match of token `done` starts
     for index in indices:
-        yield next(islice(matches, index - done, None)).start(1)
-        done = index + 1
+        for size, block in _BLOCKS:
+            while index - done >= size:
+                start = block.match(text, start).end()
+                done += size
+        yield _TOKEN.match(text, start).start(1)
 
 
 def _syntax_error(text: str, message: str, index: int) -> DocumentSyntaxError:
@@ -130,85 +137,73 @@ class _EntryError(ValueError):
         self.index = index  # of the token at fault
 
 
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
+def _colon_error(tokens: list[str], index: int) -> _EntryError:
+    tok = tokens[index]
+    found = _string_value(tok) if tok[:1] == '"' else tok
+    return _EntryError(f"expected ':', found {found!r}", index)
 
-    def peek(self) -> str:
-        return self.tokens[self.pos]
 
-    def next(self) -> str:
-        tok = self.tokens[self.pos]
-        if tok:  # the end of the document is never consumed
-            self.pos += 1
-        return tok
+def _value(tokens: list[str], i: int):
+    """The value whose first token is tokens[i], and the index after it. The
+    end of the document, the empty lexeme, is never passed."""
+    tok = tokens[i]
+    if tok[:1] == '"':
+        return _string_value(tok), i + 1
+    if tok == "{":
+        mapping = {}
+        i += 1
+        while (key := tokens[i]) != "}":
+            if key[:1] != '"':
+                raise _EntryError("expected double-quoted key", i)
+            if tokens[i + 1] != ":":
+                raise _colon_error(tokens, i + 1)
+            value, i = _value(tokens, i + 2)
+            mapping[_string_value(key)] = value
+            if tokens[i] == ",":
+                i += 1
+            elif tokens[i] != "}":
+                raise _EntryError("expected ',' or '}'", i)
+        return mapping, i + 1
+    if tok == "[":
+        values = []
+        i += 1
+        while tokens[i] != "]":
+            value, i = _value(tokens, i)
+            values.append(value)
+            if tokens[i] == ",":
+                i += 1
+            elif tokens[i] != "]":
+                raise _EntryError("expected ',' or ']'", i)
+        return values, i + 1
+    if tok in _LITERALS:
+        return _LITERALS[tok], i + 1
+    if tok[:1] == "-" or tok[:1].isdecimal():
+        return int(tok), i + 1
+    if _NAME_START.match(tok):
+        raise _EntryError(f"unexpected name {tok!r}", i)
+    raise _EntryError(f"unexpected token {tok!r}", i)
 
-    def expect(self, lexeme: str) -> None:
-        index = self.pos
-        tok = self.next()
-        if tok != lexeme:
-            found = _string_value(tok) if tok[:1] == '"' else tok
-            raise _EntryError(f"expected {lexeme!r}, found {found!r}", index)
 
-    def parse_value(self):
-        index = self.pos
-        tok = self.next()
-        if tok[:1] == '"':
-            return _string_value(tok)
-        if tok == "[":
-            values = []
-            while True:
-                if self.peek() == "]":
-                    self.pos += 1
-                    return values
-                values.append(self.parse_value())
-                nxt = self.peek()
-                if nxt == ",":
-                    self.pos += 1
-                elif nxt != "]":
-                    raise _EntryError("expected ',' or ']'", self.pos)
-        if tok == "{":
-            mapping = {}
-            while True:
-                key = self.peek()
-                if key == "}":
-                    self.pos += 1
-                    return mapping
-                if key[:1] != '"':
-                    raise _EntryError("expected double-quoted key", self.pos)
-                self.pos += 1
-                self.expect(":")
-                mapping[_string_value(key)] = self.parse_value()
-                nxt = self.peek()
-                if nxt == ",":
-                    self.pos += 1
-                elif nxt != "}":
-                    raise _EntryError("expected ',' or '}'", self.pos)
-        if tok in _LITERALS:
-            return _LITERALS[tok]
-        if tok[:1] == "-" or tok[:1].isdecimal():
-            return int(tok)
-        if _NAME_START.match(tok):
-            raise _EntryError(f"unexpected name {tok!r}", index)
-        raise _EntryError(f"unexpected token {tok!r}", index)
-
-    def skip_entry_from(self, entry_start: int) -> None:
-        """Abandon a broken entry: rewind to just after its key, skip one
-        balanced value (brace/bracket matching), and a trailing comma."""
-        self.pos = entry_start
-        if self.peek() == ":":
-            self.pos += 1
-        if self.next() in ("{", "["):
-            depth = 1
-            while depth and self.peek():
-                tok = self.next()
-                if tok in ("{", "["):
-                    depth += 1
-                elif tok in ("}", "]"):
-                    depth -= 1
-        if self.peek() == ",":
-            self.pos += 1
+def _skip_entry(tokens: list[str], i: int) -> int:
+    """The index after a broken entry whose key is just before tokens[i]: an
+    optional ':', one balanced value (brace/bracket matching), and a trailing
+    comma."""
+    if tokens[i] == ":":
+        i += 1
+    tok = tokens[i]
+    if tok:
+        i += 1
+    if tok in ("{", "["):
+        depth = 1
+        while depth and (tok := tokens[i]):
+            i += 1
+            if tok in ("{", "["):
+                depth += 1
+            elif tok in ("}", "]"):
+                depth -= 1
+    if tokens[i] == ",":
+        i += 1
+    return i
 
 
 def _coerce_quantity(raw) -> int:
@@ -216,7 +211,7 @@ def _coerce_quantity(raw) -> int:
         raise ValueError("quantity must be an integer")
     if isinstance(raw, int):
         qty = raw
-    elif isinstance(raw, str) and raw.strip().isdigit():
+    elif isinstance(raw, str) and raw.strip().isdecimal():
         qty = int(raw.strip())
     else:
         raise ValueError(f"bad quantity {raw!r}")
@@ -260,42 +255,38 @@ def parse_recipe_dict(text: str) -> ParseResult:
     schema are skipped and reported rather than failing the document.
     """
     tokens = _tokenize(text)
-    parser = _Parser(tokens)
-
     # Optional `identifier =` assignment prefix.
-    if _NAME_START.match(tokens[0]) and tokens[1] == "=":
-        parser.pos = 2
-
-    opening = parser.pos
-    if parser.next() != "{":
-        raise _syntax_error(text, "document must be a dictionary literal", opening)
+    i = 2 if _NAME_START.match(tokens[0]) and tokens[1] == "=" else 0
+    if tokens[i] != "{":
+        raise _syntax_error(text, "document must be a dictionary literal", i)
+    i += 1
 
     entries: list[ParsedEntry] = []
     skipped: list[tuple[str, int, str]] = []  # key, index of the token to report, reason
-    while True:
-        key_index = parser.pos
-        tok = parser.next()
-        if tok in ("", "}"):
-            break  # the empty lexeme ends a truncated document: keep what parsed
+    # The empty lexeme ends a truncated document: keep what parsed.
+    while (tok := tokens[i]) not in ("", "}"):
+        key_index = i
         if tok[0] != '"':
             raise _syntax_error(text, f"expected entry key, found {tok!r}", key_index)
         key = _string_value(tok)
-        entry_start = parser.pos
+        i += 1
         try:
-            parser.expect(":")
-            entries.append(_entry_from_body(key, parser.parse_value()))
+            if tokens[i] != ":":
+                raise _colon_error(tokens, i)
+            body, i = _value(tokens, i + 1)
+            entries.append(_entry_from_body(key, body))
         except _EntryError as exc:
             skipped.append((key, exc.index, str(exc)))
-            parser.skip_entry_from(entry_start)
+            i = _skip_entry(tokens, key_index + 1)
             continue
         except RecursionError:
             skipped.append((key, key_index, "entry nested too deeply"))
-            parser.skip_entry_from(entry_start)
+            i = _skip_entry(tokens, key_index + 1)
             continue
         except ValueError as exc:
             skipped.append((key, key_index, str(exc)))
-        if parser.peek() == ",":
-            parser.pos += 1
+        if tokens[i] == ",":
+            i += 1
 
     # Each skip moves the parser past the token it reports, so the indices increase.
     result = ParseResult(entries=entries)
@@ -353,27 +344,24 @@ DEFAULT_ALIASES: dict[str, str] = {
 }
 
 
-def _apply_alias(name: str, alias_map: dict[str, str]) -> str:
-    canon = name.strip().lower().replace(" ", "_")
-    if canon in alias_map:
-        return alias_map[canon]
-    for pattern, target in alias_map.items():
-        if pattern.startswith("*") and canon.endswith(pattern[1:]):
-            return target
-    return canon
-
-
 def normalize_aliases(
     entries: list[ParsedEntry], alias_map: dict[str, str] | None = None
 ) -> list[ParsedEntry]:
     """Rewrite every item and ingredient name through the alias table; the
     first occurrence wins when normalization creates duplicates."""
     table = DEFAULT_ALIASES if alias_map is None else alias_map
+    suffixes = [(pattern[1:], target) for pattern, target in table.items() if pattern.startswith("*")]
+    any_suffix = tuple(suffix for suffix, _ in suffixes)
     resolved: dict[str, str] = {}  # each distinct name is looked up once
 
     def alias(name: str) -> str:
         if name not in resolved:
-            resolved[name] = _apply_alias(name, table)
+            canon = name.strip().lower().replace(" ", "_")
+            if canon in table:
+                canon = table[canon]
+            elif canon.endswith(any_suffix):  # the first matching pattern wins
+                canon = next(target for suffix, target in suffixes if canon.endswith(suffix))
+            resolved[name] = canon
         return resolved[name]
 
     out: list[ParsedEntry] = []
@@ -383,15 +371,11 @@ def normalize_aliases(
         if item in seen:
             continue
         seen.add(item)
-        out.append(
-            ParsedEntry(
-                item=item,
-                requires_crafting_table=e.requires_crafting_table,
-                requires_furnace=e.requires_furnace,
-                required_tool=alias(e.required_tool) if e.required_tool else None,
-                recipe=tuple((alias(i), q) for i, q in e.recipe),
-            )
-        )
+        tool = alias(e.required_tool) if e.required_tool else None
+        recipe = tuple((alias(i), q) for i, q in e.recipe)
+        if item != e.item or tool != e.required_tool or recipe != e.recipe:
+            e = ParsedEntry(item, e.requires_crafting_table, e.requires_furnace, tool, recipe)
+        out.append(e)  # an entry whose names do not change is kept as it is
     return out
 
 

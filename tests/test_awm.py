@@ -3,7 +3,7 @@ from random import Random
 import networkx as nx
 import pytest
 
-from dreamcraft.awm import Awm, AwmEdge, NodeBelief, remove_cycles, sample_branch
+from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles, sample_branch
 from dreamcraft.tech_tree import Inventory, attempt_collect, attempt_craft
 
 
@@ -269,6 +269,19 @@ def test_remove_cycles_breaks_longer_cycles():
     # lexicographically-last edge of the cycle goes
     assert AwmEdge("c", "a", "ingredient", 1) not in fixed.edges
     assert len(fixed.edges) == 2
+
+
+def test_awm_edge_is_a_checked_tuple():
+    edge = AwmEdge(parent="log", child="planks", kind="ingredient")
+    assert (edge.parent, edge.child, edge.kind, edge.quantity) == ("log", "planks", "ingredient", 1)
+    assert edge == AwmEdge("log", "planks", "ingredient", 1) == ("log", "planks", "ingredient", 1)
+    assert hash(edge) == hash(("log", "planks", "ingredient", 1))
+    tool_edge, other = AwmEdge("log", "planks", "tool"), AwmEdge("a", "z", "ingredient")
+    assert sorted([tool_edge, edge, other]) == [other, edge, tool_edge]  # by field, in field order
+    with pytest.raises(AwmError, match="self edge"):
+        AwmEdge("log", "log", "ingredient")
+    with pytest.raises(AwmError, match="positive"):
+        AwmEdge(parent="log", child="planks", kind="ingredient", quantity=0)
 
 
 def test_expand_reports_cycles_defensively():

@@ -2,6 +2,7 @@ import json
 
 from dreamcraft.cli import main
 from dreamcraft.datafiles import llm_fixture_path
+from dreamcraft.hypotheses import ParsedEntry, serialize_recipe_dict
 
 
 def test_explore_command(tmp_path, capsys):
@@ -115,3 +116,18 @@ def test_parse_syntax_error_is_exit_2_with_position(tmp_path, capsys):
     rc = main(["parse", str(document)])
     assert rc == 2
     assert "unexpected character '~' (line 2, column 10)" in capsys.readouterr().err
+
+
+def test_parse_long_chain_document(tmp_path):
+    # 1500 items, each made from the one before it: a chain far longer than
+    # the interpreter's recursion limit.
+    entries = [ParsedEntry("i0000")] + [
+        ParsedEntry(f"i{k:04d}", recipe=((f"i{k - 1:04d}", 1),)) for k in range(1, 1500)
+    ]
+    document = tmp_path / "chain.txt"
+    document.write_text(serialize_recipe_dict(entries), encoding="utf-8")
+    rc = main(["parse", str(document), "--out", str(tmp_path / "awm.json")])
+    assert rc == 0
+    doc = json.loads((tmp_path / "awm.json").read_text())
+    assert len(doc["edges"]) == 1499
+    assert {"parent": "i1498", "child": "i1499", "kind": "ingredient", "quantity": 1} in doc["edges"]

@@ -83,10 +83,16 @@ def test_parse_rejects_unquoted_toplevel_key():
 
 
 def test_parse_skips_bad_quantities():
-    text = '{"a": {"recipe": [{"item": "b", "quantity": "lots"}]}, "c": {"recipe": []}}'
+    # A quoted quantity is made of decimal digits: '²' is a digit that int()
+    # rejects, and '٣' is 3.
+    text = (
+        '{"a": {"recipe": [{"item": "b", "quantity": "lots"}]},'
+        ' "s": {"recipe": [{"item": "b", "quantity": "²"}]},'
+        ' "c": {"recipe": [{"item": "b", "quantity": "٣"}]}}'
+    )
     result = parse_recipe_dict(text)
-    assert [e.item for e in result.entries] == ["c"]
-    assert result.skipped[0].key == "a"
+    assert [(e.item, e.recipe) for e in result.entries] == [("c", (("b", 3),))]
+    assert [(s.key, s.reason) for s in result.skipped] == [("a", "bad quantity 'lots'"), ("s", "bad quantity '²'")]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from dreamcraft.agent import AgentConfig, run, run_with_state
-from dreamcraft.awm import Awm, AwmEdge, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
     ErrorSpec,
@@ -162,32 +162,126 @@ def check_index_against_scans(awm):
         assert awm.believed_collectable(n) == expected
 
 
+def _find_cycle_from_scratch(awm):
+    """The edge list of the first cycle a recursive depth-first search meets
+    (roots and children in sorted order), or None."""
+    color = {n: 0 for n in awm.nodes}
+    path = []
+
+    def dfs(node):
+        color[node] = 1
+        for e in awm.children_of(node):
+            if color[e.child] == 1:
+                idx = next(i for i, pe in enumerate(path) if pe.parent == e.child)
+                return path[idx:] + [e]
+            if color[e.child] == 0:
+                path.append(e)
+                found = dfs(e.child)
+                if found:
+                    return found
+                path.pop()
+        color[node] = 2
+        return None
+
+    for n in sorted(awm.nodes):
+        if color[n] == 0:
+            found = dfs(n)
+            if found:
+                return found
+    return None
+
+
+def break_cycles_by_restarting(awm):
+    """Reference for `break_cycles`: the same two rules, then the search is
+    run again from scratch after every edge it drops."""
+    special = {e.parent for e in awm.edges if e.kind == "tool"} | ({"crafting_table", "furnace"} & awm.nodes)
+    for node in sorted(special):
+        own_recipe = awm.ingredient_parents(node)
+        for e in awm.children_of(node):
+            if e.child in own_recipe:
+                awm.discard_edge(e)
+    edges = awm.edges
+    pairs = {(e.parent, e.child) for e in edges}
+    for e in edges:
+        if (e.child, e.parent) in pairs:
+            awm.discard_edge(e)
+    while (cycle := _find_cycle_from_scratch(awm)) is not None:
+        awm.discard_edge(max(cycle, key=lambda e: (e.parent, e.child, e.kind)))
+
+
+@st.composite
+def cyclic_digraphs(draw):
+    """Graphs rich in cycles, sometimes with a workbench or tool node."""
+    n = draw(st.integers(2, 9))
+    nodes = [f"n{i}" for i in range(n)]
+    if draw(st.booleans()):
+        nodes[0] = "crafting_table"
+    edges = set()
+    for _ in range(draw(st.integers(0, 24))):
+        a, b = draw(st.lists(st.sampled_from(nodes), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(["ingredient", "ingredient", "tool", "workbench"]))
+        edges.add(AwmEdge(a, b, kind, draw(st.integers(1, 3))))
+    return Awm(nodes=set(nodes), edges=edges)
+
+
+@given(digraphs() | cyclic_digraphs())
+@settings(max_examples=300, deadline=None)
+def test_break_cycles_drops_what_restarting_the_search_drops(awm):
+    expected = awm.copy()
+    break_cycles_by_restarting(expected)
+    break_cycles(awm)
+    assert awm.edges == expected.edges
+    assert awm.is_acyclic()
+
+
+def _snapshot(awm):
+    beliefs = {n: (b.collectable, b.craft_yield) for n, b in awm.beliefs.items()}
+    return set(awm.nodes), awm.edges, set(awm.verified), awm.frontier(), beliefs
+
+
+def _random_write(awm, names, data):
+    kinds = st.sampled_from(["ingredient", "tool", "workbench"])
+    op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node"]))
+    if op == "add_edge":
+        a, b = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+        awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
+    elif op == "discard_edge" and awm.edges:
+        awm.discard_edge(data.draw(st.sampled_from(sorted(awm.edges))))
+    elif op == "verify_node" and awm.unverified():
+        item = data.draw(st.sampled_from(sorted(awm.unverified())))
+        parents = data.draw(
+            st.lists(st.sampled_from([n for n in names if n != item]), max_size=3, unique=True)
+        )
+        awm.verify_node(item, {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents})
+    elif op == "add_node":
+        awm.add_node("ghost")
+
+
 @given(digraphs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_index_matches_edge_scans_under_writes(awm, data):
     # "ghost" starts outside the graph: edges may name it before it is a node.
+    # At one step the graph is copied; later writes go to either graph and
+    # must leave the other as it was, beliefs included.
     names = sorted(awm.nodes) + ["ghost"]
-    kinds = st.sampled_from(["ingredient", "tool", "workbench"])
+    for n in data.draw(st.lists(st.sampled_from(names[:-1]), unique=True)):
+        awm.beliefs[n] = NodeBelief(collectable=data.draw(st.none() | st.booleans()))
+    graphs = [awm]
     check_index_against_scans(awm)
-    for _ in range(data.draw(st.integers(1, 12))):
-        op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node"]))
-        if op == "add_edge":
-            a, b = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
-            awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
-        elif op == "discard_edge" and awm.edges:
-            awm.discard_edge(data.draw(st.sampled_from(sorted(awm.edges))))
-        elif op == "verify_node" and awm.unverified():
-            item = data.draw(st.sampled_from(sorted(awm.unverified())))
-            parents = data.draw(
-                st.lists(st.sampled_from([n for n in names if n != item]), max_size=3, unique=True)
-            )
-            awm.verify_node(item, {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents})
-        elif op == "add_node":
-            awm.add_node("ghost")
-        check_index_against_scans(awm)
-    clone = awm.copy()
-    check_index_against_scans(clone)
-    assert (clone.nodes, clone.edges, clone.verified) == (awm.nodes, awm.edges, awm.verified)
+    steps = data.draw(st.integers(1, 12))
+    copy_at = data.draw(st.integers(0, steps - 1))
+    for step in range(steps):
+        if step == copy_at:
+            clone = awm.copy()
+            check_index_against_scans(clone)
+            assert _snapshot(clone) == _snapshot(awm)
+            graphs.append(clone)
+        target = data.draw(st.sampled_from(graphs))
+        others = [(g, _snapshot(g)) for g in graphs if g is not target]
+        _random_write(target, names, data)
+        check_index_against_scans(target)
+        for g, before in others:
+            assert _snapshot(g) == before
 
 
 @given(tech_trees(), st.data())
