@@ -22,12 +22,11 @@ def main() -> int:
     parser.add_argument("--out", default="results", help="output root directory")
     parser.add_argument("--seeds", type=int, default=10, help="seeds per configuration")
     parser.add_argument("--tree", default=str(pickaxe16_path()))
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     seeds = tuple(range(args.seeds))
     out = Path(args.out)
-    base = dict(tree_path=args.tree, seeds=seeds, workers=args.workers)
+    base = dict(tree_path=args.tree, seeds=seeds)
 
     print("== open-ended exploration (parsed-document / unguided / exact graph) ==")
     sources = [

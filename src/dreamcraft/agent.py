@@ -98,7 +98,7 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     selectable = frontier
     if config.mode == GOAL:
         selectable = awm.prune_to_goal(frontier, config.goal)
-    eligible = {n for n in selectable if state.counts[n] <= config.c0}
+    eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
     if eligible:
         return DreamSample(sample_branch(awm, eligible, state.rng), False)
     pool = frontier | awm.verified

@@ -46,7 +46,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pmax", type=float, default=0.95, help="asymptotic collect success probability")
     parser.add_argument("--tau", type=float, default=3.0, help="attempts scale of the learning curve")
     parser.add_argument("--retry-cap", type=int, default=10, help="attempts per acquire call")
-    parser.add_argument("--workers", type=int, default=1, help="concurrent trials")
     parser.add_argument("--out", default="results", help="output directory")
 
 
@@ -65,7 +64,6 @@ def _spec_from_args(args, experiment: str, goal: str | None = None) -> Experimen
         max_iterations=args.max_iterations,
         insert_rates=getattr(args, "insert_rates", ()),
         delete_rates=getattr(args, "delete_rates", ()),
-        workers=args.workers,
     )
 
 

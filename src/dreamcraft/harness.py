@@ -1,18 +1,18 @@
 """Experiment runner: open-ended growth curves, goal-directed task efficiency,
 robustness sweeps over injected hypothesis errors, and the no-model random
-explorer baseline. Emits deterministic CSV files plus a run manifest; trials
-may execute concurrently but results merge in seed order so outputs are
-byte-stable regardless of scheduling.
+explorer baseline. Trials run one after another in ascending seed order, and
+each experiment emits deterministic CSV files plus a run manifest.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from random import Random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import __version__
 from .agent import GOAL, OPEN_ENDED, AgentConfig, IterationRecord, run_with_state
@@ -49,16 +49,17 @@ class ExperimentSpec:
     insert_rates: tuple[float, ...] = ()
     delete_rates: tuple[float, ...] = ()
     distractor: str = "sand"
-    workers: int = 1
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
         kind = self.hypothesis.split(":", 1)[0]
         if kind not in HYPOTHESIS_KINDS:
             raise ValueError(f"unknown hypothesis source {self.hypothesis!r}")
         if self.experiment == "robustness":
             if not self.insert_rates or not self.delete_rates:
                 raise ValueError("robustness needs a rate grid")
-            if len(self.seeds) < 3:
+            if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
         if not self.seeds:
             raise ValueError("at least one seed required")
@@ -89,10 +90,6 @@ class BaselinePoint(NamedTuple):
     iteration: int
     discovered: int
     steps: int
-
-
-def load_spec_tree(spec: ExperimentSpec) -> TechTree:
-    return load_tree_file(spec.tree_path)
 
 
 def build_hypothesis(tree: TechTree, source: str, seed: int, distractor: str = "sand") -> Awm:
@@ -132,12 +129,8 @@ def _agent_config(spec: ExperimentSpec, mode: str, goal: str | None, seed: int) 
     )
 
 
-def _map_seeds(fn: Callable[[int], object], seeds: tuple[int, ...], workers: int) -> dict[int, object]:
-    if workers <= 1:
-        return {seed: fn(seed) for seed in seeds}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {seed: pool.submit(fn, seed) for seed in seeds}
-        return {seed: futures[seed].result() for seed in seeds}
+def _seeds(spec: ExperimentSpec) -> list[int]:
+    return sorted(set(spec.seeds))
 
 
 def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
@@ -150,31 +143,35 @@ def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
 def run_open_ended(spec: ExperimentSpec, tree: TechTree | None = None) -> dict[int, list[CurvePoint]]:
     """Per-seed open-ended exploration curves (verified / frontier / graph
     sizes and cumulative steps per iteration)."""
-    tree = tree or load_spec_tree(spec)
-
-    def trial(seed: int) -> list[CurvePoint]:
+    tree = tree or load_tree_file(spec.tree_path)
+    curves = {}
+    for seed in _seeds(spec):
         awm = build_hypothesis(tree, spec.hypothesis, seed, spec.distractor)
-        config = _agent_config(spec, OPEN_ENDED, None, seed)
-        records, _ = run_with_state(config, tree, awm)
-        return _curve(records)
-
-    return _map_seeds(trial, spec.seeds, spec.workers)  # type: ignore[return-value]
+        records, _ = run_with_state(_agent_config(spec, OPEN_ENDED, None, seed), tree, awm)
+        curves[seed] = _curve(records)
+    return curves
 
 
-def _task_trial(
-    spec: ExperimentSpec, tree: TechTree, source: str, label: str, goal: str, seed: int
-) -> TaskResult:
-    awm = build_hypothesis(tree, source, seed, spec.distractor)
-    config = _agent_config(spec, GOAL, goal, seed)
-    records, state = run_with_state(config, tree, awm)
-    return TaskResult(
-        hypothesis=label,
-        seed=seed,
-        success=goal in state.awm.verified,
-        env_steps_to_goal=state.total_env_steps,
-        iterations=len(records),
-        policies_created=state.bank.count(),
-    )
+def _goal_trials(
+    spec: ExperimentSpec, tree: TechTree, goal: str, sources: list[tuple[str, str]]
+) -> list[TaskResult]:
+    """One goal-directed trial per (hypothesis source, row label) and seed."""
+    results = []
+    for source, label in sources:
+        for seed in _seeds(spec):
+            awm = build_hypothesis(tree, source, seed, spec.distractor)
+            records, state = run_with_state(_agent_config(spec, GOAL, goal, seed), tree, awm)
+            results.append(
+                TaskResult(
+                    hypothesis=label,
+                    seed=seed,
+                    success=goal in state.awm.verified,
+                    env_steps_to_goal=state.total_env_steps,
+                    iterations=len(records),
+                    policies_created=state.bank.count(),
+                )
+            )
+    return results
 
 
 def run_task(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskResult]:
@@ -182,45 +179,22 @@ def run_task(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskRes
     the empty ablation, an empty-hypothesis reference on the same seeds."""
     if spec.goal is None:
         raise ValueError("task experiment needs a goal")
-    tree = tree or load_spec_tree(spec)
-    results: list[TaskResult] = []
     sources = [(spec.hypothesis, "primary")]
     if spec.hypothesis != "empty":
         sources.append(("empty", "empty"))
-    for source, label in sources:
-        trials = _map_seeds(
-            lambda seed, s=source, l=label: _task_trial(spec, tree, s, l, spec.goal, seed),
-            spec.seeds,
-            spec.workers,
-        )
-        results.extend(trials[seed] for seed in sorted(trials))
-    return results
+    return _goal_trials(spec, tree or load_tree_file(spec.tree_path), spec.goal, sources)
 
 
 def run_robustness(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskResult]:
     """Grid of goal-directed runs over perturbed ground truth, with
     empty-hypothesis and ground-truth reference rows on the same seeds."""
-    tree = tree or load_spec_tree(spec)
-    goal = spec.goal or "stone_pickaxe"
-    results: list[TaskResult] = []
-    for insert_rate in spec.insert_rates:
-        for delete_rate in spec.delete_rates:
-            source = f"perturb:{insert_rate},{delete_rate}"
-            label = f"perturb:{insert_rate:g},{delete_rate:g}"
-            trials = _map_seeds(
-                lambda seed, s=source, l=label: _task_trial(spec, tree, s, l, goal, seed),
-                spec.seeds,
-                spec.workers,
-            )
-            results.extend(trials[seed] for seed in sorted(trials))
-    for source in ("empty", "truth"):
-        trials = _map_seeds(
-            lambda seed, s=source: _task_trial(spec, tree, s, s, goal, seed),
-            spec.seeds,
-            spec.workers,
-        )
-        results.extend(trials[seed] for seed in sorted(trials))
-    return results
+    sources = [
+        (f"perturb:{insert_rate},{delete_rate}", f"perturb:{insert_rate:g},{delete_rate:g}")
+        for insert_rate in spec.insert_rates
+        for delete_rate in spec.delete_rates
+    ]
+    sources += [("empty", "empty"), ("truth", "truth")]
+    return _goal_trials(spec, tree or load_tree_file(spec.tree_path), spec.goal or "stone_pickaxe", sources)
 
 
 def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[BaselinePoint]:
@@ -255,9 +229,14 @@ def run_baseline_random(spec: ExperimentSpec, tree: TechTree | None = None) -> d
     """The no-model explorer: each iteration makes one random collect attempt
     (fixed success probability, no learning) and one random craft attempt from
     the accumulated inventory, tracking distinct items ever held."""
-    tree = tree or load_spec_tree(spec)
-    trials = _map_seeds(lambda seed: _baseline_trial(spec, tree, seed), spec.seeds, spec.workers)
-    return {seed: trials[seed] for seed in sorted(trials)}  # type: ignore[return-value]
+    tree = tree or load_tree_file(spec.tree_path)
+    return {seed: _baseline_trial(spec, tree, seed) for seed in _seeds(spec)}
+
+
+def run_score(spec: ExperimentSpec, tree: TechTree | None = None, subset: set[str] | None = None):
+    tree = tree or load_tree_file(spec.tree_path)
+    awm = build_hypothesis(tree, spec.hypothesis, spec.seeds[0], spec.distractor)
+    return score_hypothesis(awm, tree, subset or set(tree.items))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +252,30 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[tuple]) -> Path:
+    text = io.StringIO()  # one file write, not one per row
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_cell, row) for row in rows)
+    path.write_text(text.getvalue(), encoding="utf-8", newline="\n")
+    return path
+
+
+def _curve_writer(point: type, stem: str, summary: str, summary_header: list[str]):
+    """Writer of one `<stem>_seed<N>.csv` curve per seed, headed by the
+    point's fields, and a summary row of each curve's last point."""
+
+    def write(spec: ExperimentSpec, curves: dict, out: Path) -> list[Path]:
+        files, rows = [], []
+        for seed in sorted(curves):
+            curve = curves[seed]
+            files.append(_write_csv(out / f"{stem}_seed{seed}.csv", point._fields, curve))
+            last = curve[-1] if curve else (0,) * len(point._fields)
+            rows.append((seed, last[0], last[1], last[-1]))
+        files.append(_write_csv(out / summary, summary_header, rows))
+        return files
+
+    return write
 
 
 def _steps_stats(group: list[TaskResult]) -> tuple:
@@ -286,105 +285,89 @@ def _steps_stats(group: list[TaskResult]) -> tuple:
     return mean, stdev, min(steps), max(steps)
 
 
+def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Path) -> list[Path]:
+    rows = [
+        (r.hypothesis, r.seed, r.success, r.env_steps_to_goal, r.iterations, r.policies_created)
+        for r in results
+    ]
+    results_path = _write_csv(
+        out / f"{spec.experiment}_results.csv",
+        ["hypothesis", "seed", "success", "env_steps_to_goal", "iterations", "policies_created"],
+        rows,
+    )
+
+    groups: dict[str, list[TaskResult]] = {}
+    for r in results:
+        groups.setdefault(r.hypothesis, []).append(r)
+    empty_mean = _steps_stats(groups["empty"])[0] if "empty" in groups else None
+    summary_rows = []
+    for label in sorted(groups):
+        group = groups[label]
+        mean, stdev, lo, hi = _steps_stats(group)
+        ratio = empty_mean / mean if empty_mean and mean else 0.0
+        summary_rows.append(
+            (
+                label,
+                len(group),
+                statistics.mean(1.0 if r.success else 0.0 for r in group),
+                mean,
+                stdev,
+                lo,
+                hi,
+                statistics.mean(r.policies_created for r in group),
+                ratio,
+            )
+        )
+    summary_path = _write_csv(
+        out / f"{spec.experiment}_summary.csv",
+        [
+            "hypothesis",
+            "n_seeds",
+            "success_rate",
+            "mean_steps",
+            "stdev_steps",
+            "min_steps",
+            "max_steps",
+            "mean_policies",
+            "steps_ratio_empty_over_this",
+        ],
+        summary_rows,
+    )
+    return [results_path, summary_path]
+
+
+def _write_score(spec: ExperimentSpec, report, out: Path) -> list[Path]:
+    files = [out / "accuracy_report.csv", out / "accuracy_report.txt"]
+    files[0].write_text(report.to_csv(), encoding="utf-8", newline="\n")
+    files[1].write_text(report.to_text(), encoding="utf-8", newline="\n")
+    return files
+
+
+# experiment -> (runner, writer). The runners call `build_hypothesis` and
+# `run_with_state`, and `run_experiment` calls `emit_results`, through module
+# globals at call time, so a wrapper set on the module (as a tracer does)
+# reaches every trial; the table must not hold those three functions.
+EXPERIMENTS = {
+    "open_ended": (
+        run_open_ended,
+        _curve_writer(CurvePoint, "curves", "summary.csv", ["seed", "iterations", "final_verified", "final_steps"]),
+    ),
+    "task": (run_task, _write_goal_results),
+    "robustness": (run_robustness, _write_goal_results),
+    "baseline": (
+        run_baseline_random,
+        _curve_writer(BaselinePoint, "baseline", "baseline_summary.csv", ["seed", "iterations", "discovered", "steps"]),
+    ),
+    "score": (run_score, _write_score),
+}
+
+
 def emit_results(spec: ExperimentSpec, results, out_dir) -> list[Path]:
     """Write the experiment's CSV files plus a manifest. Re-running an
     identical spec reproduces every byte."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
-
-    if spec.experiment == "open_ended":
-        summary_rows = []
-        for seed in sorted(results):
-            path = out / f"curves_seed{seed}.csv"
-            _write_csv(path, ["iteration", "verified", "frontier", "graph", "steps"], results[seed])
-            files.append(path)
-            curve = results[seed]
-            last = curve[-1] if curve else CurvePoint(0, 0, 0, 0, 0)
-            summary_rows.append((seed, last.iteration, last.verified, last.steps))
-        path = out / "summary.csv"
-        _write_csv(path, ["seed", "iterations", "final_verified", "final_steps"], summary_rows)
-        files.append(path)
-
-    elif spec.experiment in ("task", "robustness"):
-        name = f"{spec.experiment}_results.csv"
-        rows = [
-            (r.hypothesis, r.seed, r.success, r.env_steps_to_goal, r.iterations, r.policies_created)
-            for r in results
-        ]
-        path = out / name
-        _write_csv(
-            path,
-            ["hypothesis", "seed", "success", "env_steps_to_goal", "iterations", "policies_created"],
-            rows,
-        )
-        files.append(path)
-
-        groups: dict[str, list[TaskResult]] = {}
-        for r in results:
-            groups.setdefault(r.hypothesis, []).append(r)
-        empty_mean = _steps_stats(groups["empty"])[0] if "empty" in groups else None
-        summary_rows = []
-        for label in sorted(groups):
-            group = groups[label]
-            mean, stdev, lo, hi = _steps_stats(group)
-            ratio = empty_mean / mean if empty_mean and mean else 0.0
-            summary_rows.append(
-                (
-                    label,
-                    len(group),
-                    statistics.mean(1.0 if r.success else 0.0 for r in group),
-                    mean,
-                    stdev,
-                    lo,
-                    hi,
-                    statistics.mean(r.policies_created for r in group),
-                    ratio,
-                )
-            )
-        path = out / f"{spec.experiment}_summary.csv"
-        _write_csv(
-            path,
-            [
-                "hypothesis",
-                "n_seeds",
-                "success_rate",
-                "mean_steps",
-                "stdev_steps",
-                "min_steps",
-                "max_steps",
-                "mean_policies",
-                "steps_ratio_empty_over_this",
-            ],
-            summary_rows,
-        )
-        files.append(path)
-
-    elif spec.experiment == "baseline":
-        summary_rows = []
-        for seed in sorted(results):
-            path = out / f"baseline_seed{seed}.csv"
-            _write_csv(path, ["iteration", "discovered", "steps"], results[seed])
-            files.append(path)
-            curve = results[seed]
-            last = curve[-1] if curve else BaselinePoint(0, 0, 0)
-            summary_rows.append((seed, last.iteration, last.discovered, last.steps))
-        path = out / "baseline_summary.csv"
-        _write_csv(path, ["seed", "iterations", "discovered", "steps"], summary_rows)
-        files.append(path)
-
-    elif spec.experiment == "score":
-        report = results
-        path = out / "accuracy_report.csv"
-        path.write_text(report.to_csv(), encoding="utf-8", newline="\n")
-        files.append(path)
-        path = out / "accuracy_report.txt"
-        path.write_text(report.to_text(), encoding="utf-8", newline="\n")
-        files.append(path)
-
-    else:
-        raise ValueError(f"unknown experiment {spec.experiment!r}")
-
+    files = EXPERIMENTS[spec.experiment][1](spec, results, out)
     manifest = {
         "experiment": spec.experiment,
         "spec": asdict(spec),
@@ -399,35 +382,18 @@ def emit_results(spec: ExperimentSpec, results, out_dir) -> list[Path]:
     return files
 
 
-def run_score(spec: ExperimentSpec, tree: TechTree | None = None, subset: set[str] | None = None):
-    tree = tree or load_spec_tree(spec)
-    awm = build_hypothesis(tree, spec.hypothesis, spec.seeds[0], spec.distractor)
-    return score_hypothesis(awm, tree, subset or set(tree.items))
-
-
 def spec_from_manifest(path) -> ExperimentSpec:
     """Rebuild the spec recorded in an emitted manifest, so an experiment can
     be reproduced from its own outputs."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    raw = doc["spec"]
+    # Fields a spec no longer has, such as the thread count of older versions, are ignored.
+    raw = {f.name: doc["spec"][f.name] for f in fields(ExperimentSpec) if f.name in doc["spec"]}
     for key in ("seeds", "insert_rates", "delete_rates"):
         raw[key] = tuple(raw[key])
     return ExperimentSpec(**raw)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:
-    """Dispatch an experiment spec and emit its files."""
-    tree = load_spec_tree(spec)
-    if spec.experiment == "open_ended":
-        results = run_open_ended(spec, tree)
-    elif spec.experiment == "task":
-        results = run_task(spec, tree)
-    elif spec.experiment == "robustness":
-        results = run_robustness(spec, tree)
-    elif spec.experiment == "baseline":
-        results = run_baseline_random(spec, tree)
-    elif spec.experiment == "score":
-        results = run_score(spec, tree)
-    else:
-        raise ValueError(f"unknown experiment {spec.experiment!r}")
-    return emit_results(spec, results, out_dir)
+    """Run an experiment spec and emit its files."""
+    runner = EXPERIMENTS[spec.experiment][0]
+    return emit_results(spec, runner(spec, load_tree_file(spec.tree_path)), out_dir)

@@ -2,7 +2,7 @@
 collect/craft attempt simulation.
 
 The tech tree is the environment's transition oracle at the subgoal level.
-It is immutable after loading and safe to share across concurrent trials;
+It is immutable after loading and shared by every trial of an experiment;
 inventories and RNG streams are per-trial.
 """
 from __future__ import annotations

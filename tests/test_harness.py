@@ -1,3 +1,5 @@
+import csv
+import json
 import statistics
 
 import pytest
@@ -29,6 +31,30 @@ def test_spec_validation():
         spec_for("robustness", insert_rates=(0.1,), delete_rates=(0.1,), seeds=(0, 1))
     with pytest.raises(ValueError):
         spec_for("task", seeds=())
+    with pytest.raises(ValueError, match="unknown experiment"):
+        spec_for("telepathy")
+    grid = dict(insert_rates=(0.1,), delete_rates=(0.1,))
+    with pytest.raises(ValueError, match="three seeds"):
+        spec_for("robustness", seeds=(1, 1, 1), **grid)  # one trial per cell
+    with pytest.raises(ValueError, match="three seeds"):
+        spec_for("robustness", seeds=(0, 1, 1, 0), **grid)
+    spec_for("robustness", seeds=(2, 0, 1), **grid)
+
+
+def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
+    seeds = (3, 0, 1, 1)
+    base = dict(seeds=seeds, max_iterations=5)
+    task = run_task(spec_for("task", goal="log", **base), tree)
+    assert [(r.hypothesis, r.seed) for r in task] == [
+        (label, seed) for label in ("primary", "empty") for seed in (0, 1, 3)
+    ]
+    grid = spec_for("robustness", goal="log", insert_rates=(0.0,), delete_rates=(0.1,), **base)
+    robustness = run_robustness(grid, tree)
+    assert [(r.hypothesis, r.seed) for r in robustness] == [
+        (label, seed) for label in ("perturb:0,0.1", "empty", "truth") for seed in (0, 1, 3)
+    ]
+    assert list(run_open_ended(spec_for("open_ended", **base), tree)) == [0, 1, 3]
+    assert list(run_baseline_random(spec_for("baseline", **base), tree)) == [0, 1, 3]
 
 
 def test_build_hypothesis_sources(tree, tmp_path):
@@ -223,16 +249,6 @@ def test_emit_rerun_byte_identical(tmp_path):
         assert left.read_bytes() == right.read_bytes(), left.name
 
 
-def test_emit_concurrent_workers_byte_identical(tmp_path):
-    base = dict(goal="wooden_pickaxe", seeds=(0, 1, 2, 3), max_iterations=300)
-    serial = run_experiment(spec_for("task", **base, workers=1), tmp_path / "serial")
-    threaded = run_experiment(spec_for("task", **base, workers=4), tmp_path / "threaded")
-    for left, right in zip(serial, threaded):
-        if left.name == "manifest.json":
-            continue  # records the differing workers knob
-        assert left.read_bytes() == right.read_bytes(), left.name
-
-
 def test_rerun_from_manifest_byte_identical(tmp_path):
     from dreamcraft.harness import spec_from_manifest
 
@@ -243,6 +259,42 @@ def test_rerun_from_manifest_byte_identical(tmp_path):
     second = run_experiment(recovered, tmp_path / "b")
     for left, right in zip(first, second):
         assert left.read_bytes() == right.read_bytes(), left.name
+
+
+def test_spec_from_manifest_ignores_a_recorded_thread_count(tmp_path):
+    from dreamcraft.harness import spec_from_manifest
+
+    spec = spec_for("task", goal="planks", seeds=(0, 1, 2), max_iterations=20)
+    run_experiment(spec, tmp_path)
+    path = tmp_path / "manifest.json"
+    doc = json.loads(path.read_text())
+    assert "workers" not in doc["spec"]
+    doc["spec"]["workers"] = 4
+    path.write_text(json.dumps(doc))
+    assert spec_from_manifest(path) == spec
+
+
+def test_robustness_files_read_back_with_a_csv_reader(tmp_path):
+    spec = spec_for(
+        "robustness",
+        goal="planks",
+        seeds=(2, 0, 1),
+        insert_rates=(0.0,),
+        delete_rates=(0.1, 0.2),
+        max_iterations=20,
+    )
+    run_experiment(spec, tmp_path)
+    with (tmp_path / "robustness_results.csv").open(newline="") as fh:
+        results = list(csv.DictReader(fh))
+    assert all(None not in row for row in results)  # no field beyond the header
+    labels = ("perturb:0,0.1", "perturb:0,0.2", "empty", "truth")
+    assert [(r["hypothesis"], r["seed"]) for r in results] == [
+        (label, str(seed)) for label in labels for seed in (0, 1, 2)
+    ]
+    with (tmp_path / "robustness_summary.csv").open(newline="") as fh:
+        summary = list(csv.DictReader(fh))
+    assert all(None not in row for row in summary)
+    assert [(r["hypothesis"], r["n_seeds"]) for r in summary] == [(label, "3") for label in sorted(labels)]
 
 
 def test_run_experiment_score(tmp_path):
