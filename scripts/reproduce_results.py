@@ -17,10 +17,17 @@ from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec, run_experiment
 
 
+def _seed_count(text: str) -> int:
+    count = int(text)
+    if count < 3:
+        raise argparse.ArgumentTypeError("need at least 3: the robustness grid runs three seeds per cell")
+    return count
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output root directory")
-    parser.add_argument("--seeds", type=int, default=10, help="seeds per configuration")
+    parser.add_argument("--seeds", type=_seed_count, default=10, help="seeds per configuration, at least 3")
     parser.add_argument("--tree", default=str(pickaxe16_path()))
     args = parser.parse_args()
 

@@ -3,7 +3,7 @@ reproducible experiment harness."""
 
 __version__ = "0.1.0"
 
-from .agent import AgentConfig, AgentState, IterationRecord, dream, run, run_with_state, wake
+from .agent import AgentConfig, AgentState, IterationRecord, dream, run_with_state, wake
 from .awm import Awm, AwmEdge, Branch, BranchStep, NodeBelief, remove_cycles, sample_branch
 from .hypotheses import (
     AccuracyReport,
@@ -18,7 +18,7 @@ from .hypotheses import (
     perturb_ground_truth,
     score_hypothesis,
 )
-from .policy import LearnerConfig, PolicyBank, PolicyState, acquire, ensure_policy, execute_subgoal
+from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
 from .tech_tree import (
     Inventory,
     ItemDef,

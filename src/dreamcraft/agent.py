@@ -6,14 +6,13 @@ Runs are fully deterministic given (seed, tree, initial belief graph).
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
 
 from .awm import Awm, Branch, sample_branch
-from .policy import LearnerConfig, PolicyBank, acquire, ensure_policy, execute_subgoal
+from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
 from .tech_tree import Inventory, StepBudget, TechTree
 
 OPEN_ENDED = "open_ended"
@@ -235,36 +234,3 @@ def run_with_state(
             break
         records.append(wake(state, config, sampled.branch, fallback=sampled.fallback))
     return records, state
-
-
-def run(config: AgentConfig, tree: TechTree, initial_awm: Awm) -> list[IterationRecord]:
-    return run_with_state(config, tree, initial_awm)[0]
-
-
-def state_to_json(state: AgentState) -> str:
-    """Checkpoint the mutable agent state (belief graph, visit counts, policy
-    progress). The tree and RNG stream are re-supplied on resume."""
-    doc = {
-        "awm": state.awm.to_json_dict(),
-        "counts": {k: v for k, v in sorted(state.counts.items()) if v},
-        "policies": {
-            item: {"attempts": p.attempts, "steps_spent": p.steps_spent}
-            for item, p in sorted(state.bank.policies.items())
-        },
-        "total_env_steps": state.total_env_steps,
-        "iteration_index": state.iteration_index,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def state_from_json(text: str, tree: TechTree, config: AgentConfig) -> AgentState:
-    doc = json.loads(text)
-    state = AgentState.create(tree, Awm.from_json_dict(doc["awm"]), config)
-    state.counts = Counter(doc.get("counts", {}))
-    for item, body in doc.get("policies", {}).items():
-        policy = ensure_policy(state.bank, item)
-        policy.attempts = int(body.get("attempts", 0))
-        policy.steps_spent = int(body.get("steps_spent", 0))
-    state.total_env_steps = int(doc.get("total_env_steps", 0))
-    state.iteration_index = int(doc.get("iteration_index", 0))
-    return state

@@ -113,7 +113,6 @@ class Awm:
         self,
         nodes: Iterable[str] = (),
         edges: Iterable[AwmEdge] = (),
-        verified: Iterable[str] = (),
         beliefs: dict[str, NodeBelief] | None = None,
     ):
         self._nodes: dict[str, None] = {}
@@ -127,11 +126,6 @@ class Awm:
             self.add_node(node)
         for edge in edges:
             self.add_edge(edge)
-        for node in verified:
-            if node not in self._nodes:
-                raise UnknownNodeError(f"verified node '{node}' is not in the graph")
-            if node not in self._verified:
-                self._mark_verified(node)
 
     # -- read-only state ------------------------------------------------------
 
@@ -331,20 +325,9 @@ class Awm:
         )
         return Branch(steps=steps, target=target)
 
-    def path_to(self, goal: str) -> Branch | None:
-        """Executable branch to a goal whose whole ancestor closure is
-        verified; None when any of it is still hypothesis."""
-        if goal not in self._nodes:
-            raise UnknownNodeError(f"unknown node '{goal}'")
-        if goal not in self._verified:
-            return None
-        if not self.ancestors(goal) <= self.verified:
-            return None
-        return self.expand_requirements(goal)
-
     # -- verification ---------------------------------------------------------
 
-    def verify_node(self, item: str, observed: set[ParentSpec], craft_yield: int = 1) -> "Awm":
+    def verify_node(self, item: str, observed: set[ParentSpec], craft_yield: int = 1) -> None:
         """Replace the item's hypothesized incoming edges with the observed
         ground-truth parents and mark it verified. Verified edges are never
         changed again; re-verification warns and leaves the graph untouched."""
@@ -352,7 +335,7 @@ class Awm:
             raise UnknownNodeError(f"unknown node '{item}'")
         if item in self._verified:
             warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
-            return self
+            return
         for e in list(self._incoming.get(item, ())):
             self.discard_edge(e)
         for parent, kind, quantity in observed:
@@ -363,12 +346,11 @@ class Awm:
         b = self.belief(item)
         b.collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
         b.craft_yield = craft_yield if not b.collectable else 1
-        return self
 
-    # -- serialization ---------------------------------------------------------
+    # -- export ----------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        doc = {
             "nodes": sorted(self.nodes),
             "edges": [
                 {"parent": e.parent, "child": e.child, "kind": e.kind, "quantity": e.quantity}
@@ -380,31 +362,7 @@ class Awm:
                 for n, b in sorted(self.beliefs.items())
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Awm":
-        """Inverse of `to_json_dict`. Belief keys other than collectable and
-        craft_yield, such as the required_tool and workbench labels older
-        checkpoints carry, are ignored: the edges hold those facts."""
-        return cls(
-            nodes=doc.get("nodes", []),
-            edges=(
-                AwmEdge(e["parent"], e["child"], e["kind"], int(e.get("quantity", 1)))
-                for e in doc.get("edges", [])
-            ),
-            verified=doc.get("verified", []),
-            beliefs={
-                n: NodeBelief(collectable=b.get("collectable"), craft_yield=int(b.get("craft_yield", 1)))
-                for n, b in doc.get("beliefs", {}).items()
-            },
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Awm":
-        return cls.from_json_dict(json.loads(text))
+        return json.dumps(doc, indent=2) + "\n"
 
 
 def sample_branch(awm: Awm, candidates: set[str], rng: Random) -> Branch:

@@ -61,6 +61,8 @@ class ExperimentSpec:
                 raise ValueError("robustness needs a rate grid")
             if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
+        if self.experiment == "score" and len(set(self.seeds)) > 1:
+            raise ValueError("score builds one hypothesis, so it takes one seed")
         if not self.seeds:
             raise ValueError("at least one seed required")
 
@@ -233,10 +235,10 @@ def run_baseline_random(spec: ExperimentSpec, tree: TechTree | None = None) -> d
     return {seed: _baseline_trial(spec, tree, seed) for seed in _seeds(spec)}
 
 
-def run_score(spec: ExperimentSpec, tree: TechTree | None = None, subset: set[str] | None = None):
+def run_score(spec: ExperimentSpec, tree: TechTree | None = None):
     tree = tree or load_tree_file(spec.tree_path)
     awm = build_hypothesis(tree, spec.hypothesis, spec.seeds[0], spec.distractor)
-    return score_hypothesis(awm, tree, subset or set(tree.items))
+    return score_hypothesis(awm, tree, set(tree.items))
 
 
 # ---------------------------------------------------------------------------

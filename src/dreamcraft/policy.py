@@ -2,8 +2,8 @@
 
 Collect subgoals are backed by a saturating learning curve standing in for a
 finetuned policy: practice raises the per-attempt success probability. Craft
-subgoals are a single deterministic action and need no learner. Step spending
-is tracked per policy for sample-efficiency accounting.
+subgoals are a single deterministic action and need no learner. A collect
+policy's whole state is its attempt count.
 """
 from __future__ import annotations
 
@@ -41,28 +41,15 @@ class LearnerConfig:
 
 
 @dataclass
-class PolicyState:
-    item: str
-    attempts: int = 0
-    steps_spent: int = 0
-
-
-@dataclass
 class PolicyBank:
+    """One collect policy per item, created on its first attempt and stored
+    as the number of attempts made so far."""
+
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    policies: dict[str, PolicyState] = field(default_factory=dict)
+    attempts: dict[str, int] = field(default_factory=dict)
 
     def count(self) -> int:
-        return len(self.policies)
-
-
-def ensure_policy(bank: PolicyBank, item: str) -> PolicyState:
-    """Return the item's policy, creating it lazily on first need."""
-    state = bank.policies.get(item)
-    if state is None:
-        state = PolicyState(item=item)
-        bank.policies[item] = state
-    return state
+        return len(self.attempts)
 
 
 def execute_subgoal(
@@ -81,15 +68,12 @@ def execute_subgoal(
     step charge, not an error: exploring wrong hypotheses must be possible.
     """
     if action == "collect":
-        state = ensure_policy(bank, item)
+        attempts = bank.attempts.get(item, 0)
+        bank.attempts[item] = attempts + 1
         if item in tree and tree.is_collectable(item):
-            p = bank.learner.success_prob(state.attempts)
-            outcome = attempt_collect(tree, item, inventory, p, rng, budget)
-        else:
-            outcome = Outcome(False, budget.collect_steps)
-        state.attempts += 1
-        state.steps_spent += outcome.steps
-        return outcome
+            p = bank.learner.success_prob(attempts)
+            return attempt_collect(tree, item, inventory, p, rng, budget)
+        return Outcome(False, budget.collect_steps)
     if action == "craft":
         if item in tree and tree.is_craftable(item):
             return attempt_craft(tree, item, inventory, budget)

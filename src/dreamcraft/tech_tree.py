@@ -126,21 +126,6 @@ class Inventory:
     def clear(self) -> None:
         self._counts.clear()
 
-    def items_held(self) -> set[str]:
-        return {i for i, n in self._counts.items() if n > 0}
-
-    def as_dict(self) -> dict[str, int]:
-        return {i: self._counts[i] for i in sorted(self._counts) if self._counts[i] > 0}
-
-    def copy(self) -> "Inventory":
-        return Inventory(dict(self._counts))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Inventory) and self.as_dict() == other.as_dict()
-
-    def __repr__(self) -> str:
-        return f"Inventory({self.as_dict()})"
-
 
 @dataclass
 class TechTree:

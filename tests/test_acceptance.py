@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from dreamcraft.agent import AgentConfig, run, run_with_state
+from dreamcraft.agent import AgentConfig, run_with_state
 from dreamcraft.awm import AwmEdge
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec, run_experiment, run_robustness, run_task
@@ -57,7 +57,8 @@ def open_ended_runs(tree16):
                 if source == "truth"
                 else empty_hypothesis(set(tree16.items))
             )
-            out.append(run(AgentConfig(mode="open_ended", seed=seed, max_iterations=900), tree16, awm))
+            config = AgentConfig(mode="open_ended", seed=seed, max_iterations=900)
+            out.append(run_with_state(config, tree16, awm)[0])
         return out
 
     return batch("truth"), batch("empty")
@@ -234,7 +235,7 @@ def _verification_soundness_case(tree, insert_rate, delete_rate, seed):
 
     # Inventories can never go negative (the container enforces it; check the
     # final snapshot explicitly as well).
-    assert all(count >= 0 for count in state.inventory.as_dict().values())
+    assert all(state.inventory.count(i) >= 0 for i in tree.items)
 
     # Tools and workbenches survive a successful craft untouched.
     craftables = tree.craftables()
@@ -246,11 +247,11 @@ def _verification_soundness_case(tree, insert_rate, delete_rate, seed):
             inv.add("crafting_table")
         if d.requires_furnace:
             inv.add("furnace")
-        before = inv.copy()
+        before = {bench: inv.count(bench) for bench in ("crafting_table", "furnace")}
         assert attempt_craft(tree, item, inv).success
-        for bench in ("crafting_table", "furnace"):
+        for bench in before:
             if bench != item and bench not in {e.item for e in d.recipe}:
-                assert inv.count(bench) == before.count(bench)
+                assert inv.count(bench) == before[bench]
 
 
 def test_criterion_5_verification_soundness():
@@ -315,7 +316,7 @@ def test_criterion_6_oracle_equivalence():
                 learner=LearnerConfig(p0=1.0, p_max=1.0),
                 retry_cap=10_000,
             )
-            records = run(config, tree, ground_truth_awm(tree))
+            records = run_with_state(config, tree, ground_truth_awm(tree))[0]
             assert len(records) == oracle_iterations(tree, goal), (tree_seed, goal)
             checked += 1
     print(f"\nACCEPTANCE 6 PASS: run() == brute-force walker on {checked} (tree, goal) pairs, exactly")

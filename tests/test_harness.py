@@ -39,6 +39,9 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="three seeds"):
         spec_for("robustness", seeds=(0, 1, 1, 0), **grid)
     spec_for("robustness", seeds=(2, 0, 1), **grid)
+    with pytest.raises(ValueError, match="one seed"):
+        spec_for("score", seeds=(0, 5))  # score builds the hypothesis of one seed
+    spec_for("score", seeds=(5, 5))
 
 
 def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
@@ -117,7 +120,7 @@ def test_task_glass_longest_chain_succeeds():
 
 
 def test_exact_graph_weakly_fastest_of_three(tree):
-    from dreamcraft.agent import AgentConfig, run
+    from dreamcraft.agent import AgentConfig, run_with_state
     from dreamcraft.datafiles import llm_fixture_path
     from dreamcraft.harness import build_hypothesis
 
@@ -125,7 +128,7 @@ def test_exact_graph_weakly_fastest_of_three(tree):
         totals = []
         for seed in range(5):
             awm = build_hypothesis(tree, source, seed)
-            records = run(
+            records, _ = run_with_state(
                 AgentConfig(mode="open_ended", seed=seed, max_iterations=900), tree, awm
             )
             totals.append(next(r.iteration for r in records if r.newly_verified == "glass"))
@@ -138,12 +141,12 @@ def test_exact_graph_weakly_fastest_of_three(tree):
 
 
 def test_guided_agent_dominates_random_baseline(tree):
-    from dreamcraft.agent import AgentConfig, run
+    from dreamcraft.agent import AgentConfig, run_with_state
     from dreamcraft.hypotheses import ground_truth_awm
 
     guided_done = []
     for seed in range(5):
-        records = run(
+        records, _ = run_with_state(
             AgentConfig(mode="open_ended", seed=seed, max_iterations=900),
             tree,
             ground_truth_awm(tree),

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from dreamcraft.policy import LearnerConfig, PolicyBank, acquire, ensure_policy, execute_subgoal
+from dreamcraft.policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
 from dreamcraft.tech_tree import Inventory
 
 
@@ -10,11 +10,15 @@ def certain() -> PolicyBank:
     return PolicyBank(learner=LearnerConfig(p0=1.0, p_max=1.0))
 
 
-def test_ensure_policy_lazy_and_idempotent():
+def test_policy_created_once_on_first_collect(tree):
     bank = PolicyBank()
-    first = ensure_policy(bank, "log")
-    assert first.attempts == 0
-    assert ensure_policy(bank, "log") is first
+    inv = Inventory()
+    execute_subgoal(bank, tree, "planks", "craft", inv, Random(0))
+    assert bank.count() == 0
+    execute_subgoal(bank, tree, "log", "collect", inv, Random(0))
+    assert bank.attempts == {"log": 1}
+    execute_subgoal(bank, tree, "log", "collect", inv, Random(0))
+    assert bank.attempts == {"log": 2}
     assert bank.count() == 1
 
 
@@ -39,8 +43,7 @@ def test_collect_with_certain_policy(tree):
     inv = Inventory()
     out = execute_subgoal(bank, tree, "log", "collect", inv, Random(0))
     assert out.success and out.steps == 1000
-    assert bank.policies["log"].attempts == 1
-    assert bank.policies["log"].steps_spent == 1000
+    assert bank.attempts == {"log": 1}
     assert inv.count("log") == 1
 
 
@@ -77,7 +80,7 @@ def test_acquire_three_cobblestone(tree):
     inv = Inventory({"wooden_pickaxe": 1})
     out = acquire(bank, tree, "cobblestone", "collect", 3, inv, Random(0))
     assert out.success and out.steps == 3000
-    assert bank.policies["cobblestone"].attempts == 3
+    assert bank.attempts == {"cobblestone": 3}
 
 
 def test_acquire_hopeless_policy_exhausts_cap(tree):
@@ -85,7 +88,7 @@ def test_acquire_hopeless_policy_exhausts_cap(tree):
     out = acquire(bank, tree, "log", "collect", 1, Inventory(), Random(0), retry_cap=10)
     assert not out.success
     assert out.steps == 10_000
-    assert bank.policies["log"].attempts == 10
+    assert bank.attempts == {"log": 10}
 
 
 def test_acquire_yield_shortcut(tree):

@@ -4,7 +4,7 @@ from random import Random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from dreamcraft.agent import AgentConfig, run, run_with_state
+from dreamcraft.agent import AgentConfig, run_with_state
 from dreamcraft.awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
@@ -97,19 +97,19 @@ def test_craft_conserves_and_spares_tools(tree, data):
         inv.add("crafting_table", 1)
     if d.requires_furnace:
         inv.add("furnace", 1)
-    before = inv.copy()
+    before = {i: inv.count(i) for i in tree.items}
     out = attempt_craft(tree, item, inv)
     assert out.success
     for entry in d.recipe:
-        expected = before.count(entry.item) - entry.quantity
+        expected = before[entry.item] - entry.quantity
         if entry.item == item:
             expected += d.craft_yield
         assert inv.count(entry.item) == expected
     if d.requires_crafting_table and "crafting_table" not in {e.item for e in d.recipe}:
-        assert inv.count("crafting_table") == before.count("crafting_table")
+        assert inv.count("crafting_table") == before["crafting_table"]
     if d.requires_furnace and "furnace" not in {e.item for e in d.recipe}:
-        assert inv.count("furnace") == before.count("furnace")
-    gained = inv.count(item) - before.count(item)
+        assert inv.count("furnace") == before["furnace"]
+    gained = inv.count(item) - before[item]
     if item not in {e.item for e in d.recipe}:
         assert gained == d.craft_yield
 
@@ -317,7 +317,7 @@ def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
     for item in state.awm.verified:
         got = {(e.parent, e.kind, e.quantity) for e in state.awm.parents_of(item)}
         assert got == tree.ground_truth_parents(item), item
-    assert all(n >= 0 for n in state.inventory.as_dict().values())
+    assert all(state.inventory.count(i) >= 0 for i in tree.items)
     assert state.awm.is_acyclic()
     for node in state.awm.frontier():
         assert node not in state.awm.verified
@@ -330,8 +330,8 @@ def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
 @settings(max_examples=60, deadline=None)
 def test_run_deterministic_on_random_worlds(tree, seed):
     config = AgentConfig(mode="open_ended", c0=3, max_iterations=15, seed=seed)
-    first = run(config, tree, ground_truth_awm(tree))
-    second = run(config, tree, ground_truth_awm(tree))
+    first = run_with_state(config, tree, ground_truth_awm(tree))[0]
+    second = run_with_state(config, tree, ground_truth_awm(tree))[0]
     assert first == second
 
 

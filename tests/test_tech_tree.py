@@ -15,6 +15,11 @@ from dreamcraft.tech_tree import (
 )
 
 
+def held(tree, inv):
+    """The inventory's nonzero counts over the tree's items."""
+    return {i: inv.count(i) for i in tree.items if inv.count(i)}
+
+
 def test_fixture_round_trips(tree, fixture_text):
     assert len(tree.items) == 16
     assert serialize_tree(tree) == fixture_text
@@ -95,20 +100,20 @@ def test_craft_wooden_pickaxe(tree):
     inv = Inventory({"planks": 3, "stick": 2, "crafting_table": 1})
     out = attempt_craft(tree, "wooden_pickaxe", inv)
     assert out.success and out.steps == 0
-    assert inv.as_dict() == {"crafting_table": 1, "wooden_pickaxe": 1}
+    assert held(tree, inv) == {"crafting_table": 1, "wooden_pickaxe": 1}
 
 
 def test_craft_missing_workbench_leaves_inventory_unchanged(tree):
     inv = Inventory({"planks": 3, "stick": 2})
     out = attempt_craft(tree, "wooden_pickaxe", inv)
     assert not out.success
-    assert inv.as_dict() == {"planks": 3, "stick": 2}
+    assert held(tree, inv) == {"planks": 3, "stick": 2}
 
 
 def test_craft_yield(tree):
     inv = Inventory({"log": 1})
     assert attempt_craft(tree, "planks", inv).success
-    assert inv.as_dict() == {"planks": 4}
+    assert held(tree, inv) == {"planks": 4}
 
 
 def test_workbench_not_consumed_by_glass(tree):
