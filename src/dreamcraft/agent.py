@@ -41,6 +41,8 @@ class AgentConfig:
             raise ValueError("goal must be set exactly when mode is 'goal'")
         if self.c0 < 1:
             raise ValueError("c0 must be positive")
+        if self.retry_cap < 1:
+            raise ValueError("retry_cap must be positive")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
 
@@ -66,8 +68,7 @@ class AgentState:
         )
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     iteration: int
     target: str
     branch_length: int
@@ -161,26 +162,17 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     if not fallback:
         state.inventory.clear()
 
+    inventory = state.inventory
     steps_before = state.total_env_steps
     failed = False
     target_counted = False
-    for step in branch.steps:
-        wanted = state.inventory.count(step.item) + _planned_addition(
-            state, step.item, step.action, step.repetitions
-        )
+    for item, action, repetitions in branch.steps:
+        wanted = inventory.count(item) + _planned_addition(state, item, action, repetitions)
         out = acquire(
-            state.bank,
-            state.tree,
-            step.item,
-            step.action,
-            wanted,
-            state.inventory,
-            state.rng,
-            retry_cap=config.retry_cap,
-            budget=config.budget,
+            state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap, config.budget
         )
-        state.counts[step.item] += 1
-        if step.item == branch.target:
+        state.counts[item] += 1
+        if item == branch.target:
             target_counted = True
         state.total_env_steps += out.steps
         if not out.success:

@@ -4,7 +4,9 @@ subgoals.
 Nodes are items; edges point from a prerequisite (parent) to the item that
 needs it (child) and are typed ingredient/tool/workbench. Each node is either
 hypothesized or verified. Frontier computation, goal-path pruning, branch
-expansion, and verification-time correction live here.
+expansion, and verification-time correction live here. A target's expanded
+branch is kept until the next write to the graph or its beliefs, so the dream
+phase expands a branch once per graph state.
 """
 from __future__ import annotations
 
@@ -12,9 +14,10 @@ import heapq
 import json
 import math
 import warnings
-from collections.abc import Iterable, KeysView
+from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass
 from random import Random
+from types import MappingProxyType
 from typing import Literal, NamedTuple
 
 from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec
@@ -62,21 +65,24 @@ class AwmEdge(_EdgeFields):
         return tuple.__new__(cls, (parent, child, kind, quantity))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeBelief:
     """What the agent currently believes about one item.
 
     collectable=None means unknown (tabula rasa); craft_yield is 1 until a
     craft for the item has actually been observed. Tools and workbenches are
-    the node's incoming edges, not labels.
+    the node's incoming edges, not labels. A belief is replaced through
+    `Awm.set_belief`, never changed in place.
     """
 
     collectable: bool | None = None
     craft_yield: int = 1
 
 
-@dataclass(frozen=True)
-class BranchStep:
+_UNKNOWN_BELIEF = NodeBelief()
+
+
+class BranchStep(NamedTuple):
     item: str
     action: SubgoalAction
     repetitions: int
@@ -104,9 +110,14 @@ class Awm:
     sets index the same edges by parent. An edge may name a parent that is not
     a node, which keeps its child off the frontier for good. The frontier is
     kept up to date by counting, per child, the incoming edges whose parent is
-    unverified. Only `add_node`, `add_edge`, `discard_edge` and `verify_node`
-    change the graph: `nodes` and `verified` are read-only views and `edges`
-    is a new set on every read. `copy` clones the index and the beliefs.
+    unverified. Only `add_node`, `add_edge`, `discard_edge`, `set_belief` and
+    `verify_node` change the graph: `nodes`, `verified` and `beliefs` are
+    read-only views and `edges` is a new set on every read.
+
+    `expand_requirements` keeps each target's branch until the next write:
+    every write that changes the graph or a belief drops all kept branches
+    (`verify_node` through the writes it makes). `copy` clones the index and
+    the beliefs and starts with no kept branches.
     """
 
     def __init__(
@@ -121,7 +132,8 @@ class Awm:
         self._outgoing: dict[str, set[AwmEdge]] = {}
         self._blocked: dict[str, int] = {}  # incoming edges from unverified parents
         self._frontier: set[str] = set()
-        self.beliefs: dict[str, NodeBelief] = dict(beliefs or {})
+        self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
+        self._branches: dict[str, Branch] = {}  # expand_requirements results since the last write
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -141,12 +153,17 @@ class Awm:
     def edges(self) -> set[AwmEdge]:
         return {e for incoming in self._incoming.values() for e in incoming}
 
+    @property
+    def beliefs(self) -> Mapping[str, NodeBelief]:
+        return MappingProxyType(self._beliefs)
+
     # -- writes -----------------------------------------------------------------
 
     def add_node(self, item: str) -> None:
         if item in self._nodes:
             return
         self._nodes[item] = None
+        self._branches.clear()
         self._update_frontier(item)
 
     def add_edge(self, edge: AwmEdge) -> None:
@@ -156,6 +173,7 @@ class Awm:
             return
         incoming.add(edge)
         self._outgoing.setdefault(edge.parent, set()).add(edge)
+        self._branches.clear()
         if edge.parent not in self._verified:
             self._blocked[edge.child] = self._blocked.get(edge.child, 0) + 1
             self._frontier.discard(edge.child)
@@ -166,9 +184,14 @@ class Awm:
             return
         incoming.remove(edge)
         self._outgoing[edge.parent].remove(edge)
+        self._branches.clear()
         if edge.parent not in self._verified:
             self._blocked[edge.child] -= 1
             self._update_frontier(edge.child)
+
+    def set_belief(self, item: str, belief: NodeBelief) -> None:
+        self._beliefs[item] = belief
+        self._branches.clear()
 
     def _mark_verified(self, item: str) -> None:
         self._verified[item] = None
@@ -185,7 +208,7 @@ class Awm:
     # -- basic queries ------------------------------------------------------
 
     def belief(self, item: str) -> NodeBelief:
-        return self.beliefs.setdefault(item, NodeBelief())
+        return self._beliefs.get(item, _UNKNOWN_BELIEF)
 
     def parents_of(self, item: str) -> list[AwmEdge]:
         return sorted(self._incoming.get(item, ()))
@@ -199,7 +222,7 @@ class Awm:
     def believed_collectable(self, item: str) -> bool:
         """Collect is the believed action when the node is labeled collectable,
         or when nothing is known and it has no hypothesized recipe."""
-        b = self.beliefs.get(item)
+        b = self._beliefs.get(item)
         if b is not None and b.collectable is not None:
             return b.collectable
         return not any(e.kind == INGREDIENT for e in self._incoming.get(item, ()))
@@ -223,7 +246,8 @@ class Awm:
         out._outgoing = {parent: set(edges) for parent, edges in self._outgoing.items()}
         out._blocked = dict(self._blocked)
         out._frontier = set(self._frontier)
-        out.beliefs = {k: NodeBelief(b.collectable, b.craft_yield) for k, b in self.beliefs.items()}
+        out._beliefs = dict(self._beliefs)
+        out._branches = {}
         return out
 
     # -- frontier and pruning ------------------------------------------------
@@ -289,8 +313,12 @@ class Awm:
         ordered branch with per-subgoal repetitions.
 
         Quantities are computed bottom-up with ceiling division by believed
-        yields; tool/workbench uses add one non-consumed copy.
+        yields; tool/workbench uses add one non-consumed copy. The branch is
+        kept until the next write, which drops it.
         """
+        branch = self._branches.get(target)
+        if branch is not None:
+            return branch
         if target not in self._nodes:
             raise UnknownNodeError(f"unknown node '{target}'")
         closure = self.ancestors(target) | {target}
@@ -299,31 +327,25 @@ class Awm:
         consumed: dict[str, int] = {n: 0 for n in closure}
         tool_use: dict[str, bool] = {n: False for n in closure}
         consumed[target] = 1
-        reps: dict[str, int] = {}
+        steps: dict[str, BranchStep] = {}
         for node in reversed(order):
             need = consumed[node] + (1 if tool_use[node] else 0)
             if self.believed_collectable(node):
-                reps[node] = need
+                step = BranchStep(node, COLLECT, need)
             else:
                 per_craft = max(1, self.belief(node).craft_yield)
-                reps[node] = max(1, math.ceil(need / per_craft))
+                step = BranchStep(node, CRAFT, max(1, math.ceil(need / per_craft)))
+            steps[node] = step
             for e in self._incoming.get(node, ()):
                 if e.parent not in closure:
                     continue
                 if e.kind == INGREDIENT:
-                    consumed[e.parent] += reps[node] * e.quantity
+                    consumed[e.parent] += step.repetitions * e.quantity
                 else:
                     tool_use[e.parent] = True
 
-        steps = tuple(
-            BranchStep(
-                item=node,
-                action=COLLECT if self.believed_collectable(node) else CRAFT,
-                repetitions=reps[node],
-            )
-            for node in order
-        )
-        return Branch(steps=steps, target=target)
+        branch = self._branches[target] = Branch(steps=tuple(steps[n] for n in order), target=target)
+        return branch
 
     # -- verification ---------------------------------------------------------
 
@@ -342,10 +364,8 @@ class Awm:
             self.add_node(parent)
             self.add_edge(AwmEdge(parent=parent, child=item, kind=kind, quantity=quantity))
         self._mark_verified(item)
-
-        b = self.belief(item)
-        b.collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
-        b.craft_yield = craft_yield if not b.collectable else 1
+        collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
+        self.set_belief(item, NodeBelief(collectable, 1 if collectable else craft_yield))
 
     # -- export ----------------------------------------------------------------
 
@@ -359,7 +379,7 @@ class Awm:
             "verified": sorted(self.verified),
             "beliefs": {
                 n: {"collectable": b.collectable, "craft_yield": b.craft_yield}
-                for n, b in sorted(self.beliefs.items())
+                for n, b in sorted(self._beliefs.items())
             },
         }
         return json.dumps(doc, indent=2) + "\n"

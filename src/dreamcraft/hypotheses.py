@@ -412,9 +412,10 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
             add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
-        awm.beliefs[e.item] = NodeBelief(collectable=e.collectable)
+        awm.set_belief(e.item, NodeBelief(collectable=e.collectable))
     for node in awm.nodes:
-        awm.beliefs.setdefault(node, NodeBelief())
+        if node not in awm.beliefs:
+            awm.set_belief(node, NodeBelief())
     break_cycles(awm)
     return awm
 

@@ -4,6 +4,11 @@ Collect subgoals are backed by a saturating learning curve standing in for a
 finetuned policy: practice raises the per-attempt success probability. Craft
 subgoals are a single deterministic action and need no learner. A collect
 policy's whole state is its attempt count.
+
+A branch step is one executor call: `execute_subgoal` hands the whole retry
+loop to the simulator's batch forms (`attempt_collect` with the learner's
+curve, `attempt_craft` with its k crafts in one step), which return the tries
+they made in `Outcome.tries`.
 """
 from __future__ import annotations
 
@@ -60,24 +65,39 @@ def execute_subgoal(
     inventory: Inventory,
     rng: Random,
     budget: StepBudget = DEFAULT_BUDGET,
+    quantity: int | None = None,
+    retry_cap: int = 1,
 ) -> Outcome:
-    """Run one collect or craft attempt under the agent's current competence.
+    """Run a collect or craft subgoal under the agent's current competence, in
+    one simulator call: tries until the inventory holds `quantity` of the item
+    (default: one more than it holds now) or `retry_cap` tries are spent. The
+    defaults make one attempt. Every collect try counts as practice.
 
     A believed action that the world does not support (collecting a craft-only
     or unknown item, crafting a collectable) is a plain failure with the normal
     step charge, not an error: exploring wrong hypotheses must be possible.
     """
     if action == "collect":
-        attempts = bank.attempts.get(item, 0)
-        bank.attempts[item] = attempts + 1
-        if item in tree and tree.is_collectable(item):
-            p = bank.learner.success_prob(attempts)
-            return attempt_collect(tree, item, inventory, p, rng, budget)
-        return Outcome(False, budget.collect_steps)
+        practice = bank.attempts.get(item, 0)
+        learner = bank.learner
+        out = attempt_collect(
+            tree,
+            item,
+            inventory,
+            learner.p0,
+            rng,
+            budget,
+            quantity=quantity,
+            tries=retry_cap,
+            p_max=learner.p_max,
+            tau=learner.tau,
+            practice=practice,
+        )
+        if out.tries:
+            bank.attempts[item] = practice + out.tries
+        return out
     if action == "craft":
-        if item in tree and tree.is_craftable(item):
-            return attempt_craft(tree, item, inventory, budget)
-        return Outcome(False, budget.craft_steps)
+        return attempt_craft(tree, item, inventory, budget, quantity=quantity, tries=retry_cap)
     raise ValueError(f"unknown action {action!r}")
 
 
@@ -93,17 +113,11 @@ def acquire(
     budget: StepBudget = DEFAULT_BUDGET,
 ) -> Outcome:
     """Repeat the subgoal until the inventory holds `quantity` of the item or
-    the retry cap is exhausted; failure is an outcome, not an exception."""
+    the retry cap is exhausted; failure is an outcome, not an exception. A
+    failed craft ends the call, since crafting is deterministic given the
+    inventory and retrying cannot help."""
     if quantity < 1:
         raise ValueError("quantity must be positive")
     if retry_cap < 1:
         raise ValueError("retry_cap must be positive")
-    steps = 0
-    tries = 0
-    while inventory.count(item) < quantity and tries < retry_cap:
-        outcome = execute_subgoal(bank, tree, item, action, inventory, rng, budget)
-        steps += outcome.steps
-        tries += 1
-        if action == "craft" and not outcome.success:
-            break  # deterministic given the inventory; retrying cannot help
-    return Outcome(inventory.count(item) >= quantity, steps)
+    return execute_subgoal(bank, tree, item, action, inventory, rng, budget, quantity, retry_cap)

@@ -1,9 +1,16 @@
 """Ground-truth crafting world: item definitions, dependency queries, and
-collect/craft attempt simulation.
+collect/craft simulation.
 
 The tech tree is the environment's transition oracle at the subgoal level.
 It is immutable after loading and shared by every trial of an experiment;
 inventories and RNG streams are per-trial.
+
+`attempt_collect` and `attempt_craft` are the only copy of the simulator's
+rules. Each runs a whole retry loop in one call, until the inventory holds a
+quantity or the tries run out, and reports the tries it made in
+`Outcome.tries`; with their defaults they make one attempt. A collect loop
+draws once per try, in order; a craft is deterministic, so its k repetitions
+happen in one step.
 """
 from __future__ import annotations
 
@@ -11,8 +18,9 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from math import exp
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 INGREDIENT = "ingredient"
 TOOL = "tool"
@@ -85,10 +93,14 @@ class StepBudget:
 DEFAULT_BUDGET = StepBudget()
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
+    """What a collect or craft call did: whether the inventory ended up holding
+    the quantity asked for, the environment steps charged, and the attempts
+    made."""
+
     success: bool
     steps: int
+    tries: int
 
 
 class Inventory:
@@ -120,9 +132,6 @@ class Inventory:
         else:
             self._counts[item] = have - n
 
-    def has(self, item: str, n: int = 1) -> bool:
-        return self.count(item) >= n
-
     def clear(self) -> None:
         self._counts.clear()
 
@@ -147,9 +156,6 @@ class TechTree:
 
     def is_collectable(self, item: str) -> bool:
         return self.definition(item).collectable
-
-    def is_craftable(self, item: str) -> bool:
-        return not self.definition(item).collectable
 
     def collectables(self) -> list[str]:
         return sorted(i for i, d in self.items.items() if d.collectable)
@@ -291,22 +297,58 @@ def attempt_collect(
     success_prob: float,
     rng: Random,
     budget: StepBudget = DEFAULT_BUDGET,
+    *,
+    quantity: int | None = None,
+    tries: int = 1,
+    p_max: float | None = None,
+    tau: float = 1.0,
+    practice: int = 0,
 ) -> Outcome:
-    """One collect attempt. Tool gating is ground truth: without the required
-    tool in the inventory the attempt fails for every seed (no draw consumed).
-    The full per-attempt step budget is charged either way."""
-    d = tree.definition(item)
-    if not d.collectable:
-        raise TreeError(f"item '{item}' is not collectable")
-    if not 0.0 <= success_prob <= 1.0:
-        raise ValueError("success_prob must be within [0, 1]")
+    """Collect attempts until the inventory holds `quantity` of the item
+    (default: one more than it holds now) or `tries` attempts are spent; the
+    defaults make one attempt.
+
+    The attempt made after k earlier ones succeeds with probability
+    `success_prob + (p_max - success_prob) * (1 - exp(-k / tau))`, the
+    learner's curve, with k counted from `practice`; with `p_max` unset it is
+    `success_prob` every time. Each attempt draws once from `rng`. Tool gating
+    is ground truth: without the required tool, and for an item that is unknown
+    or not collectable, every attempt fails with no draw. Each attempt is
+    charged the full per-attempt step budget either way.
+    """
+    counts = inventory._counts
+    held = counts.get(item, 0)
+    if quantity is None:
+        quantity = held + 1
+    if held >= quantity or tries < 1:
+        return Outcome(held >= quantity, 0, 0)
     steps = budget.collect_steps
-    if d.required_tool is not None and not inventory.has(d.required_tool):
-        return Outcome(False, steps)
-    if rng.random() < success_prob:
-        inventory.add(item, 1)
-        return Outcome(True, steps)
-    return Outcome(False, steps)
+    d = tree.items.get(item)
+    if d is None or not d.collectable:
+        return Outcome(False, tries * steps, tries)
+    if p_max is None:
+        p_max = success_prob
+    span = p_max - success_prob
+    if d.required_tool is not None and not counts.get(d.required_tool, 0):
+        # The curve is monotone, so its ends bound every attempt's probability.
+        for k in (practice, practice + tries - 1):
+            if not 0.0 <= success_prob + span * (1.0 - exp(-k / tau)) <= 1.0:
+                raise ValueError("success_prob must be within [0, 1]")
+        return Outcome(False, tries * steps, tries)
+    draw = rng.random
+    made = done = 0
+    while done < tries:
+        p = success_prob + span * (1.0 - exp(-(practice + done) / tau))
+        if not 0.0 <= p <= 1.0:
+            raise ValueError("success_prob must be within [0, 1]")
+        done += 1
+        if draw() < p:
+            made += 1
+            if held + made >= quantity:
+                break
+    if made:
+        inventory.add(item, made)
+    return Outcome(held + made >= quantity, done * steps, done)
 
 
 def attempt_craft(
@@ -314,23 +356,50 @@ def attempt_craft(
     item: str,
     inventory: Inventory,
     budget: StepBudget = DEFAULT_BUDGET,
+    *,
+    quantity: int | None = None,
+    tries: int = 1,
 ) -> Outcome:
-    """One craft attempt: deterministic given the inventory. Ingredients are
-    consumed, the yield added; tools and workbenches are never consumed."""
-    d = tree.definition(item)
-    if d.collectable:
-        raise TreeError(f"item '{item}' is not craftable")
-    steps = budget.craft_steps
-    if d.requires_crafting_table and not inventory.has(CRAFTING_TABLE):
-        return Outcome(False, steps)
-    if d.requires_furnace and not inventory.has(FURNACE):
-        return Outcome(False, steps)
-    if not all(inventory.has(e.item, e.quantity) for e in d.recipe):
-        return Outcome(False, steps)
-    for e in d.recipe:
-        inventory.consume(e.item, e.quantity)
-    inventory.add(item, d.craft_yield)
-    return Outcome(True, steps)
+    """Crafts until the inventory holds `quantity` of the item (default: one
+    more than it holds now) or `tries` crafts are spent; the defaults make one
+    craft. Ingredients are consumed, the yield added; tools and workbenches are
+    never consumed.
+
+    A craft is deterministic given the inventory, so the k crafts that succeed
+    are made in one step: k is the smallest of the crafts still needed, the
+    tries and the recipe's `count // quantity`, and 0 without a required
+    workbench or for an item that is unknown or not craftable. When k falls
+    short, one more failing try is charged and the call ends, since retrying
+    cannot help.
+    """
+    counts = inventory._counts
+    held = counts.get(item, 0)
+    if quantity is None:
+        quantity = held + 1
+    if held >= quantity or tries < 1:
+        return Outcome(held >= quantity, 0, 0)
+    d = tree.items.get(item)
+    made = 0
+    if (
+        d is not None
+        and not d.collectable
+        and (not d.requires_crafting_table or counts.get(CRAFTING_TABLE, 0))
+        and (not d.requires_furnace or counts.get(FURNACE, 0))
+    ):
+        needed = -(-(quantity - held) // d.craft_yield)
+        made = min(needed, tries)
+        for e in d.recipe:
+            affordable = counts.get(e.item, 0) // e.quantity
+            if affordable < made:
+                made = affordable
+        if made:
+            for e in d.recipe:
+                inventory.consume(e.item, made * e.quantity)
+            inventory.add(item, made * d.craft_yield)
+        if made == needed:
+            return Outcome(True, made * budget.craft_steps, made)
+    done = made if made == tries else made + 1
+    return Outcome(False, done * budget.craft_steps, done)
 
 
 def make_tree(defs: Iterable[ItemDef]) -> TechTree:

@@ -123,6 +123,8 @@ def test_config_validation():
         AgentConfig(goal="log")  # open-ended with a goal
     with pytest.raises(ValueError):
         AgentConfig(mode="wander")
+    with pytest.raises(ValueError, match="retry_cap"):
+        AgentConfig(retry_cap=0)
 
 
 def test_dream_prunes_to_goal_path(tree):
@@ -197,7 +199,7 @@ def test_glass_error_corrected_via_fallback(tree):
     awm = ground_truth_awm(tree)
     for e in awm.parents_of("glass"):
         awm.discard_edge(e)
-    awm.beliefs["glass"] = NodeBelief(collectable=True)
+    awm.set_belief("glass", NodeBelief(collectable=True))
     config = certain_config(mode="open_ended", c0=4, seed=8, max_iterations=400)
     records, state = run_with_state(config, tree, awm)
     assert "glass" in state.awm.verified

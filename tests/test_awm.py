@@ -282,6 +282,42 @@ def test_expand_reports_cycles_defensively():
         awm.expand_requirements("a")
 
 
+def test_every_write_drops_the_kept_branches():
+    """A branch that `expand_requirements` keeps never outlives a write that
+    changes it, a copy keeps none of the original's, and reading a belief
+    writes nothing."""
+    awm = Awm(
+        nodes={"a", "b", "c"},
+        edges={AwmEdge("a", "b", "ingredient", 2)},
+        beliefs={"c": NodeBelief(collectable=False, craft_yield=2)},
+    )
+    assert awm.belief("a") == NodeBelief() and "a" not in awm.beliefs
+
+    def expansions(graph):
+        return {n: graph.expand_requirements(n) for n in sorted(graph.nodes)}
+
+    def rebuilt(graph):
+        return Awm(graph.nodes, graph.edges, graph.beliefs)
+
+    writes = [
+        lambda: awm.add_edge(AwmEdge("c", "b", "tool")),
+        lambda: awm.discard_edge(AwmEdge("a", "b", "ingredient", 2)),
+        lambda: awm.set_belief("b", NodeBelief(collectable=False, craft_yield=3)),
+        lambda: awm.verify_node("c", set()),  # writes no edge: only the belief in c changes
+        lambda: awm.verify_node("b", {("a", "ingredient", 1)}),
+    ]
+    for write in writes:
+        kept = expansions(awm)
+        write()
+        assert expansions(awm) != kept  # each of these writes changes a branch
+        assert expansions(awm) == expansions(rebuilt(awm))
+
+    clone = awm.copy()
+    awm.add_edge(AwmEdge("a", "c", "ingredient", 1))
+    assert awm.expand_requirements("c") != clone.expand_requirements("c")
+    assert expansions(clone) == expansions(rebuilt(clone))
+
+
 def test_awm_json_round_trip(tree, perfect_awm):
     """The exported JSON parses back to the graph's nodes, edges, verified
     set and beliefs."""

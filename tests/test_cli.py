@@ -73,6 +73,14 @@ def test_score_rejects_more_than_one_seed(tmp_path, capsys):
     assert not (tmp_path / "accuracy_report.txt").exists()
 
 
+def test_retry_cap_below_one_is_rejected_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["explore", "--retry-cap", "0", "--max-iterations", "0", "--out", str(out)])
+    assert rc == 2
+    assert "retry_cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_command(tmp_path, capsys):
     out = tmp_path / "awm.json"
     rc = main(["parse", str(llm_fixture_path()), "--out", str(out)])

@@ -1,0 +1,63 @@
+"""Golden output: a fixed set of specs on the bundled 16-item tree must emit
+the pinned bytes, so a change to the agent, the simulator or the writers that
+moves a CSV byte fails here without running the benchmark.
+
+A change that alters behaviour on purpose updates the pins below and says why.
+Manifests are left out of the digests: they record absolute input paths.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
+from dreamcraft.harness import ExperimentSpec, run_experiment
+
+SPECS = {
+    "open_ended_document": dict(
+        experiment="open_ended", hypothesis=f"file:{llm_fixture_path()}", seeds=(0, 1), max_iterations=200
+    ),
+    "open_ended_empty": dict(experiment="open_ended", hypothesis="empty", seeds=(0, 1), max_iterations=200),
+    "open_ended_truth": dict(experiment="open_ended", hypothesis="truth", seeds=(0, 1), max_iterations=200),
+    "task": dict(
+        experiment="task",
+        hypothesis=f"file:{llm_fixture_path()}",
+        goal="stone_pickaxe",
+        seeds=(0, 1, 2),
+        max_iterations=200,
+    ),
+    "robustness": dict(
+        experiment="robustness",
+        goal="stone_pickaxe",
+        insert_rates=(0.0, 0.2),
+        delete_rates=(0.0, 0.2),
+        seeds=(0, 1, 2),
+        max_iterations=200,
+    ),
+    "baseline": dict(experiment="baseline", seeds=(0, 1), max_iterations=100),
+}
+
+# Digests of the per-attempt executor, which the batch executor reproduces byte for byte.
+GOLDEN = {
+    "baseline": "6230d37745fa164141dd393bd43e991a299766c4a16436e757385055d46f638b",
+    "open_ended_document": "7ffedc4e4c537c53db08f9dd71eb0de560d03fdfa84f301f3bbe2b40a1cbcbad",
+    "open_ended_empty": "b313a82c288953c8ced0577056b433bda1f88778dd315e48365814f5a96d9415",
+    "open_ended_truth": "654dbe9da4420b20dbba4f64c267a9d718adc6e62faad5d371cb448dc4f08a12",
+    "robustness": "ef5c7cafdec413c593b755c3f5bc82b5cfd57cc1afe434afdf1eeee85a8c1ce9",
+    "task": "e3373b0b3fe778e1dc42d6f6cb340db5deb94a76b7e391abd84cfaee537cd94c",
+}
+
+
+def output_digest(out_root: Path) -> str:
+    """SHA-256 over every emitted file but the manifest, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out_root.rglob("*") if p.is_file() and p.name != "manifest.json"):
+        h.update(path.relative_to(out_root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_emitted_files_match_the_pinned_digest(name, tmp_path):
+    run_experiment(ExperimentSpec(tree_path=str(pickaxe16_path()), **SPECS[name]), tmp_path)
+    assert output_digest(tmp_path) == GOLDEN[name]

@@ -1,11 +1,12 @@
 """Invariant suites driven by generated worlds, hypotheses, and seeds."""
+import itertools
 from random import Random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from dreamcraft.agent import AgentConfig, run_with_state
-from dreamcraft.awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, CycleError, NodeBelief, break_cycles, remove_cycles
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
     ErrorSpec,
@@ -16,11 +17,15 @@ from dreamcraft.hypotheses import (
     perturb_ground_truth,
     serialize_recipe_dict,
 )
-from dreamcraft.policy import LearnerConfig
+from dreamcraft.policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
 from dreamcraft.tech_tree import (
+    CRAFTING_TABLE,
+    FURNACE,
     Inventory,
     ItemDef,
+    Outcome,
     RecipeEntry,
+    StepBudget,
     attempt_collect,
     attempt_craft,
     make_tree,
@@ -123,6 +128,142 @@ def test_collect_gating_and_charge(tree, seed):
     item = gated[0]
     out = attempt_collect(tree, item, Inventory(), 1.0, Random(seed))
     assert not out.success and out.steps == 1000
+
+
+def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retry_cap, budget):
+    """The per-attempt executor that the batch forms replace, kept as their
+    reference: one collect or craft attempt per turn of the loop, with the
+    simulator's rules written out for a single attempt."""
+    steps = tries = 0
+    d = tree.items.get(item)
+    while inventory.count(item) < quantity and tries < retry_cap:
+        tries += 1
+        if action == "collect":
+            attempts = bank.attempts.get(item, 0)
+            bank.attempts[item] = attempts + 1
+            steps += budget.collect_steps
+            if d is None or not d.collectable:
+                continue
+            p = bank.learner.success_prob(attempts)
+            assert 0.0 <= p <= 1.0
+            if d.required_tool is not None and inventory.count(d.required_tool) < 1:
+                continue
+            if rng.random() < p:
+                inventory.add(item, 1)
+        else:
+            steps += budget.craft_steps
+            if (
+                d is None
+                or d.collectable
+                or (d.requires_crafting_table and inventory.count(CRAFTING_TABLE) < 1)
+                or (d.requires_furnace and inventory.count(FURNACE) < 1)
+                or any(inventory.count(e.item) < e.quantity for e in d.recipe)
+            ):
+                break  # deterministic given the inventory; retrying cannot help
+            for e in d.recipe:
+                inventory.consume(e.item, e.quantity)
+            inventory.add(item, d.craft_yield)
+    return Outcome(inventory.count(item) >= quantity, steps, tries)
+
+
+def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_cap, learner, attempts, budget, seed):
+    """Run `acquire`, then from where it left off one default `execute_subgoal`
+    call and one default `attempt_collect` or `attempt_craft` call (with a
+    fixed probability, as the random baseline calls it), on identical worlds
+    with the batch forms and with the per-attempt reference; the outcomes and
+    every piece of state must agree."""
+    names = tree.names() + ["unobtainium"]
+
+    def world():
+        return PolicyBank(learner, dict(attempts)), Inventory(start), Random(seed)
+
+    bank, inv, rng = world()
+    ref_bank, ref_inv, ref_rng = world()
+    fixed = PolicyBank(LearnerConfig(p0=learner.p0, p_max=learner.p0))
+    calls = [
+        (lambda: acquire(bank, tree, item, action, quantity, inv, rng, retry_cap, budget),
+         lambda: per_attempt_acquire(ref_bank, tree, item, action, quantity, ref_inv, ref_rng, retry_cap, budget)),
+        (lambda: execute_subgoal(bank, tree, item, action, inv, rng, budget),
+         lambda: per_attempt_acquire(ref_bank, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1, budget)),
+        (lambda: attempt_collect(tree, item, inv, learner.p0, rng, budget) if action == "collect"
+         else attempt_craft(tree, item, inv, budget),
+         lambda: per_attempt_acquire(fixed, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1, budget)),
+    ]
+    for batch, reference in calls:
+        assert batch() == reference()
+        assert {n: inv.count(n) for n in names} == {n: ref_inv.count(n) for n in names}
+        assert bank.attempts == ref_bank.attempts
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@given(tech_trees(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_batch_forms_match_the_per_attempt_loop(tree, data):
+    # Unknown items, craft-only collects and collectable crafts are drawn too.
+    names = tree.names() + ["unobtainium"]
+    start = data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 5)))
+    item = data.draw(st.sampled_from(names))
+    action = data.draw(st.sampled_from(["collect", "craft"]))
+    d = tree.items.get(item)
+    if d is not None and d.recipe and data.draw(st.booleans()):
+        # Stock the recipe for 0-3 crafts plus a remainder, and the workbenches
+        # that are not ingredients maybe, so that the gates and k matter.
+        for e in d.recipe:
+            start[e.item] = e.quantity * data.draw(st.integers(0, 3)) + data.draw(st.integers(0, e.quantity - 1))
+        for bench, gated in ((CRAFTING_TABLE, d.requires_crafting_table), (FURNACE, d.requires_furnace)):
+            if gated and bench not in {e.item for e in d.recipe}:
+                start[bench] = data.draw(st.integers(0, 1))
+    p0 = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    p_max = data.draw(st.just(p0) | st.floats(p0, 1))
+    check_batch_against_per_attempt(
+        tree,
+        start,
+        item,
+        action,
+        quantity=data.draw(st.integers(1, start.get(item, 0) + 8)),
+        retry_cap=data.draw(st.integers(1, 12)),
+        learner=LearnerConfig(p0=p0, p_max=p_max, tau=data.draw(st.floats(0.1, 10))),
+        attempts=data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 20), max_size=3)),
+        budget=StepBudget(data.draw(st.integers(1, 1000)), data.draw(st.integers(0, 5))),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+
+
+GATED_TREE = make_tree([
+    ItemDef("log", collectable=True),
+    ItemDef("stone", collectable=True, required_tool="log"),
+    ItemDef("planks", collectable=False, recipe=(RecipeEntry("log", 1),), craft_yield=4),
+    ItemDef("crafting_table", collectable=False, recipe=(RecipeEntry("planks", 4),)),
+    ItemDef("furnace", collectable=False, requires_crafting_table=True, recipe=(RecipeEntry("stone", 8),)),
+    ItemDef("ingot", collectable=False, requires_furnace=True, recipe=(RecipeEntry("stone", 2),)),
+    ItemDef(
+        "forge",
+        collectable=False,
+        requires_crafting_table=True,
+        requires_furnace=True,
+        recipe=(RecipeEntry("crafting_table", 1), RecipeEntry("furnace", 2), RecipeEntry("planks", 3)),
+        craft_yield=2,
+    ),
+])
+
+
+def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
+    # Every workbench, tool and stock combination of a small grid: a forge
+    # consumes a furnace and a crafting table that it also needs as
+    # workbenches, a furnace and an ingot need one workbench each, planks
+    # yield 4 and stone needs a log as its tool.
+    learner = LearnerConfig(p0=0.5, p_max=0.9, tau=2.0)
+    budget = StepBudget(1000, 3)
+    seed = 0
+    for table, furnace, log, stone, planks in itertools.product((0, 1, 2), (0, 1, 2), (0, 1), (0, 2, 9), (0, 3, 7)):
+        start = {"crafting_table": table, "furnace": furnace, "log": log, "stone": stone, "planks": planks}
+        for item in GATED_TREE.names():
+            for action, extra, retry_cap in itertools.product(("collect", "craft"), (0, 1, 4), (1, 3)):
+                seed += 1
+                quantity = max(1, start.get(item, 0) + extra)
+                check_batch_against_per_attempt(
+                    GATED_TREE, start, item, action, quantity, retry_cap, learner, {}, budget, seed
+                )
 
 
 @given(digraphs())
@@ -241,7 +382,7 @@ def _snapshot(awm):
 
 def _random_write(awm, names, data):
     kinds = st.sampled_from(["ingredient", "tool", "workbench"])
-    op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node"]))
+    op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node", "set_belief"]))
     if op == "add_edge":
         a, b = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
         awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
@@ -252,28 +393,53 @@ def _random_write(awm, names, data):
         parents = data.draw(
             st.lists(st.sampled_from([n for n in names if n != item]), max_size=3, unique=True)
         )
-        awm.verify_node(item, {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents})
+        observed = {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents}
+        awm.verify_node(item, observed, craft_yield=data.draw(st.integers(1, 3)))
     elif op == "add_node":
         awm.add_node("ghost")
+    elif op == "set_belief":
+        belief = NodeBelief(data.draw(st.none() | st.booleans()), data.draw(st.integers(1, 3)))
+        awm.set_belief(data.draw(st.sampled_from(names)), belief)
+
+
+def _expansion(awm, node):
+    try:
+        return awm.expand_requirements(node)
+    except CycleError as exc:
+        return str(exc)
+
+
+def check_branches_against_a_fresh_copy(awm):
+    """Every node's branch, kept from before the last write or not, equals
+    the one a fresh copy expands, and the one a graph rebuilt from the nodes,
+    edges and beliefs expands; expanding writes nothing."""
+    before = _snapshot(awm)
+    fresh = awm.copy()
+    rebuilt = Awm(awm.nodes, awm.edges, awm.beliefs)
+    for n in sorted(awm.nodes):
+        assert _expansion(awm, n) == _expansion(fresh, n) == _expansion(rebuilt, n), n
+    assert _snapshot(awm) == before
 
 
 @given(digraphs(), st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_index_matches_edge_scans_under_writes(awm, data):
     # "ghost" starts outside the graph: edges may name it before it is a node.
     # At one step the graph is copied; later writes go to either graph and
     # must leave the other as it was, beliefs included.
     names = sorted(awm.nodes) + ["ghost"]
     for n in data.draw(st.lists(st.sampled_from(names[:-1]), unique=True)):
-        awm.beliefs[n] = NodeBelief(collectable=data.draw(st.none() | st.booleans()))
+        awm.set_belief(n, NodeBelief(collectable=data.draw(st.none() | st.booleans())))
     graphs = [awm]
     check_index_against_scans(awm)
+    check_branches_against_a_fresh_copy(awm)
     steps = data.draw(st.integers(1, 12))
     copy_at = data.draw(st.integers(0, steps - 1))
     for step in range(steps):
         if step == copy_at:
             clone = awm.copy()
             check_index_against_scans(clone)
+            check_branches_against_a_fresh_copy(clone)
             assert _snapshot(clone) == _snapshot(awm)
             graphs.append(clone)
         target = data.draw(st.sampled_from(graphs))
@@ -282,6 +448,8 @@ def test_index_matches_edge_scans_under_writes(awm, data):
         check_index_against_scans(target)
         for g, before in others:
             assert _snapshot(g) == before
+        for g in graphs:
+            check_branches_against_a_fresh_copy(g)
 
 
 @given(tech_trees(), st.data())
