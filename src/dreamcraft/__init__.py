@@ -24,7 +24,6 @@ from .tech_tree import (
     ItemDef,
     Outcome,
     RecipeEntry,
-    StepBudget,
     TechTree,
     attempt_collect,
     attempt_craft,

@@ -2,6 +2,9 @@
 branch, pruned toward the goal when one is set) and a wake phase (execute
 subgoals, verify or correct the belief graph from what actually happened).
 
+`AgentConfig.goal` alone sets the mode: a run with a goal ends when the goal
+is verified, a run without one when every tree item is.
+
 Runs are fully deterministic given (seed, tree, initial belief graph).
 """
 from __future__ import annotations
@@ -13,10 +16,7 @@ from typing import NamedTuple
 
 from .awm import Awm, Branch, sample_branch
 from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
-from .tech_tree import Inventory, StepBudget, TechTree
-
-OPEN_ENDED = "open_ended"
-GOAL = "goal"
+from .tech_tree import Inventory, TechTree
 
 
 class ExplorationComplete(Exception):
@@ -25,20 +25,14 @@ class ExplorationComplete(Exception):
 
 @dataclass(frozen=True)
 class AgentConfig:
-    mode: str = OPEN_ENDED
     goal: str | None = None
     c0: int = 10
     max_iterations: int = 200
     learner: LearnerConfig = field(default_factory=LearnerConfig)
-    budget: StepBudget = field(default_factory=StepBudget)
     retry_cap: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in (OPEN_ENDED, GOAL):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if (self.goal is not None) != (self.mode == GOAL):
-            raise ValueError("goal must be set exactly when mode is 'goal'")
         if self.c0 < 1:
             raise ValueError("c0 must be positive")
         if self.retry_cap < 1:
@@ -71,7 +65,6 @@ class AgentState:
 class IterationRecord(NamedTuple):
     iteration: int
     target: str
-    branch_length: int
     fallback: bool
     success: bool
     newly_verified: str | None
@@ -96,7 +89,7 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
         raise ExplorationComplete
     frontier = awm.frontier()
     selectable = frontier
-    if config.mode == GOAL:
+    if config.goal is not None:
         selectable = awm.prune_to_goal(frontier, config.goal)
     eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
     if eligible:
@@ -122,7 +115,7 @@ def _verify_from_world(state: AgentState, item: str) -> None:
     state.awm.verify_node(item, observed, craft_yield=craft_yield)
 
 
-def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
+def _exploration_sweep(state: AgentState) -> str | None:
     """One undirected exploration pass: try each unverified item once, in
     lexicographic order, stopping at the first success.
 
@@ -134,16 +127,12 @@ def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     for item in sorted(awm.unverified()):
         state.counts[item] += 1
         if awm.believed_collectable(item):
-            out = execute_subgoal(
-                state.bank, state.tree, item, "collect", state.inventory, state.rng, config.budget
-            )
+            out = execute_subgoal(state.bank, state.tree, item, "collect", state.inventory, state.rng)
             state.total_env_steps += out.steps
             if out.success:
                 _verify_from_world(state, item)
                 return item
-        out = execute_subgoal(
-            state.bank, state.tree, item, "craft", state.inventory, state.rng, config.budget
-        )
+        out = execute_subgoal(state.bank, state.tree, item, "craft", state.inventory, state.rng)
         state.total_env_steps += out.steps
         if out.success:
             _verify_from_world(state, item)
@@ -168,9 +157,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     target_counted = False
     for item, action, repetitions in branch.steps:
         wanted = inventory.count(item) + _planned_addition(state, item, action, repetitions)
-        out = acquire(
-            state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap, config.budget
-        )
+        out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
         state.counts[item] += 1
         if item == branch.target:
             target_counted = True
@@ -187,19 +174,18 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
             _verify_from_world(state, branch.target)
             newly = branch.target
         else:
-            newly = _exploration_sweep(state, config)
+            newly = _exploration_sweep(state)
 
     return IterationRecord(
         iteration=state.iteration_index,
         target=branch.target,
-        branch_length=len(branch),
         fallback=fallback,
         success=not failed,
         newly_verified=newly,
         env_steps=state.total_env_steps - steps_before,
         cumulative_env_steps=state.total_env_steps,
         verified_count=len(state.awm.verified),
-        frontier_size=len(state.awm.frontier()),
+        frontier_size=state.awm.frontier_size(),
         graph_size=len(state.awm.nodes),
     )
 
@@ -207,8 +193,8 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
 def run_with_state(
     config: AgentConfig, tree: TechTree, initial_awm: Awm
 ) -> tuple[list[IterationRecord], AgentState]:
-    """Alternate dream and wake until the goal is verified (goal mode), the
-    discoverable graph is fully verified (open-ended), or iterations run out.
+    """Alternate dream and wake until the goal is verified (with a goal), every
+    tree item is verified (without one), or iterations run out.
     Returns the iteration records and the final agent state."""
     missing = set(tree.items) - initial_awm.nodes
     if missing:
@@ -217,7 +203,7 @@ def run_with_state(
     # Open-ended runs end when every item the world contains is verified;
     # hypothesis-only fictional nodes can never be. Every tree item is a node
     # (checked above), so this set cannot change during the run.
-    finish = {config.goal} if config.mode == GOAL else set(tree.items)
+    finish = set(tree.items) if config.goal is None else {config.goal}
     records: list[IterationRecord] = []
     while state.iteration_index < config.max_iterations and not finish <= state.awm.verified:
         try:

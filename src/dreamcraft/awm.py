@@ -257,6 +257,10 @@ class Awm:
         verified; parentless unverified nodes qualify."""
         return set(self._frontier)
 
+    def frontier_size(self) -> int:
+        """The size of the frontier, without copying it."""
+        return len(self._frontier)
+
     def ancestors(self, item: str) -> set[str]:
         if item not in self._nodes:
             raise UnknownNodeError(f"unknown node '{item}'")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .awm import AwmError
@@ -32,39 +33,35 @@ def _parse_rates(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip() != "")
 
 
+# A spec flag's destination is the field it sets and its default is that
+# field's default, so `_spec_from_args` passes the flags on by name.
+_SPEC_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tree", default=str(pickaxe16_path()), help="tree definition file")
+    d = _SPEC_DEFAULTS
+    parser.add_argument("--tree", dest="tree_path", default=str(pickaxe16_path()), help="tree definition file")
     parser.add_argument(
         "--hypothesis",
-        default="truth",
+        default=d["hypothesis"],
         help="file:PATH | perturb:INSERT,DELETE | empty | truth",
     )
-    parser.add_argument("--seeds", type=_parse_seeds, default=(0,), help="count N or comma list")
-    parser.add_argument("--c0", type=int, default=10, help="frontier visit cap before widening")
-    parser.add_argument("--max-iterations", type=int, default=400)
-    parser.add_argument("--p0", type=float, default=0.2, help="initial collect success probability")
-    parser.add_argument("--pmax", type=float, default=0.95, help="asymptotic collect success probability")
-    parser.add_argument("--tau", type=float, default=3.0, help="attempts scale of the learning curve")
-    parser.add_argument("--retry-cap", type=int, default=10, help="attempts per acquire call")
+    parser.add_argument("--seeds", type=_parse_seeds, default=d["seeds"], help="count N or comma list")
+    parser.add_argument("--c0", type=int, default=d["c0"], help="frontier visit cap before widening")
+    parser.add_argument("--max-iterations", type=int, default=d["max_iterations"])
+    parser.add_argument("--p0", type=float, default=d["p0"], help="initial collect success probability")
+    parser.add_argument(
+        "--pmax", dest="p_max", type=float, default=d["p_max"], help="asymptotic collect success probability"
+    )
+    parser.add_argument("--tau", type=float, default=d["tau"], help="attempts scale of the learning curve")
+    parser.add_argument("--retry-cap", type=int, default=d["retry_cap"], help="tries per branch step, at least 1")
     parser.add_argument("--out", default="results", help="output directory")
 
 
-def _spec_from_args(args, experiment: str, goal: str | None = None) -> ExperimentSpec:
-    return ExperimentSpec(
-        experiment=experiment,
-        tree_path=args.tree,
-        hypothesis=args.hypothesis,
-        goal=goal,
-        seeds=args.seeds,
-        c0=args.c0,
-        p0=args.p0,
-        p_max=args.pmax,
-        tau=args.tau,
-        retry_cap=args.retry_cap,
-        max_iterations=args.max_iterations,
-        insert_rates=getattr(args, "insert_rates", ()),
-        delete_rates=getattr(args, "delete_rates", ()),
-    )
+def _spec_from_args(args) -> ExperimentSpec:
+    given = {name: value for name, value in vars(args).items() if name in _SPEC_DEFAULTS}
+    experiment = {"explore": "open_ended"}.get(args.command, args.command)
+    return ExperimentSpec(experiment=experiment, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("task", help="goal-directed run with an empty-hypothesis reference")
-    p.add_argument("item", help="goal item")
+    p.add_argument("goal", metavar="item", help="goal item")
     _add_common(p)
 
     p = sub.add_parser("robustness", help="goal runs over a grid of injected edge errors")
@@ -134,14 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "parse":
             return _cmd_parse(args)
-        experiment = {"explore": "open_ended"}.get(args.command, args.command)
-        goal = None
-        if args.command == "task":
-            goal = args.item
-        elif args.command == "robustness":
-            goal = args.goal
-        spec = _spec_from_args(args, experiment, goal)
-        files = run_experiment(spec, args.out)
+        files = run_experiment(_spec_from_args(args), args.out)
         for path in files:
             print(path)
         return 0

@@ -15,7 +15,7 @@ from random import Random
 from typing import NamedTuple
 
 from . import __version__
-from .agent import GOAL, OPEN_ENDED, AgentConfig, IterationRecord, run_with_state
+from .agent import AgentConfig, IterationRecord, run_with_state
 from .awm import Awm
 from .hypotheses import (
     ErrorSpec,
@@ -28,7 +28,7 @@ from .hypotheses import (
     score_hypothesis,
 )
 from .policy import LearnerConfig
-from .tech_tree import Inventory, StepBudget, TechTree, attempt_collect, attempt_craft, load_tree_file
+from .tech_tree import Inventory, TechTree, attempt_collect, attempt_craft, load_tree_file
 
 HYPOTHESIS_KINDS = ("file", "perturb", "empty", "truth")
 
@@ -48,7 +48,6 @@ class ExperimentSpec:
     max_iterations: int = 400
     insert_rates: tuple[float, ...] = ()
     delete_rates: tuple[float, ...] = ()
-    distractor: str = "sand"
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -65,6 +64,9 @@ class ExperimentSpec:
             raise ValueError("score builds one hypothesis, so it takes one seed")
         if not self.seeds:
             raise ValueError("at least one seed required")
+        # Every experiment is held to the agent's and the learner's checks, so
+        # no manifest records a spec that one of them would reject.
+        _agent_config(self, self.goal, self.seeds[0])
 
     def learner(self) -> LearnerConfig:
         return LearnerConfig(p0=self.p0, p_max=self.p_max, tau=self.tau)
@@ -94,9 +96,10 @@ class BaselinePoint(NamedTuple):
     steps: int
 
 
-def build_hypothesis(tree: TechTree, source: str, seed: int, distractor: str = "sand") -> Awm:
+def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
     """Materialize a hypothesis source string: truth, empty, perturb:I,D
-    (seeded per trial), or file:PATH with a recipe-dictionary document."""
+    (seeded per trial, with the `ErrorSpec` distractor), or file:PATH with a
+    recipe-dictionary document."""
     kind, _, arg = source.partition(":")
     universe = set(tree.items)
     if kind == "truth":
@@ -106,7 +109,7 @@ def build_hypothesis(tree: TechTree, source: str, seed: int, distractor: str = "
     if kind == "perturb":
         try:
             insert_s, delete_s = arg.split(",")
-            spec = ErrorSpec(float(insert_s), float(delete_s), distractor=distractor, seed=seed)
+            spec = ErrorSpec(float(insert_s), float(delete_s), seed=seed)
         except ValueError as exc:
             raise ValueError(f"bad perturb rates {arg!r}") from exc
         return perturb_ground_truth(tree, spec)
@@ -118,14 +121,12 @@ def build_hypothesis(tree: TechTree, source: str, seed: int, distractor: str = "
     raise ValueError(f"unknown hypothesis source {source!r}")
 
 
-def _agent_config(spec: ExperimentSpec, mode: str, goal: str | None, seed: int) -> AgentConfig:
+def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentConfig:
     return AgentConfig(
-        mode=mode,
         goal=goal,
         c0=spec.c0,
         max_iterations=spec.max_iterations,
         learner=spec.learner(),
-        budget=StepBudget(),
         retry_cap=spec.retry_cap,
         seed=seed,
     )
@@ -142,14 +143,13 @@ def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
     ]
 
 
-def run_open_ended(spec: ExperimentSpec, tree: TechTree | None = None) -> dict[int, list[CurvePoint]]:
+def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[CurvePoint]]:
     """Per-seed open-ended exploration curves (verified / frontier / graph
     sizes and cumulative steps per iteration)."""
-    tree = tree or load_tree_file(spec.tree_path)
     curves = {}
     for seed in _seeds(spec):
-        awm = build_hypothesis(tree, spec.hypothesis, seed, spec.distractor)
-        records, _ = run_with_state(_agent_config(spec, OPEN_ENDED, None, seed), tree, awm)
+        awm = build_hypothesis(tree, spec.hypothesis, seed)
+        records, _ = run_with_state(_agent_config(spec, None, seed), tree, awm)
         curves[seed] = _curve(records)
     return curves
 
@@ -161,8 +161,8 @@ def _goal_trials(
     results = []
     for source, label in sources:
         for seed in _seeds(spec):
-            awm = build_hypothesis(tree, source, seed, spec.distractor)
-            records, state = run_with_state(_agent_config(spec, GOAL, goal, seed), tree, awm)
+            awm = build_hypothesis(tree, source, seed)
+            records, state = run_with_state(_agent_config(spec, goal, seed), tree, awm)
             results.append(
                 TaskResult(
                     hypothesis=label,
@@ -176,7 +176,7 @@ def _goal_trials(
     return results
 
 
-def run_task(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskResult]:
+def run_task(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     """Goal-directed runs for the spec hypothesis plus, when it is not itself
     the empty ablation, an empty-hypothesis reference on the same seeds."""
     if spec.goal is None:
@@ -184,10 +184,10 @@ def run_task(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskRes
     sources = [(spec.hypothesis, "primary")]
     if spec.hypothesis != "empty":
         sources.append(("empty", "empty"))
-    return _goal_trials(spec, tree or load_tree_file(spec.tree_path), spec.goal, sources)
+    return _goal_trials(spec, tree, spec.goal, sources)
 
 
-def run_robustness(spec: ExperimentSpec, tree: TechTree | None = None) -> list[TaskResult]:
+def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     """Grid of goal-directed runs over perturbed ground truth, with
     empty-hypothesis and ground-truth reference rows on the same seeds."""
     sources = [
@@ -196,13 +196,13 @@ def run_robustness(spec: ExperimentSpec, tree: TechTree | None = None) -> list[T
         for delete_rate in spec.delete_rates
     ]
     sources += [("empty", "empty"), ("truth", "truth")]
-    return _goal_trials(spec, tree or load_tree_file(spec.tree_path), spec.goal or "stone_pickaxe", sources)
+    return _goal_trials(spec, tree, spec.goal or "stone_pickaxe", sources)
 
 
 def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[BaselinePoint]:
     rng = Random(seed)
     inventory = Inventory()
-    budget = StepBudget()
+    fixed = LearnerConfig(p0=spec.p0, p_max=spec.p0)  # no learning: p0 on every try
     collectables = tree.collectables()
     craftables = tree.craftables()
     held: set[str] = set()  # a success adds its item; a craft consumes only items already held
@@ -211,13 +211,13 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     for iteration in range(1, spec.max_iterations + 1):
         if collectables:
             item = collectables[rng.randrange(len(collectables))]
-            out = attempt_collect(tree, item, inventory, spec.p0, rng, budget)
+            out = attempt_collect(tree, item, inventory, fixed, rng)
             steps += out.steps
             if out.success:
                 held.add(item)
         if craftables:
             item = craftables[rng.randrange(len(craftables))]
-            out = attempt_craft(tree, item, inventory, budget)
+            out = attempt_craft(tree, item, inventory)
             steps += out.steps
             if out.success:
                 held.add(item)
@@ -227,18 +227,16 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     return curve
 
 
-def run_baseline_random(spec: ExperimentSpec, tree: TechTree | None = None) -> dict[int, list[BaselinePoint]]:
+def run_baseline_random(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[BaselinePoint]]:
     """The no-model explorer: each iteration makes one random collect attempt
     (fixed success probability, no learning) and one random craft attempt from
     the accumulated inventory, tracking distinct items ever held."""
-    tree = tree or load_tree_file(spec.tree_path)
     return {seed: _baseline_trial(spec, tree, seed) for seed in _seeds(spec)}
 
 
-def run_score(spec: ExperimentSpec, tree: TechTree | None = None):
-    tree = tree or load_tree_file(spec.tree_path)
-    awm = build_hypothesis(tree, spec.hypothesis, spec.seeds[0], spec.distractor)
-    return score_hypothesis(awm, tree, set(tree.items))
+def run_score(spec: ExperimentSpec, tree: TechTree):
+    awm = build_hypothesis(tree, spec.hypothesis, spec.seeds[0])
+    return score_hypothesis(awm, tree)
 
 
 # ---------------------------------------------------------------------------

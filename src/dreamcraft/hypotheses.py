@@ -14,7 +14,7 @@ import re
 import statistics
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 
 from .awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
@@ -303,10 +303,11 @@ def _quoted(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n") + '"'
 
 
-def serialize_recipe_dict(entries: list[ParsedEntry], name: str = "item_info") -> str:
-    """Canonical document for a list of entries; parsing it back yields the
-    same entries (round trips are lossless modulo whitespace)."""
-    lines = [f"{name} = {{"]
+def serialize_recipe_dict(entries: list[ParsedEntry]) -> str:
+    """Canonical `item_info = {...}` document for a list of entries; parsing
+    it back yields the same entries (round trips are lossless modulo
+    whitespace)."""
+    lines = ["item_info = {"]
     for e in entries:
         lines.append(f"    {_quoted(e.item)}: {{")
         lines.append(f'        "requires_crafting_table": {e.requires_crafting_table},')
@@ -344,21 +345,18 @@ DEFAULT_ALIASES: dict[str, str] = {
 }
 
 
-def normalize_aliases(
-    entries: list[ParsedEntry], alias_map: dict[str, str] | None = None
-) -> list[ParsedEntry]:
-    """Rewrite every item and ingredient name through the alias table; the
+def normalize_aliases(entries: list[ParsedEntry]) -> list[ParsedEntry]:
+    """Rewrite every item and ingredient name through `DEFAULT_ALIASES`; the
     first occurrence wins when normalization creates duplicates."""
-    table = DEFAULT_ALIASES if alias_map is None else alias_map
-    suffixes = [(pattern[1:], target) for pattern, target in table.items() if pattern.startswith("*")]
+    suffixes = [(pattern[1:], target) for pattern, target in DEFAULT_ALIASES.items() if pattern.startswith("*")]
     any_suffix = tuple(suffix for suffix, _ in suffixes)
     resolved: dict[str, str] = {}  # each distinct name is looked up once
 
     def alias(name: str) -> str:
         if name not in resolved:
             canon = name.strip().lower().replace(" ", "_")
-            if canon in table:
-                canon = table[canon]
+            if canon in DEFAULT_ALIASES:
+                canon = DEFAULT_ALIASES[canon]
             elif canon.endswith(any_suffix):  # the first matching pattern wins
                 canon = next(target for suffix, target in suffixes if canon.endswith(suffix))
             resolved[name] = canon
@@ -494,29 +492,15 @@ class AccuracyReport:
     qty_std: float
     n_items: int
 
-    FIELDS = (
-        "collectable_vs_craftable_acc",
-        "workbench_acc",
-        "recipe_items_acc",
-        "recipe_exact_acc",
-        "pct_items_inserted_deps",
-        "pct_items_missing_deps",
-        "qty_abs_error",
-        "qty_avg_error",
-        "qty_std",
-        "n_items",
-    )
-
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return asdict(self)
 
     def to_text(self) -> str:
         return "".join(f"{k}={v}\n" for k, v in self.as_dict().items())
 
     def to_csv(self) -> str:
-        header = ",".join(self.FIELDS)
-        row = ",".join(_fmt_num(getattr(self, name)) for name in self.FIELDS)
-        return f"{header}\n{row}\n"
+        values = self.as_dict()
+        return ",".join(values) + "\n" + ",".join(map(_fmt_num, values.values())) + "\n"
 
 
 def _fmt_num(value) -> str:
@@ -525,15 +509,12 @@ def _fmt_num(value) -> str:
     return f"{value:.6f}"
 
 
-def score_hypothesis(predicted: Awm, tree: TechTree, subset: set[str]) -> AccuracyReport:
-    """Compare a hypothesized graph against the ground truth over a subset of
-    tree items. Items absent from the prediction count as fully wrong."""
-    unknown = subset - set(tree.items)
-    if unknown:
-        raise ValueError(f"subset items not in tree: {sorted(unknown)}")
-    items = sorted(subset)
+def score_hypothesis(predicted: Awm, tree: TechTree) -> AccuracyReport:
+    """Compare a hypothesized graph against the ground truth over every tree
+    item. Items absent from the prediction count as fully wrong."""
+    items = tree.names()
     if not items:
-        raise ValueError("empty scoring subset")
+        raise ValueError("cannot score against an empty tree")
 
     label_hits = workbench_hits = items_hits = exact_hits = 0
     inserted = missing = 0

@@ -6,9 +6,9 @@ subgoals are a single deterministic action and need no learner. A collect
 policy's whole state is its attempt count.
 
 A branch step is one executor call: `execute_subgoal` hands the whole retry
-loop to the simulator's batch forms (`attempt_collect` with the learner's
-curve, `attempt_craft` with its k crafts in one step), which return the tries
-they made in `Outcome.tries`.
+loop to the simulator's batch forms (`attempt_collect` with the bank's
+`LearnerConfig` as its curve, `attempt_craft` with its k crafts in one step),
+which return the tries they made in `Outcome.tries`.
 """
 from __future__ import annotations
 
@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 from math import exp
 from random import Random
 
-from .tech_tree import (
-    DEFAULT_BUDGET,
-    Inventory,
-    Outcome,
-    StepBudget,
-    TechTree,
-    attempt_collect,
-    attempt_craft,
-)
+from .tech_tree import Inventory, Outcome, TechTree, attempt_collect, attempt_craft
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ def execute_subgoal(
     action: str,
     inventory: Inventory,
     rng: Random,
-    budget: StepBudget = DEFAULT_BUDGET,
     quantity: int | None = None,
     retry_cap: int = 1,
 ) -> Outcome:
@@ -79,25 +70,14 @@ def execute_subgoal(
     """
     if action == "collect":
         practice = bank.attempts.get(item, 0)
-        learner = bank.learner
         out = attempt_collect(
-            tree,
-            item,
-            inventory,
-            learner.p0,
-            rng,
-            budget,
-            quantity=quantity,
-            tries=retry_cap,
-            p_max=learner.p_max,
-            tau=learner.tau,
-            practice=practice,
+            tree, item, inventory, bank.learner, rng, quantity=quantity, tries=retry_cap, practice=practice
         )
         if out.tries:
             bank.attempts[item] = practice + out.tries
         return out
     if action == "craft":
-        return attempt_craft(tree, item, inventory, budget, quantity=quantity, tries=retry_cap)
+        return attempt_craft(tree, item, inventory, quantity=quantity, tries=retry_cap)
     raise ValueError(f"unknown action {action!r}")
 
 
@@ -110,7 +90,6 @@ def acquire(
     inventory: Inventory,
     rng: Random,
     retry_cap: int = 10,
-    budget: StepBudget = DEFAULT_BUDGET,
 ) -> Outcome:
     """Repeat the subgoal until the inventory holds `quantity` of the item or
     the retry cap is exhausted; failure is an outcome, not an exception. A
@@ -120,4 +99,4 @@ def acquire(
         raise ValueError("quantity must be positive")
     if retry_cap < 1:
         raise ValueError("retry_cap must be positive")
-    return execute_subgoal(bank, tree, item, action, inventory, rng, budget, quantity, retry_cap)
+    return execute_subgoal(bank, tree, item, action, inventory, rng, quantity, retry_cap)

@@ -11,6 +11,9 @@ quantity or the tries run out, and reports the tries it made in
 `Outcome.tries`; with their defaults they make one attempt. A collect loop
 draws once per try, in order; a craft is deterministic, so its k repetitions
 happen in one step.
+
+Steps are environment steps: each collect try costs one full episode of
+`COLLECT_STEPS`, whether or not it succeeds, and crafting is instant.
 """
 from __future__ import annotations
 
@@ -30,6 +33,8 @@ CRAFTING_TABLE = "crafting_table"
 FURNACE = "furnace"
 
 _NAME_RE = re.compile(r"^[a-z0-9_]+$")
+
+COLLECT_STEPS = 1000  # environment steps in one collect episode
 
 # (parent item, edge kind, quantity) triples, as returned by ground_truth_parents
 ParentSpec = tuple[str, str, int]
@@ -74,23 +79,6 @@ class ItemDef:
     requires_furnace: bool = False
     recipe: tuple[RecipeEntry, ...] = ()
     craft_yield: int = 1
-
-
-@dataclass(frozen=True)
-class StepBudget:
-    """Environment-step charges: one full episode per collect attempt, instant crafts."""
-
-    collect_steps: int = 1000
-    craft_steps: int = 0
-
-    def __post_init__(self):
-        if self.collect_steps <= 0:
-            raise ValueError("collect_steps must be positive")
-        if self.craft_steps < 0:
-            raise ValueError("craft_steps must be non-negative")
-
-
-DEFAULT_BUDGET = StepBudget()
 
 
 class Outcome(NamedTuple):
@@ -294,27 +282,25 @@ def attempt_collect(
     tree: TechTree,
     item: str,
     inventory: Inventory,
-    success_prob: float,
+    learner,
     rng: Random,
-    budget: StepBudget = DEFAULT_BUDGET,
     *,
     quantity: int | None = None,
     tries: int = 1,
-    p_max: float | None = None,
-    tau: float = 1.0,
     practice: int = 0,
 ) -> Outcome:
     """Collect attempts until the inventory holds `quantity` of the item
     (default: one more than it holds now) or `tries` attempts are spent; the
     defaults make one attempt.
 
-    The attempt made after k earlier ones succeeds with probability
-    `success_prob + (p_max - success_prob) * (1 - exp(-k / tau))`, the
-    learner's curve, with k counted from `practice`; with `p_max` unset it is
-    `success_prob` every time. Each attempt draws once from `rng`. Tool gating
-    is ground truth: without the required tool, and for an item that is unknown
-    or not collectable, every attempt fails with no draw. Each attempt is
-    charged the full per-attempt step budget either way.
+    `learner` is any object with the learning curve's `p0`, `p_max` and `tau`,
+    such as `policy.LearnerConfig`. The attempt made after k earlier ones
+    succeeds with probability `p0 + (p_max - p0) * (1 - exp(-k / tau))`, with k
+    counted from `practice`; with `p_max == p0` it is `p0` every time. Each
+    attempt draws once from `rng`. Tool gating is ground truth: without the
+    required tool, and for an item that is unknown or not collectable, every
+    attempt fails with no draw. Each attempt is charged `COLLECT_STEPS` either
+    way.
     """
     counts = inventory._counts
     held = counts.get(item, 0)
@@ -322,25 +308,24 @@ def attempt_collect(
         quantity = held + 1
     if held >= quantity or tries < 1:
         return Outcome(held >= quantity, 0, 0)
-    steps = budget.collect_steps
     d = tree.items.get(item)
     if d is None or not d.collectable:
-        return Outcome(False, tries * steps, tries)
-    if p_max is None:
-        p_max = success_prob
-    span = p_max - success_prob
+        return Outcome(False, tries * COLLECT_STEPS, tries)
+    p0 = learner.p0
+    span = learner.p_max - p0
+    tau = learner.tau
     if d.required_tool is not None and not counts.get(d.required_tool, 0):
         # The curve is monotone, so its ends bound every attempt's probability.
         for k in (practice, practice + tries - 1):
-            if not 0.0 <= success_prob + span * (1.0 - exp(-k / tau)) <= 1.0:
-                raise ValueError("success_prob must be within [0, 1]")
-        return Outcome(False, tries * steps, tries)
+            if not 0.0 <= p0 + span * (1.0 - exp(-k / tau)) <= 1.0:
+                raise ValueError("success probability must be within [0, 1]")
+        return Outcome(False, tries * COLLECT_STEPS, tries)
     draw = rng.random
     made = done = 0
     while done < tries:
-        p = success_prob + span * (1.0 - exp(-(practice + done) / tau))
+        p = p0 + span * (1.0 - exp(-(practice + done) / tau))
         if not 0.0 <= p <= 1.0:
-            raise ValueError("success_prob must be within [0, 1]")
+            raise ValueError("success probability must be within [0, 1]")
         done += 1
         if draw() < p:
             made += 1
@@ -348,14 +333,13 @@ def attempt_collect(
                 break
     if made:
         inventory.add(item, made)
-    return Outcome(held + made >= quantity, done * steps, done)
+    return Outcome(held + made >= quantity, done * COLLECT_STEPS, done)
 
 
 def attempt_craft(
     tree: TechTree,
     item: str,
     inventory: Inventory,
-    budget: StepBudget = DEFAULT_BUDGET,
     *,
     quantity: int | None = None,
     tries: int = 1,
@@ -370,7 +354,7 @@ def attempt_craft(
     tries and the recipe's `count // quantity`, and 0 without a required
     workbench or for an item that is unknown or not craftable. When k falls
     short, one more failing try is charged and the call ends, since retrying
-    cannot help.
+    cannot help. Crafts charge no environment steps.
     """
     counts = inventory._counts
     held = counts.get(item, 0)
@@ -397,9 +381,9 @@ def attempt_craft(
                 inventory.consume(e.item, made * e.quantity)
             inventory.add(item, made * d.craft_yield)
         if made == needed:
-            return Outcome(True, made * budget.craft_steps, made)
+            return Outcome(True, 0, made)
     done = made if made == tries else made + 1
-    return Outcome(False, done * budget.craft_steps, done)
+    return Outcome(False, 0, done)
 
 
 def make_tree(defs: Iterable[ItemDef]) -> TechTree:

@@ -57,7 +57,7 @@ def open_ended_runs(tree16):
                 if source == "truth"
                 else empty_hypothesis(set(tree16.items))
             )
-            config = AgentConfig(mode="open_ended", seed=seed, max_iterations=900)
+            config = AgentConfig(seed=seed, max_iterations=900)
             out.append(run_with_state(config, tree16, awm)[0])
         return out
 
@@ -219,7 +219,6 @@ def _verification_soundness_case(tree, insert_rate, delete_rate, seed):
         tree, ErrorSpec(insert_rate, delete_rate, distractor=tree.names()[0], seed=seed)
     )
     config = AgentConfig(
-        mode="open_ended",
         c0=3,
         max_iterations=25,
         learner=LearnerConfig(p0=0.7, p_max=0.95, tau=2.0),
@@ -309,7 +308,6 @@ def test_criterion_6_oracle_equivalence():
         tree = small_random_tree(tree_seed)
         for goal in tree.names():
             config = AgentConfig(
-                mode="goal",
                 goal=goal,
                 seed=tree_seed,
                 max_iterations=100,
@@ -337,7 +335,7 @@ def test_criterion_7_parser_and_metrics(tree16):
     assert AwmEdge("crafting_table", "planks", "workbench", 1) not in awm.edges
     assert awm.ingredient_parents("crafting_table") == {"planks": 4}
 
-    identity = score_hypothesis(ground_truth_awm(tree16), tree16, set(tree16.items))
+    identity = score_hypothesis(ground_truth_awm(tree16), tree16)
     assert identity.collectable_vs_craftable_acc == 100.0
     assert identity.workbench_acc == 100.0
     assert identity.recipe_items_acc == 100.0
@@ -362,7 +360,7 @@ def test_criterion_7_parser_and_metrics(tree16):
         ],
         set(toy.items),
     )
-    report = score_hypothesis(predicted, toy, set(toy.items))
+    report = score_hypothesis(predicted, toy)
     assert report.collectable_vs_craftable_acc == 75.0
     assert report.workbench_acc == 75.0
     assert report.recipe_items_acc == 50.0

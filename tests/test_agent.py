@@ -11,7 +11,7 @@ from dreamcraft.agent import (
 from dreamcraft.awm import Awm, AwmEdge, NodeBelief
 from dreamcraft.hypotheses import empty_hypothesis, ground_truth_awm
 from dreamcraft.policy import LearnerConfig
-from dreamcraft.tech_tree import ItemDef, RecipeEntry, make_tree
+from dreamcraft.tech_tree import COLLECT_STEPS, ItemDef, RecipeEntry, make_tree
 
 
 def certain_config(**kw) -> AgentConfig:
@@ -42,7 +42,7 @@ def oracle_iterations_to_goal(tree, goal):
 
 def test_goal_run_matches_oracle_on_fixture(tree):
     awm = ground_truth_awm(tree)
-    config = certain_config(mode="goal", goal="stone_pickaxe", seed=4, max_iterations=60)
+    config = certain_config(goal="stone_pickaxe", seed=4, max_iterations=60)
     records = run_with_state(config, tree, awm)[0]
     assert len(records) == 7 == oracle_iterations_to_goal(tree, "stone_pickaxe")
     assert records[-1].newly_verified == "stone_pickaxe"
@@ -51,7 +51,7 @@ def test_goal_run_matches_oracle_on_fixture(tree):
 
 def test_goal_run_matches_oracle_for_every_fixture_goal(tree):
     for goal in tree.names():
-        config = certain_config(mode="goal", goal=goal, seed=1, max_iterations=80)
+        config = certain_config(goal=goal, seed=1, max_iterations=80)
         records = run_with_state(config, tree, ground_truth_awm(tree))[0]
         assert len(records) == oracle_iterations_to_goal(tree, goal), goal
 
@@ -94,13 +94,13 @@ def small_trees():
 def test_oracle_equivalence_on_small_trees():
     for tree in small_trees():
         for goal in tree.names():
-            config = certain_config(mode="goal", goal=goal, seed=0, max_iterations=100)
+            config = certain_config(goal=goal, seed=0, max_iterations=100)
             records = run_with_state(config, tree, ground_truth_awm(tree))[0]
             assert len(records) == oracle_iterations_to_goal(tree, goal), (tree.names(), goal)
 
 
 def test_run_deterministic(tree):
-    config = AgentConfig(mode="goal", goal="glass", seed=123, max_iterations=300)
+    config = AgentConfig(goal="glass", seed=123, max_iterations=300)
     first = run_with_state(config, tree, ground_truth_awm(tree))[0]
     second = run_with_state(config, tree, ground_truth_awm(tree))[0]
     assert first == second
@@ -117,19 +117,17 @@ def test_run_rejects_missing_nodes(tree):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        AgentConfig(mode="goal")  # goal missing
-    with pytest.raises(ValueError):
-        AgentConfig(goal="log")  # open-ended with a goal
-    with pytest.raises(ValueError):
-        AgentConfig(mode="wander")
+    with pytest.raises(ValueError, match="c0"):
+        AgentConfig(c0=0)
+    with pytest.raises(ValueError, match="max_iterations"):
+        AgentConfig(max_iterations=-1)
     with pytest.raises(ValueError, match="retry_cap"):
         AgentConfig(retry_cap=0)
 
 
 def test_dream_prunes_to_goal_path(tree):
     awm = ground_truth_awm(tree)
-    config = certain_config(mode="goal", goal="stone_pickaxe", seed=0, max_iterations=10)
+    config = certain_config(goal="stone_pickaxe", seed=0, max_iterations=10)
     state = AgentState.create(tree, awm, config)
     sampled = dream(state, config)
     assert sampled.branch.target == "log"
@@ -138,7 +136,7 @@ def test_dream_prunes_to_goal_path(tree):
 
 def test_dream_fallback_after_c0(tree):
     awm = ground_truth_awm(tree)
-    config = certain_config(mode="goal", goal="stone_pickaxe", c0=2, seed=0, max_iterations=10)
+    config = certain_config(goal="stone_pickaxe", c0=2, seed=0, max_iterations=10)
     state = AgentState.create(tree, awm, config)
     state.counts["log"] = 3  # pruned frontier is exactly {log}
     sampled = dream(state, config)
@@ -167,7 +165,7 @@ def test_dream_degenerate_graph_raises(tree):
 
 def test_wake_single_collect_verifies_parentless(tree):
     awm = ground_truth_awm(tree)
-    config = certain_config(mode="open_ended", seed=0, max_iterations=10)
+    config = certain_config(seed=0, max_iterations=10)
     state = AgentState.create(tree, awm, config)
     record = wake(state, config, awm.expand_requirements("log"))
     assert record.success and record.newly_verified == "log"
@@ -178,7 +176,6 @@ def test_wake_single_collect_verifies_parentless(tree):
 def test_wake_prefix_failure_charges_steps_and_counts_target(tree):
     awm = ground_truth_awm(tree)
     config = AgentConfig(
-        mode="open_ended",
         seed=0,
         max_iterations=10,
         learner=LearnerConfig(p0=0.0, p_max=0.0),
@@ -200,7 +197,7 @@ def test_glass_error_corrected_via_fallback(tree):
     for e in awm.parents_of("glass"):
         awm.discard_edge(e)
     awm.set_belief("glass", NodeBelief(collectable=True))
-    config = certain_config(mode="open_ended", c0=4, seed=8, max_iterations=400)
+    config = certain_config(c0=4, seed=8, max_iterations=400)
     records, state = run_with_state(config, tree, awm)
     assert "glass" in state.awm.verified
     assert {(e.parent, e.kind) for e in state.awm.parents_of("glass")} == {
@@ -212,7 +209,7 @@ def test_glass_error_corrected_via_fallback(tree):
 
 
 def test_at_most_one_verification_per_iteration(tree):
-    config = AgentConfig(mode="open_ended", seed=5, c0=3, max_iterations=500)
+    config = AgentConfig(seed=5, c0=3, max_iterations=500)
     records = run_with_state(config, tree, empty_hypothesis(set(tree.items)))[0]
     for before, after in zip(records, records[1:]):
         assert after.verified_count - before.verified_count in (0, 1)
@@ -221,7 +218,7 @@ def test_at_most_one_verification_per_iteration(tree):
 
 def test_guided_policies_stay_on_goal_path(tree):
     awm = ground_truth_awm(tree)
-    config = AgentConfig(mode="goal", goal="stone_pickaxe", seed=2, max_iterations=300)
+    config = AgentConfig(goal="stone_pickaxe", seed=2, max_iterations=300)
     records, state = run_with_state(config, tree, awm)
     assert not any(r.fallback for r in records)
     assert set(state.bank.attempts) == {"log", "cobblestone"}
@@ -237,14 +234,13 @@ def test_policy_scope_before_first_fallback(tree):
             awm.discard_edge(e)
         return awm
 
-    config = AgentConfig(mode="goal", goal="stone_pickaxe", c0=4, seed=6, max_iterations=400)
+    config = AgentConfig(goal="stone_pickaxe", c0=4, seed=6, max_iterations=400)
     records, _ = run_with_state(config, tree, broken())
     fallback_iters = [r.iteration for r in records if r.fallback]
     assert fallback_iters, "scenario should force a fallback"
     cutoff = fallback_iters[0] - 1
 
-    truncated = AgentConfig(
-        mode="goal", goal="stone_pickaxe", c0=4, seed=6, max_iterations=cutoff
+    truncated = AgentConfig( goal="stone_pickaxe", c0=4, seed=6, max_iterations=cutoff
     )
     _, state = run_with_state(truncated, tree, broken())
     goal_path = broken().ancestors("stone_pickaxe") | {"stone_pickaxe"}
@@ -252,7 +248,7 @@ def test_policy_scope_before_first_fallback(tree):
 
 
 def test_verified_edges_always_ground_truth(tree):
-    config = AgentConfig(mode="open_ended", seed=7, c0=4, max_iterations=600)
+    config = AgentConfig(seed=7, c0=4, max_iterations=600)
     _, state = run_with_state(config, tree, empty_hypothesis(set(tree.items)))
     assert len(state.awm.verified) == 16
     for item in state.awm.verified:
@@ -261,16 +257,16 @@ def test_verified_edges_always_ground_truth(tree):
 
 
 def test_step_accounting_conserved(tree):
-    config = AgentConfig(mode="open_ended", seed=9, c0=4, max_iterations=200)
+    config = AgentConfig(seed=9, c0=4, max_iterations=200)
     records, state = run_with_state(config, tree, empty_hypothesis(set(tree.items)))
     assert state.total_env_steps == sum(r.env_steps for r in records)
-    assert state.total_env_steps == sum(state.bank.attempts.values()) * config.budget.collect_steps
+    assert state.total_env_steps == sum(state.bank.attempts.values()) * COLLECT_STEPS
     cumulative = [r.cumulative_env_steps for r in records]
     assert cumulative == sorted(cumulative)
 
 
 def test_frontier_column_bounds(tree):
-    config = AgentConfig(mode="open_ended", seed=1, max_iterations=200)
+    config = AgentConfig(seed=1, max_iterations=200)
     records = run_with_state(config, tree, ground_truth_awm(tree))[0]
     for r in records:
         assert r.frontier_size <= r.graph_size

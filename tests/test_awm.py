@@ -5,6 +5,7 @@ import networkx as nx
 import pytest
 
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles, sample_branch
+from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import Inventory, attempt_collect, attempt_craft
 
 
@@ -46,6 +47,9 @@ def test_frontier_matches_oracle(tree, perfect_awm):
     expected = {"sand", "dirt", "flower", "seeds", "planks"}
     assert perfect_awm.frontier() == expected
     assert perfect_awm.frontier() == truth_frontier(tree, {"log"})
+    assert perfect_awm.frontier_size() == len(expected)
+    perfect_awm.frontier().clear()  # a copy: the graph's frontier is not handed out
+    assert perfect_awm.frontier_size() == len(expected)
 
 
 def test_frontier_empty_when_all_verified(tree, perfect_awm):
@@ -54,6 +58,7 @@ def test_frontier_empty_when_all_verified(tree, perfect_awm):
                  "ladder", "stone_pickaxe", "furnace", "glass"]:
         verify_from_tree(perfect_awm, tree, item)
     assert perfect_awm.frontier() == set()
+    assert perfect_awm.frontier_size() == 0
 
 
 def test_prune_to_goal_matches_networkx(tree, perfect_awm):
@@ -102,7 +107,7 @@ def simulate_branch(tree, branch, consume_targets=True):
     for step in branch.steps:
         for _ in range(step.repetitions):
             if step.action == "collect":
-                out = attempt_collect(tree, step.item, inv, 1.0, rng)
+                out = attempt_collect(tree, step.item, inv, LearnerConfig(1.0, 1.0), rng)
             else:
                 out = attempt_craft(tree, step.item, inv)
             if not out.success:

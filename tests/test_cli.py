@@ -1,7 +1,12 @@
 import json
+import shutil
+from dataclasses import fields
+
+import pytest
 
 from dreamcraft.cli import main
-from dreamcraft.datafiles import llm_fixture_path
+from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
+from dreamcraft.harness import ExperimentSpec, spec_from_manifest
 from dreamcraft.hypotheses import ParsedEntry, serialize_recipe_dict
 
 
@@ -79,6 +84,55 @@ def test_retry_cap_below_one_is_rejected_before_any_output(tmp_path, capsys):
     assert rc == 2
     assert "retry_cap" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["baseline", "--max-iterations", "-1"],
+        ["baseline", "--retry-cap", "0"],
+        ["baseline", "--c0", "0"],
+        ["score", "--p0", "5"],
+    ],
+)
+def test_every_experiment_rejects_an_invalid_spec_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Spec field -> (common flag, a value other than the default, the value the
+# manifest records). The other fields are set by the subcommand: the
+# experiment, task's item and robustness's goal and rate grid.
+COMMON_FLAGS = {
+    "tree_path": ("--tree", None, None),  # a copy of the bundled tree, made per run
+    "hypothesis": ("--hypothesis", "empty", "empty"),
+    "seeds": ("--seeds", "5,", [5]),
+    "c0": ("--c0", "4", 4),
+    "max_iterations": ("--max-iterations", "7", 7),
+    "p0": ("--p0", "0.3", 0.3),
+    "p_max": ("--pmax", "0.9", 0.9),
+    "tau": ("--tau", "2.5", 2.5),
+    "retry_cap": ("--retry-cap", "5", 5),
+}
+SET_BY_SUBCOMMAND = {"experiment", "goal", "insert_rates", "delete_rates"}
+
+
+def test_common_flags_set_every_spec_field_with_the_spec_defaults(tmp_path):
+    assert {f.name for f in fields(ExperimentSpec)} == set(COMMON_FLAGS) | SET_BY_SUBCOMMAND
+    assert main(["score", "--out", str(tmp_path / "defaults")]) == 0
+    recorded = spec_from_manifest(tmp_path / "defaults" / "manifest.json")
+    assert recorded == ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path()))
+
+    tree = tmp_path / "tree.json"
+    shutil.copyfile(pickaxe16_path(), tree)
+    for name, (flag, value, expected) in COMMON_FLAGS.items():
+        if name == "tree_path":
+            value = expected = str(tree)
+        out = tmp_path / name
+        assert main(["score", flag, value, "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["spec"][name] == expected, flag
 
 
 def test_parse_command(tmp_path, capsys):

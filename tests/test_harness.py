@@ -16,7 +16,7 @@ from dreamcraft.harness import (
     run_robustness,
     run_task,
 )
-from dreamcraft.tech_tree import ItemDef, RecipeEntry, make_tree, serialize_tree
+from dreamcraft.tech_tree import ItemDef, RecipeEntry, load_tree_file, make_tree, serialize_tree
 
 
 def spec_for(experiment, **kw):
@@ -42,6 +42,11 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="one seed"):
         spec_for("score", seeds=(0, 5))  # score builds the hypothesis of one seed
     spec_for("score", seeds=(5, 5))
+    # The agent's and the learner's checks hold for every experiment.
+    with pytest.raises(ValueError, match="c0"):
+        spec_for("baseline", c0=0)
+    with pytest.raises(ValueError, match="p0"):
+        spec_for("score", p0=5.0)
 
 
 def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
@@ -77,14 +82,14 @@ def test_build_hypothesis_sources(tree, tmp_path):
 
 def test_open_ended_single_iteration_cap():
     spec = spec_for("open_ended", seeds=(0, 1), max_iterations=1)
-    curves = run_open_ended(spec)
+    curves = run_open_ended(spec, load_tree_file(spec.tree_path))
     assert set(curves) == {0, 1}
     assert all(len(c) == 1 for c in curves.values())
 
 
 def test_open_ended_curves_monotone_and_bounded():
     spec = spec_for("open_ended", seeds=(0,), max_iterations=300)
-    curve = run_open_ended(spec)[0]
+    curve = run_open_ended(spec, load_tree_file(spec.tree_path))[0]
     verified = [p.verified for p in curve]
     assert verified == sorted(verified)
     assert all(p.frontier <= p.graph for p in curve)
@@ -93,7 +98,7 @@ def test_open_ended_curves_monotone_and_bounded():
 
 def test_task_single_subgoal_goal():
     spec = spec_for("task", goal="log", seeds=(0, 1, 2), max_iterations=80)
-    results = run_task(spec)
+    results = run_task(spec, load_tree_file(spec.tree_path))
     primary = [r for r in results if r.hypothesis == "primary"]
     assert all(r.success for r in primary)
     assert all(r.iterations <= 3 for r in primary)
@@ -101,7 +106,7 @@ def test_task_single_subgoal_goal():
 
 def test_task_guided_beats_empty():
     spec = spec_for("task", goal="stone_pickaxe", seeds=(0, 1, 2), max_iterations=500)
-    results = run_task(spec)
+    results = run_task(spec, load_tree_file(spec.tree_path))
     mean = lambda label: statistics.mean(
         r.env_steps_to_goal for r in results if r.hypothesis == label
     )
@@ -115,7 +120,7 @@ def test_task_guided_beats_empty():
 
 def test_task_glass_longest_chain_succeeds():
     spec = spec_for("task", goal="glass", seeds=(0, 1, 2), max_iterations=300)
-    results = run_task(spec)
+    results = run_task(spec, load_tree_file(spec.tree_path))
     assert all(r.success for r in results if r.hypothesis == "primary")
 
 
@@ -129,7 +134,7 @@ def test_exact_graph_weakly_fastest_of_three(tree):
         for seed in range(5):
             awm = build_hypothesis(tree, source, seed)
             records, _ = run_with_state(
-                AgentConfig(mode="open_ended", seed=seed, max_iterations=900), tree, awm
+                AgentConfig(seed=seed, max_iterations=900), tree, awm
             )
             totals.append(next(r.iteration for r in records if r.newly_verified == "glass"))
         return statistics.mean(totals)
@@ -147,7 +152,7 @@ def test_guided_agent_dominates_random_baseline(tree):
     guided_done = []
     for seed in range(5):
         records, _ = run_with_state(
-            AgentConfig(mode="open_ended", seed=seed, max_iterations=900),
+            AgentConfig(seed=seed, max_iterations=900),
             tree,
             ground_truth_awm(tree),
         )
@@ -168,7 +173,7 @@ def test_robustness_row_counting():
         delete_rates=(0.0, 0.1),
         max_iterations=500,
     )
-    results = run_robustness(spec)
+    results = run_robustness(spec, load_tree_file(spec.tree_path))
     perturbed = [r for r in results if r.hypothesis.startswith("perturb")]
     references = [r for r in results if not r.hypothesis.startswith("perturb")]
     assert len(perturbed) == 2 * 2 * 3
@@ -208,7 +213,7 @@ def test_baseline_matches_markov_oracle(tmp_path):
     path = tmp_path / "chain.json"
     path.write_text(serialize_tree(tree))
     spec = spec_for(
-        "baseline", tree_path=str(path), seeds=tuple(range(2000)), p0=1.0, max_iterations=200
+        "baseline", tree_path=str(path), seeds=tuple(range(2000)), p0=1.0, p_max=1.0, max_iterations=200
     )
     curves = run_baseline_random(spec, tree)
     finishing = [c[-1].iteration for c in curves.values()]
@@ -220,13 +225,13 @@ def test_baseline_matches_markov_oracle(tmp_path):
 
 def test_baseline_zero_probability_flatlines():
     spec = spec_for("baseline", seeds=(0,), p0=0.0, max_iterations=25)
-    curve = run_baseline_random(spec)[0]
+    curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[0]
     assert [p.discovered for p in curve] == [0] * 25
 
 
 def test_baseline_monotone_discovery():
     spec = spec_for("baseline", seeds=(3,), p0=0.5, max_iterations=150)
-    curve = run_baseline_random(spec)[3]
+    curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[3]
     found = [p.discovered for p in curve]
     assert found == sorted(found)
     steps = [p.steps for p in curve]
@@ -235,7 +240,7 @@ def test_baseline_monotone_discovery():
 
 def test_emit_open_ended_header_contract(tmp_path):
     spec = spec_for("open_ended", seeds=(0,), max_iterations=3)
-    files = emit_results(spec, run_open_ended(spec), tmp_path)
+    files = emit_results(spec, run_open_ended(spec, load_tree_file(spec.tree_path)), tmp_path)
     curve_file = tmp_path / "curves_seed0.csv"
     assert curve_file in files
     header = curve_file.read_text().splitlines()[0]

@@ -299,7 +299,7 @@ def test_perturb_keeps_graph_acyclic(tree):
 
 
 def test_score_identity_is_perfect(tree):
-    report = score_hypothesis(ground_truth_awm(tree), tree, set(tree.items))
+    report = score_hypothesis(ground_truth_awm(tree), tree)
     assert report.collectable_vs_craftable_acc == 100.0
     assert report.workbench_acc == 100.0
     assert report.recipe_items_acc == 100.0
@@ -337,7 +337,7 @@ def toy_prediction():
 def test_score_four_item_discrepancy_fixture():
     tree = load_tree(TOY_TREE)
     awm = build_hypothesized_awm(toy_prediction(), set(tree.items))
-    report = score_hypothesis(awm, tree, set(tree.items))
+    report = score_hypothesis(awm, tree)
     assert report.collectable_vs_craftable_acc == 75.0
     assert report.workbench_acc == 75.0
     assert report.recipe_items_acc == 50.0
@@ -359,29 +359,35 @@ def test_score_single_quantity_pair():
         ParsedEntry(item="box", recipe=(("plank", 2), ("stone", 1))),  # 2 instead of 3
     ]
     awm = build_hypothesized_awm(entries, set(tree.items))
-    report = score_hypothesis(awm, tree, set(tree.items))
+    report = score_hypothesis(awm, tree)
     assert report.qty_abs_error == pytest.approx(1.0 / 3)
     assert report.qty_avg_error == pytest.approx(-1.0 / 3)
-    # restricted to the one mismatched pair
-    only_box = score_hypothesis(awm, tree, {"box"})
-    assert only_box.qty_abs_error == pytest.approx(0.5)
-    assert only_box.qty_avg_error == pytest.approx(-0.5)
+    assert report.qty_std == pytest.approx((2.0 / 9) ** 0.5)  # errors 0, -1, 0
 
 
-def test_score_missing_item_counts_all_wrong(tree):
-    truth = ground_truth_awm(tree)
-    awm = Awm(
-        nodes=truth.nodes - {"glass"},
-        edges={e for e in truth.edges if e.child != "glass"},
-        beliefs=truth.beliefs,
+def test_score_missing_item_counts_all_wrong():
+    tree = load_tree(
+        json.dumps(
+            {
+                "sand": {"collectable": True, "recipe": []},
+                "glass": {"collectable": False, "recipe": [{"item": "sand", "quantity": 1}]},
+            }
+        )
     )
-    report = score_hypothesis(awm, tree, {"glass", "log"})
+    truth = ground_truth_awm(tree)
+    awm = Awm(nodes={"sand"}, beliefs=truth.beliefs)
+    report = score_hypothesis(awm, tree)
     assert report.collectable_vs_craftable_acc == 50.0
     assert report.pct_items_missing_deps == 50.0
 
 
+def test_score_rejects_an_empty_tree():
+    with pytest.raises(ValueError, match="empty tree"):
+        score_hypothesis(Awm(), load_tree("{}"))
+
+
 def test_score_report_serialization(tree):
-    report = score_hypothesis(ground_truth_awm(tree), tree, set(tree.items))
+    report = score_hypothesis(ground_truth_awm(tree), tree)
     text = report.to_text()
     assert "recipe_exact_acc=100.0" in text
     csv = report.to_csv()

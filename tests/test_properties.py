@@ -23,9 +23,9 @@ from dreamcraft.tech_tree import (
     FURNACE,
     Inventory,
     ItemDef,
+    COLLECT_STEPS,
     Outcome,
     RecipeEntry,
-    StepBudget,
     attempt_collect,
     attempt_craft,
     make_tree,
@@ -126,14 +126,15 @@ def test_collect_gating_and_charge(tree, seed):
     if not gated:
         return
     item = gated[0]
-    out = attempt_collect(tree, item, Inventory(), 1.0, Random(seed))
+    out = attempt_collect(tree, item, Inventory(), LearnerConfig(1.0, 1.0), Random(seed))
     assert not out.success and out.steps == 1000
 
 
-def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retry_cap, budget):
+def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retry_cap):
     """The per-attempt executor that the batch forms replace, kept as their
     reference: one collect or craft attempt per turn of the loop, with the
-    simulator's rules written out for a single attempt."""
+    simulator's rules written out for a single attempt. A collect try costs
+    one episode; a craft costs nothing."""
     steps = tries = 0
     d = tree.items.get(item)
     while inventory.count(item) < quantity and tries < retry_cap:
@@ -141,7 +142,7 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
         if action == "collect":
             attempts = bank.attempts.get(item, 0)
             bank.attempts[item] = attempts + 1
-            steps += budget.collect_steps
+            steps += COLLECT_STEPS
             if d is None or not d.collectable:
                 continue
             p = bank.learner.success_prob(attempts)
@@ -151,7 +152,6 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
             if rng.random() < p:
                 inventory.add(item, 1)
         else:
-            steps += budget.craft_steps
             if (
                 d is None
                 or d.collectable
@@ -166,10 +166,10 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
     return Outcome(inventory.count(item) >= quantity, steps, tries)
 
 
-def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_cap, learner, attempts, budget, seed):
+def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_cap, learner, attempts, seed):
     """Run `acquire`, then from where it left off one default `execute_subgoal`
     call and one default `attempt_collect` or `attempt_craft` call (with a
-    fixed probability, as the random baseline calls it), on identical worlds
+    flat curve at p0, as the random baseline calls it), on identical worlds
     with the batch forms and with the per-attempt reference; the outcomes and
     every piece of state must agree."""
     names = tree.names() + ["unobtainium"]
@@ -181,13 +181,13 @@ def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_c
     ref_bank, ref_inv, ref_rng = world()
     fixed = PolicyBank(LearnerConfig(p0=learner.p0, p_max=learner.p0))
     calls = [
-        (lambda: acquire(bank, tree, item, action, quantity, inv, rng, retry_cap, budget),
-         lambda: per_attempt_acquire(ref_bank, tree, item, action, quantity, ref_inv, ref_rng, retry_cap, budget)),
-        (lambda: execute_subgoal(bank, tree, item, action, inv, rng, budget),
-         lambda: per_attempt_acquire(ref_bank, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1, budget)),
-        (lambda: attempt_collect(tree, item, inv, learner.p0, rng, budget) if action == "collect"
-         else attempt_craft(tree, item, inv, budget),
-         lambda: per_attempt_acquire(fixed, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1, budget)),
+        (lambda: acquire(bank, tree, item, action, quantity, inv, rng, retry_cap),
+         lambda: per_attempt_acquire(ref_bank, tree, item, action, quantity, ref_inv, ref_rng, retry_cap)),
+        (lambda: execute_subgoal(bank, tree, item, action, inv, rng),
+         lambda: per_attempt_acquire(ref_bank, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1)),
+        (lambda: attempt_collect(tree, item, inv, fixed.learner, rng) if action == "collect"
+         else attempt_craft(tree, item, inv),
+         lambda: per_attempt_acquire(fixed, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1)),
     ]
     for batch, reference in calls:
         assert batch() == reference()
@@ -224,7 +224,6 @@ def test_batch_forms_match_the_per_attempt_loop(tree, data):
         retry_cap=data.draw(st.integers(1, 12)),
         learner=LearnerConfig(p0=p0, p_max=p_max, tau=data.draw(st.floats(0.1, 10))),
         attempts=data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 20), max_size=3)),
-        budget=StepBudget(data.draw(st.integers(1, 1000)), data.draw(st.integers(0, 5))),
         seed=data.draw(st.integers(0, 2**16)),
     )
 
@@ -253,7 +252,6 @@ def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
     # workbenches, a furnace and an ingot need one workbench each, planks
     # yield 4 and stone needs a log as its tool.
     learner = LearnerConfig(p0=0.5, p_max=0.9, tau=2.0)
-    budget = StepBudget(1000, 3)
     seed = 0
     for table, furnace, log, stone, planks in itertools.product((0, 1, 2), (0, 1, 2), (0, 1), (0, 2, 9), (0, 3, 7)):
         start = {"crafting_table": table, "furnace": furnace, "log": log, "stone": stone, "planks": planks}
@@ -262,7 +260,7 @@ def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
                 seed += 1
                 quantity = max(1, start.get(item, 0) + extra)
                 check_batch_against_per_attempt(
-                    GATED_TREE, start, item, action, quantity, retry_cap, learner, {}, budget, seed
+                    GATED_TREE, start, item, action, quantity, retry_cap, learner, {}, seed
                 )
 
 
@@ -463,7 +461,7 @@ def test_expand_requirements_feasible(tree, data):
     for step in branch.steps:
         for _ in range(step.repetitions):
             if step.action == "collect":
-                assert attempt_collect(tree, step.item, inv, 1.0, rng).success
+                assert attempt_collect(tree, step.item, inv, LearnerConfig(1.0, 1.0), rng).success
             else:
                 assert attempt_craft(tree, step.item, inv).success
     assert inv.count(target) >= 1
@@ -474,7 +472,6 @@ def test_expand_requirements_feasible(tree, data):
 def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
     awm = perturb_ground_truth(tree, ErrorSpec(insert_rate, delete_rate, distractor=tree.names()[0], seed=seed))
     config = AgentConfig(
-        mode="open_ended",
         c0=3,
         max_iterations=25,
         learner=LearnerConfig(p0=0.7, p_max=0.95, tau=2.0),
@@ -497,7 +494,7 @@ def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
 @given(tech_trees(), st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
 def test_run_deterministic_on_random_worlds(tree, seed):
-    config = AgentConfig(mode="open_ended", c0=3, max_iterations=15, seed=seed)
+    config = AgentConfig(c0=3, max_iterations=15, seed=seed)
     first = run_with_state(config, tree, ground_truth_awm(tree))[0]
     second = run_with_state(config, tree, ground_truth_awm(tree))[0]
     assert first == second

@@ -3,9 +3,9 @@ from random import Random
 
 import pytest
 
+from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
-    StepBudget,
     TreeParseError,
     TreeValidationError,
     attempt_collect,
@@ -73,7 +73,7 @@ def test_ground_truth_parents(tree):
 def test_collect_tool_gate_fails_for_every_seed(tree):
     for seed in range(25):
         inv = Inventory()
-        out = attempt_collect(tree, "cobblestone", inv, 1.0, Random(seed))
+        out = attempt_collect(tree, "cobblestone", inv, LearnerConfig(1.0, 1.0), Random(seed))
         assert not out.success
         assert out.steps == 1000
         assert inv.count("cobblestone") == 0
@@ -81,9 +81,9 @@ def test_collect_tool_gate_fails_for_every_seed(tree):
 
 def test_collect_probability_extremes(tree):
     inv = Inventory()
-    assert attempt_collect(tree, "log", inv, 1.0, Random(0)).success
+    assert attempt_collect(tree, "log", inv, LearnerConfig(1.0, 1.0), Random(0)).success
     assert inv.count("log") == 1
-    assert not attempt_collect(tree, "log", inv, 0.0, Random(0)).success
+    assert not attempt_collect(tree, "log", inv, LearnerConfig(0.0, 0.0), Random(0)).success
     assert inv.count("log") == 1
 
 
@@ -91,7 +91,7 @@ def test_collect_determinism(tree):
     outcomes = set()
     for _ in range(5):
         inv = Inventory({"wooden_pickaxe": 1})
-        out = attempt_collect(tree, "cobblestone", inv, 0.5, Random(42))
+        out = attempt_collect(tree, "cobblestone", inv, LearnerConfig(0.5, 0.5), Random(42))
         outcomes.add((out.success, out.steps, inv.count("cobblestone")))
     assert len(outcomes) == 1
 
@@ -130,8 +130,3 @@ def test_inventory_never_negative():
     with pytest.raises(ValueError):
         Inventory({"log": -1})
 
-
-def test_step_budget_validation():
-    with pytest.raises(ValueError):
-        StepBudget(collect_steps=0)
-    assert StepBudget().collect_steps == 1000
