@@ -3,7 +3,8 @@ branch, pruned toward the goal when one is set) and a wake phase (execute
 subgoals, verify or correct the belief graph from what actually happened).
 
 `AgentConfig.goal` alone sets the mode: a run with a goal ends when the goal
-is verified, a run without one when every tree item is.
+is verified, a run without one when every tree item is. A goal must be a tree
+item, so the loop's own condition is the run's one exit.
 
 Runs are fully deterministic given (seed, tree, initial belief graph).
 """
@@ -19,15 +20,11 @@ from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
 from .tech_tree import Inventory, TechTree
 
 
-class ExplorationComplete(Exception):
-    """Every reachable node is verified; nothing left to dream about."""
-
-
 @dataclass(frozen=True)
 class AgentConfig:
     goal: str | None = None
     c0: int = 10
-    max_iterations: int = 200
+    max_iterations: int = 400
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     retry_cap: int = 10
     seed: int = 0
@@ -85,8 +82,6 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     under the c0 visit cap, otherwise widen to the whole frontier plus the
     verified set for undirected exploration."""
     awm = state.awm
-    if len(awm.verified) == len(awm.nodes):  # verified nodes are a subset of nodes
-        raise ExplorationComplete
     frontier = awm.frontier()
     selectable = frontier
     if config.goal is not None:
@@ -100,19 +95,11 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     return DreamSample(sample_branch(awm, pool, state.rng), True)
 
 
-def _planned_addition(state: AgentState, item: str, action: str, repetitions: int) -> int:
-    if action == "craft":
-        return repetitions * max(1, state.awm.belief(item).craft_yield)
-    return repetitions
-
-
 def _verify_from_world(state: AgentState, item: str) -> None:
     """Record the parents actually consumed at the first success, which in this
     simulator equal the ground-truth parents, and the observed yield."""
     tree = state.tree
-    observed = tree.ground_truth_parents(item)
-    craft_yield = 1 if tree.is_collectable(item) else tree.definition(item).craft_yield
-    state.awm.verify_node(item, observed, craft_yield=craft_yield)
+    state.awm.verify_node(item, tree.ground_truth_parents(item), craft_yield=tree.definition(item).craft_yield)
 
 
 def _exploration_sweep(state: AgentState) -> str | None:
@@ -126,17 +113,12 @@ def _exploration_sweep(state: AgentState) -> str | None:
     awm = state.awm
     for item in sorted(awm.unverified()):
         state.counts[item] += 1
-        if awm.believed_collectable(item):
-            out = execute_subgoal(state.bank, state.tree, item, "collect", state.inventory, state.rng)
+        for action in ("collect", "craft") if awm.believed_collectable(item) else ("craft",):
+            out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)
             state.total_env_steps += out.steps
             if out.success:
                 _verify_from_world(state, item)
                 return item
-        out = execute_subgoal(state.bank, state.tree, item, "craft", state.inventory, state.rng)
-        state.total_env_steps += out.steps
-        if out.success:
-            _verify_from_world(state, item)
-            return item
     return None
 
 
@@ -151,42 +133,39 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     if not fallback:
         state.inventory.clear()
 
+    awm = state.awm
     inventory = state.inventory
     steps_before = state.total_env_steps
-    failed = False
-    target_counted = False
+    target = branch.target
+    newly: str | None = None
     for item, action, repetitions in branch.steps:
-        wanted = inventory.count(item) + _planned_addition(state, item, action, repetitions)
+        planned = repetitions * max(1, awm.belief(item).craft_yield) if action == "craft" else repetitions
+        wanted = inventory.count(item) + planned
         out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
         state.counts[item] += 1
-        if item == branch.target:
-            target_counted = True
         state.total_env_steps += out.steps
         if not out.success:
-            failed = True
+            if item != target:  # the target is the last step
+                state.counts[target] += 1  # a sampled attempt even when unreached
             break
-    if failed and not target_counted:
-        state.counts[branch.target] += 1  # a sampled attempt even when unreached
-
-    newly: str | None = None
-    if not failed:
-        if branch.target not in state.awm.verified:
-            _verify_from_world(state, branch.target)
-            newly = branch.target
+    else:
+        if target not in awm.verified:
+            _verify_from_world(state, target)
+            newly = target
         else:
             newly = _exploration_sweep(state)
 
     return IterationRecord(
         iteration=state.iteration_index,
-        target=branch.target,
+        target=target,
         fallback=fallback,
-        success=not failed,
+        success=out.success,  # the last step made: a failure ends the branch
         newly_verified=newly,
         env_steps=state.total_env_steps - steps_before,
         cumulative_env_steps=state.total_env_steps,
-        verified_count=len(state.awm.verified),
-        frontier_size=state.awm.frontier_size(),
-        graph_size=len(state.awm.nodes),
+        verified_count=len(awm.verified),
+        frontier_size=awm.frontier_size(),
+        graph_size=len(awm.nodes),
     )
 
 
@@ -199,16 +178,16 @@ def run_with_state(
     missing = set(tree.items) - initial_awm.nodes
     if missing:
         raise ValueError(f"belief graph is missing tree items: {sorted(missing)}")
+    if config.goal is not None and config.goal not in tree.items:
+        raise ValueError(f"goal '{config.goal}' is not a tree item")
     state = AgentState.create(tree, initial_awm.copy(), config)
     # Open-ended runs end when every item the world contains is verified;
     # hypothesis-only fictional nodes can never be. Every tree item is a node
-    # (checked above), so this set cannot change during the run.
+    # (checked above), so this set cannot change during the run, and it is
+    # verified before the whole graph can be: the loop condition is the only exit.
     finish = set(tree.items) if config.goal is None else {config.goal}
     records: list[IterationRecord] = []
     while state.iteration_index < config.max_iterations and not finish <= state.awm.verified:
-        try:
-            sampled = dream(state, config)
-        except ExplorationComplete:
-            break
+        sampled = dream(state, config)
         records.append(wake(state, config, sampled.branch, fallback=sampled.fallback))
     return records, state

@@ -90,17 +90,13 @@ class BranchStep(NamedTuple):
 
 @dataclass(frozen=True)
 class Branch:
-    """Ordered, quantity-expanded subgoal sequence ending at the target."""
+    """Ordered, quantity-expanded subgoal sequence; its last step is the target."""
 
     steps: tuple[BranchStep, ...]
-    target: str
 
-    def __post_init__(self):
-        if not self.steps or self.steps[-1].item != self.target:
-            raise AwmError("branch must end at its target")
-
-    def __len__(self) -> int:
-        return len(self.steps)
+    @property
+    def target(self) -> str:
+        return self.steps[-1].item
 
 
 class Awm:
@@ -348,7 +344,7 @@ class Awm:
                 else:
                     tool_use[e.parent] = True
 
-        branch = self._branches[target] = Branch(steps=tuple(steps[n] for n in order), target=target)
+        branch = self._branches[target] = Branch(tuple(steps[n] for n in order))
         return branch
 
     # -- verification ---------------------------------------------------------

@@ -40,12 +40,13 @@ class ExperimentSpec:
     hypothesis: str = "truth"
     goal: str | None = None
     seeds: tuple[int, ...] = (0,)
-    c0: int = 10
-    p0: float = 0.2
-    p_max: float = 0.95
-    tau: float = 3.0
-    retry_cap: int = 10
-    max_iterations: int = 400
+    # The run defaults live in AgentConfig and LearnerConfig alone.
+    c0: int = AgentConfig.c0
+    p0: float = LearnerConfig.p0
+    p_max: float = LearnerConfig.p_max
+    tau: float = LearnerConfig.tau
+    retry_cap: int = AgentConfig.retry_cap
+    max_iterations: int = AgentConfig.max_iterations
     insert_rates: tuple[float, ...] = ()
     delete_rates: tuple[float, ...] = ()
 
@@ -55,6 +56,8 @@ class ExperimentSpec:
         kind = self.hypothesis.split(":", 1)[0]
         if kind not in HYPOTHESIS_KINDS:
             raise ValueError(f"unknown hypothesis source {self.hypothesis!r}")
+        if self.experiment in ("task", "robustness") and self.goal is None:
+            raise ValueError(f"{self.experiment} experiment needs a goal")
         if self.experiment == "robustness":
             if not self.insert_rates or not self.delete_rates:
                 raise ValueError("robustness needs a rate grid")
@@ -154,10 +157,9 @@ def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[Curve
     return curves
 
 
-def _goal_trials(
-    spec: ExperimentSpec, tree: TechTree, goal: str, sources: list[tuple[str, str]]
-) -> list[TaskResult]:
+def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]]) -> list[TaskResult]:
     """One goal-directed trial per (hypothesis source, row label) and seed."""
+    goal = spec.goal
     results = []
     for source, label in sources:
         for seed in _seeds(spec):
@@ -179,12 +181,10 @@ def _goal_trials(
 def run_task(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     """Goal-directed runs for the spec hypothesis plus, when it is not itself
     the empty ablation, an empty-hypothesis reference on the same seeds."""
-    if spec.goal is None:
-        raise ValueError("task experiment needs a goal")
     sources = [(spec.hypothesis, "primary")]
     if spec.hypothesis != "empty":
         sources.append(("empty", "empty"))
-    return _goal_trials(spec, tree, spec.goal, sources)
+    return _goal_trials(spec, tree, sources)
 
 
 def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
@@ -196,7 +196,7 @@ def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
         for delete_rate in spec.delete_rates
     ]
     sources += [("empty", "empty"), ("truth", "truth")]
-    return _goal_trials(spec, tree, spec.goal or "stone_pickaxe", sources)
+    return _goal_trials(spec, tree, sources)
 
 
 def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[BaselinePoint]:

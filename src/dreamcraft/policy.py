@@ -89,7 +89,7 @@ def acquire(
     quantity: int,
     inventory: Inventory,
     rng: Random,
-    retry_cap: int = 10,
+    retry_cap: int,
 ) -> Outcome:
     """Repeat the subgoal until the inventory holds `quantity` of the item or
     the retry cap is exhausted; failure is an outcome, not an exception. A

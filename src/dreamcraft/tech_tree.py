@@ -222,6 +222,16 @@ def _check_acyclic(tree: TechTree) -> None:
         raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
 
 
+def _field(body: dict, key: str, kind: type, default=None):
+    """`body[key]`, or `default` when given and the key is absent, checked to
+    have exactly the type `kind`: no value is coerced, and a boolean is not an
+    integer."""
+    value = body[key] if default is None else body.get(key, default)
+    if type(value) is not kind:
+        raise TypeError(f"{key} must be {'a boolean' if kind is bool else 'an integer'}, not {value!r}")
+    return value
+
+
 def load_tree(text: str) -> TechTree:
     """Parse and validate a tree-definition document (JSON, item name -> fields)."""
     try:
@@ -237,17 +247,17 @@ def load_tree(text: str) -> TechTree:
             raise TreeParseError(f"definition of '{name}' must be a map")
         try:
             recipe = tuple(
-                RecipeEntry(entry["item"], int(entry["quantity"]))
+                RecipeEntry(entry["item"], _field(entry, "quantity", int))
                 for entry in body.get("recipe", [])
             )
             items[name] = ItemDef(
                 id=name,
-                collectable=bool(body["collectable"]),
+                collectable=_field(body, "collectable", bool),
                 required_tool=body.get("required_tool"),
-                requires_crafting_table=bool(body.get("requires_crafting_table", False)),
-                requires_furnace=bool(body.get("requires_furnace", False)),
+                requires_crafting_table=_field(body, "requires_crafting_table", bool, False),
+                requires_furnace=_field(body, "requires_furnace", bool, False),
                 recipe=recipe,
-                craft_yield=int(body.get("yield", 1)),
+                craft_yield=_field(body, "yield", int, 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeParseError(f"malformed definition for '{name}': {exc}") from exc

@@ -1,14 +1,16 @@
 import pytest
 
+from dreamcraft import agent
 from dreamcraft.agent import (
     AgentConfig,
     AgentState,
-    ExplorationComplete,
     dream,
     run_with_state,
     wake,
 )
 from dreamcraft.awm import Awm, AwmEdge, NodeBelief
+from dreamcraft.datafiles import llm_fixture_path
+from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import empty_hypothesis, ground_truth_awm
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import COLLECT_STEPS, ItemDef, RecipeEntry, make_tree
@@ -144,13 +146,24 @@ def test_dream_fallback_after_c0(tree):
     assert sampled.branch.target in awm.frontier() | awm.verified
 
 
-def test_dream_completion_signal(tree):
+def test_dream_on_a_fully_verified_graph_samples_a_verified_fallback(tree):
     awm = ground_truth_awm(tree)
     for item in awm.unverified():
         awm.verify_node(item, tree.ground_truth_parents(item))
     config = AgentConfig()
-    with pytest.raises(ExplorationComplete):
-        dream(AgentState.create(tree, awm, config), config)
+    sampled = dream(AgentState.create(tree, awm, config), config)
+    assert sampled.fallback
+    assert sampled.branch.target in awm.verified
+
+
+def test_run_rejects_a_goal_outside_the_tree_before_any_iteration(tree, monkeypatch):
+    # The bundled document names items the tree lacks, such as diamond; its
+    # graph holds them as hypothesis-only nodes that no run can verify.
+    awm = build_hypothesis(tree, f"file:{llm_fixture_path()}", seed=0)
+    assert "diamond" in awm.nodes and "diamond" not in tree.items
+    monkeypatch.setattr(agent, "dream", lambda *_: pytest.fail("dreamed with a goal outside the tree"))
+    with pytest.raises(ValueError, match="goal 'diamond' is not a tree item"):
+        run_with_state(AgentConfig(goal="diamond", max_iterations=5), tree, awm)
 
 
 def test_dream_degenerate_graph_raises(tree):

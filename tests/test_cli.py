@@ -159,6 +159,26 @@ def test_bad_tree_path_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_task_goal_outside_the_tree_is_exit_2_before_any_output(tmp_path, capsys):
+    tree = tmp_path / "empty.json"
+    tree.write_text("{}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["task", "planks", "--tree", str(tree), "--out", str(out)]) == 2
+    assert "goal 'planks' is not a tree item" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tree_value_of_the_wrong_type_is_exit_2(tmp_path, capsys):
+    doc = json.loads(pickaxe16_path().read_text(encoding="utf-8"))
+    doc["planks"]["requires_furnace"] = "false"
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["task", "planks", "--tree", str(tree), "--out", str(out)]) == 2
+    assert "'planks': requires_furnace must be a boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_hypothesis_is_exit_2(tmp_path, capsys):
     rc = main(["task", "log", "--hypothesis", "vibes", "--out", str(tmp_path)])
     assert rc == 2

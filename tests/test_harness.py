@@ -26,14 +26,19 @@ def spec_for(experiment, **kw):
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        spec_for("task", hypothesis="psychic")
+        spec_for("task", goal="log", hypothesis="psychic")
     with pytest.raises(ValueError):
-        spec_for("robustness", insert_rates=(0.1,), delete_rates=(0.1,), seeds=(0, 1))
+        spec_for("robustness", goal="log", insert_rates=(0.1,), delete_rates=(0.1,), seeds=(0, 1))
     with pytest.raises(ValueError):
-        spec_for("task", seeds=())
+        spec_for("task", goal="log", seeds=())
     with pytest.raises(ValueError, match="unknown experiment"):
         spec_for("telepathy")
-    grid = dict(insert_rates=(0.1,), delete_rates=(0.1,))
+    grid = dict(goal="log", insert_rates=(0.1,), delete_rates=(0.1,))
+    # A goal run names its goal: no goal has a default here.
+    with pytest.raises(ValueError, match="task experiment needs a goal"):
+        spec_for("task")
+    with pytest.raises(ValueError, match="robustness experiment needs a goal"):
+        spec_for("robustness", seeds=(0, 1, 2), insert_rates=(0.1,), delete_rates=(0.1,))
     with pytest.raises(ValueError, match="three seeds"):
         spec_for("robustness", seeds=(1, 1, 1), **grid)  # one trial per cell
     with pytest.raises(ValueError, match="three seeds"):

@@ -78,7 +78,7 @@ def test_wrong_belief_fails_instead_of_raising(tree):
 def test_acquire_three_cobblestone(tree):
     bank = certain()
     inv = Inventory({"wooden_pickaxe": 1})
-    out = acquire(bank, tree, "cobblestone", "collect", 3, inv, Random(0))
+    out = acquire(bank, tree, "cobblestone", "collect", 3, inv, Random(0), retry_cap=10)
     assert out.success and out.steps == 3000
     assert bank.attempts == {"cobblestone": 3}
 
@@ -94,7 +94,7 @@ def test_acquire_hopeless_policy_exhausts_cap(tree):
 def test_acquire_yield_shortcut(tree):
     bank = PolicyBank()
     inv = Inventory({"log": 1})
-    out = acquire(bank, tree, "planks", "craft", 4, inv, Random(0))
+    out = acquire(bank, tree, "planks", "craft", 4, inv, Random(0), retry_cap=10)
     assert out.success and inv.count("planks") == 4  # single craft
 
 
@@ -107,7 +107,7 @@ def test_acquire_craft_failure_breaks_immediately(tree):
 
 def test_acquire_validation(tree):
     with pytest.raises(ValueError):
-        acquire(PolicyBank(), tree, "log", "collect", 0, Inventory(), Random(0))
+        acquire(PolicyBank(), tree, "log", "collect", 0, Inventory(), Random(0), retry_cap=10)
     with pytest.raises(ValueError):
         acquire(PolicyBank(), tree, "log", "collect", 1, Inventory(), Random(0), retry_cap=0)
     with pytest.raises(ValueError):

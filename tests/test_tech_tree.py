@@ -54,6 +54,32 @@ def test_workbench_tool_cycle_rejected():
         load_tree(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "item, field, value",
+    [
+        ("log", "collectable", 1),
+        ("planks", "requires_furnace", "false"),
+        ("planks", "requires_crafting_table", 0),
+        ("planks", "yield", "4"),
+        ("planks", "yield", 2.0),
+        ("planks", "yield", True),
+        ("planks", "quantity", 2.7),
+        ("planks", "quantity", "2"),
+    ],
+)
+def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, value):
+    doc = {
+        "log": {"collectable": True},
+        "planks": {"collectable": False, "recipe": [{"item": "log", "quantity": 1}]},
+    }
+    if field == "quantity":
+        doc[item]["recipe"][0][field] = value
+    else:
+        doc[item][field] = value
+    with pytest.raises(TreeParseError, match=f"malformed definition for '{item}': {field} must be"):
+        load_tree(json.dumps(doc))
+
+
 def test_collectable_with_recipe_rejected():
     doc = {"log": {"collectable": True, "recipe": [{"item": "log", "quantity": 1}]}}
     with pytest.raises(TreeValidationError, match="log"):
