@@ -9,7 +9,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -192,8 +192,8 @@ def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     empty-hypothesis and ground-truth reference rows on the same seeds."""
     sources = [
         (f"perturb:{insert_rate},{delete_rate}", f"perturb:{insert_rate:g},{delete_rate:g}")
-        for insert_rate in spec.insert_rates
-        for delete_rate in spec.delete_rates
+        for insert_rate in dict.fromkeys(spec.insert_rates)
+        for delete_rate in dict.fromkeys(spec.delete_rates)
     ]
     sources += [("empty", "empty"), ("truth", "truth")]
     return _goal_trials(spec, tree, sources)
@@ -380,17 +380,6 @@ def emit_results(spec: ExperimentSpec, results, out_dir) -> list[Path]:
     )
     files.append(manifest_path)
     return files
-
-
-def spec_from_manifest(path) -> ExperimentSpec:
-    """Rebuild the spec recorded in an emitted manifest, so an experiment can
-    be reproduced from its own outputs."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    # Fields a spec no longer has, such as the thread count of older versions, are ignored.
-    raw = {f.name: doc["spec"][f.name] for f in fields(ExperimentSpec) if f.name in doc["spec"]}
-    for key in ("seeds", "insert_rates", "delete_rates"):
-        raw[key] = tuple(raw[key])
-    return ExperimentSpec(**raw)
 
 
 def run_experiment(spec: ExperimentSpec, out_dir) -> list[Path]:

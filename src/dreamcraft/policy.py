@@ -13,7 +13,7 @@ which return the tries they made in `Outcome.tries`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp
+from math import exp, isfinite
 from random import Random
 
 from .tech_tree import Inventory, Outcome, TechTree, attempt_collect, attempt_craft
@@ -21,7 +21,11 @@ from .tech_tree import Inventory, Outcome, TechTree, attempt_collect, attempt_cr
 
 @dataclass(frozen=True)
 class LearnerConfig:
-    """Success curve p(k) = p0 + (p_max - p0) * (1 - exp(-k / tau))."""
+    """Success curve p(k) = p0 + (p_max - p0) * (1 - exp(-k / tau)).
+
+    These checks are the curve's only ones: with `0 <= p0 <= p_max <= 1` and a
+    finite positive `tau`, every p(k) is within [0, 1] in floating point, since
+    rounding is monotone and `p0 + (p_max - p0)` rounds to at most 1."""
 
     p0: float = 0.2
     p_max: float = 0.95
@@ -30,8 +34,8 @@ class LearnerConfig:
     def __post_init__(self):
         if not 0.0 <= self.p0 <= self.p_max <= 1.0:
             raise ValueError("need 0 <= p0 <= p_max <= 1")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
 
     def success_prob(self, attempts: int) -> float:
         return self.p0 + (self.p_max - self.p0) * (1.0 - exp(-attempts / self.tau))

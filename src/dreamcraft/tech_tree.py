@@ -142,9 +142,6 @@ class TechTree:
         except KeyError:
             raise UnknownItemError(f"unknown item '{item}'") from None
 
-    def is_collectable(self, item: str) -> bool:
-        return self.definition(item).collectable
-
     def collectables(self) -> list[str]:
         return sorted(i for i, d in self.items.items() if d.collectable)
 
@@ -166,6 +163,8 @@ class TechTree:
 
 
 def _validate(items: dict[str, ItemDef]) -> TechTree:
+    if not items:
+        raise TreeError("tree has no items")
     for name, d in items.items():
         if not _NAME_RE.match(name):
             raise TreeValidationError(name, "name must match [a-z0-9_]+")
@@ -303,14 +302,13 @@ def attempt_collect(
     (default: one more than it holds now) or `tries` attempts are spent; the
     defaults make one attempt.
 
-    `learner` is any object with the learning curve's `p0`, `p_max` and `tau`,
-    such as `policy.LearnerConfig`. The attempt made after k earlier ones
-    succeeds with probability `p0 + (p_max - p0) * (1 - exp(-k / tau))`, with k
-    counted from `practice`; with `p_max == p0` it is `p0` every time. Each
-    attempt draws once from `rng`. Tool gating is ground truth: without the
-    required tool, and for an item that is unknown or not collectable, every
-    attempt fails with no draw. Each attempt is charged `COLLECT_STEPS` either
-    way.
+    `learner` is a `policy.LearnerConfig`, whose checks keep every value of
+    the curve between 0 and 1. The attempt made after k earlier ones succeeds
+    with probability `p0 + (p_max - p0) * (1 - exp(-k / tau))`, with k counted
+    from `practice`; with `p_max == p0` it is `p0` every time. Each attempt
+    draws once from `rng`. Tool gating is ground truth: without the required
+    tool, and for an item that is unknown or not collectable, every attempt
+    fails with no draw. Each attempt is charged `COLLECT_STEPS` either way.
     """
     counts = inventory._counts
     held = counts.get(item, 0)
@@ -319,23 +317,15 @@ def attempt_collect(
     if held >= quantity or tries < 1:
         return Outcome(held >= quantity, 0, 0)
     d = tree.items.get(item)
-    if d is None or not d.collectable:
+    if d is None or not d.collectable or (d.required_tool is not None and not counts.get(d.required_tool, 0)):
         return Outcome(False, tries * COLLECT_STEPS, tries)
     p0 = learner.p0
     span = learner.p_max - p0
     tau = learner.tau
-    if d.required_tool is not None and not counts.get(d.required_tool, 0):
-        # The curve is monotone, so its ends bound every attempt's probability.
-        for k in (practice, practice + tries - 1):
-            if not 0.0 <= p0 + span * (1.0 - exp(-k / tau)) <= 1.0:
-                raise ValueError("success probability must be within [0, 1]")
-        return Outcome(False, tries * COLLECT_STEPS, tries)
     draw = rng.random
     made = done = 0
     while done < tries:
         p = p0 + span * (1.0 - exp(-(practice + done) / tau))
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("success probability must be within [0, 1]")
         done += 1
         if draw() < p:
             made += 1

@@ -1,12 +1,12 @@
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import pytest
 
 from dreamcraft.cli import main
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
-from dreamcraft.harness import ExperimentSpec, spec_from_manifest
+from dreamcraft.harness import ExperimentSpec
 from dreamcraft.hypotheses import ParsedEntry, serialize_recipe_dict
 
 
@@ -93,6 +93,9 @@ def test_retry_cap_below_one_is_rejected_before_any_output(tmp_path, capsys):
         ["baseline", "--retry-cap", "0"],
         ["baseline", "--c0", "0"],
         ["score", "--p0", "5"],
+        ["baseline", "--tau", "nan"],
+        ["explore", "--tau", "nan"],
+        ["score", "--tau", "inf"],
     ],
 )
 def test_every_experiment_rejects_an_invalid_spec_before_any_output(tmp_path, capsys, argv):
@@ -122,8 +125,9 @@ SET_BY_SUBCOMMAND = {"experiment", "goal", "insert_rates", "delete_rates"}
 def test_common_flags_set_every_spec_field_with_the_spec_defaults(tmp_path):
     assert {f.name for f in fields(ExperimentSpec)} == set(COMMON_FLAGS) | SET_BY_SUBCOMMAND
     assert main(["score", "--out", str(tmp_path / "defaults")]) == 0
-    recorded = spec_from_manifest(tmp_path / "defaults" / "manifest.json")
-    assert recorded == ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path()))
+    recorded = json.loads((tmp_path / "defaults" / "manifest.json").read_text())["spec"]
+    expected = ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path()))
+    assert recorded == json.loads(json.dumps(asdict(expected)))  # tuples are recorded as lists
 
     tree = tmp_path / "tree.json"
     shutil.copyfile(pickaxe16_path(), tree)
@@ -159,9 +163,21 @@ def test_bad_tree_path_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_task_goal_outside_the_tree_is_exit_2_before_any_output(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv", [["explore"], ["task", "log"], ["robustness", "--seeds", "3"], ["baseline"], ["score"]]
+)
+def test_a_tree_with_no_items_is_exit_2_before_any_output(tmp_path, capsys, argv):
     tree = tmp_path / "empty.json"
     tree.write_text("{}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--tree", str(tree), "--out", str(out)]) == 2
+    assert "tree has no items" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_task_goal_outside_the_tree_is_exit_2_before_any_output(tmp_path, capsys):
+    tree = tmp_path / "log_only.json"
+    tree.write_text('{"log": {"collectable": true}}', encoding="utf-8")
     out = tmp_path / "out"
     assert main(["task", "planks", "--tree", str(tree), "--out", str(out)]) == 2
     assert "goal 'planks' is not a tree item" in capsys.readouterr().err

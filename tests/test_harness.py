@@ -70,6 +70,22 @@ def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
     assert list(run_baseline_random(spec_for("baseline", **base), tree)) == [0, 1, 3]
 
 
+def test_grid_cells_run_once_per_distinct_rate_in_the_order_first_given(tree):
+    grid = spec_for(
+        "robustness",
+        goal="log",
+        seeds=(0, 1, 2),
+        insert_rates=(0.0, 0.0),
+        delete_rates=(0.1, 1e-7, 0.1),
+        max_iterations=5,
+    )
+    assert [(r.hypothesis, r.seed) for r in run_robustness(grid, tree)] == [
+        (label, seed)
+        for label in ("perturb:0,0.1", "perturb:0,1e-07", "empty", "truth")
+        for seed in (0, 1, 2)
+    ]
+
+
 def test_build_hypothesis_sources(tree, tmp_path):
     truth = build_hypothesis(tree, "truth", seed=0)
     assert len(truth.edges) > 0
@@ -260,31 +276,6 @@ def test_emit_rerun_byte_identical(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for left, right in zip(first, second):
         assert left.read_bytes() == right.read_bytes(), left.name
-
-
-def test_rerun_from_manifest_byte_identical(tmp_path):
-    from dreamcraft.harness import spec_from_manifest
-
-    spec = spec_for("task", goal="planks", seeds=(0, 1, 2), max_iterations=200)
-    first = run_experiment(spec, tmp_path / "a")
-    recovered = spec_from_manifest(tmp_path / "a" / "manifest.json")
-    assert recovered == spec
-    second = run_experiment(recovered, tmp_path / "b")
-    for left, right in zip(first, second):
-        assert left.read_bytes() == right.read_bytes(), left.name
-
-
-def test_spec_from_manifest_ignores_a_recorded_thread_count(tmp_path):
-    from dreamcraft.harness import spec_from_manifest
-
-    spec = spec_for("task", goal="planks", seeds=(0, 1, 2), max_iterations=20)
-    run_experiment(spec, tmp_path)
-    path = tmp_path / "manifest.json"
-    doc = json.loads(path.read_text())
-    assert "workers" not in doc["spec"]
-    doc["spec"]["workers"] = 4
-    path.write_text(json.dumps(doc))
-    assert spec_from_manifest(path) == spec
 
 
 def test_robustness_files_read_back_with_a_csv_reader(tmp_path):

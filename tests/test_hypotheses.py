@@ -381,11 +381,6 @@ def test_score_missing_item_counts_all_wrong():
     assert report.pct_items_missing_deps == 50.0
 
 
-def test_score_rejects_an_empty_tree():
-    with pytest.raises(ValueError, match="empty tree"):
-        score_hypothesis(Awm(), load_tree("{}"))
-
-
 def test_score_report_serialization(tree):
     report = score_hypothesis(ground_truth_awm(tree), tree)
     text = report.to_text()

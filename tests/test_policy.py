@@ -34,8 +34,11 @@ def test_learning_curve_shape():
 def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(p0=0.9, p_max=0.5)
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
+            LearnerConfig(tau=tau)
     with pytest.raises(ValueError):
-        LearnerConfig(tau=0)
+        LearnerConfig(p0=float("nan"))
 
 
 def test_collect_with_certain_policy(tree):

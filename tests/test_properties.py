@@ -500,14 +500,17 @@ def test_run_deterministic_on_random_worlds(tree, seed):
     assert first == second
 
 
-@given(st.floats(0, 1), st.floats(0, 1), st.floats(0.1, 20))
+@given(st.floats(0, 1), st.floats(0, 1), st.floats(1e-3, 1e3), st.integers(0, 10**9))
 @settings(max_examples=120, deadline=None)
-def test_learning_curve_monotone_and_bounded(p0, span, tau):
+def test_learning_curve_monotone_and_bounded(p0, span, tau, far):
     p_max = p0 + (1 - p0) * span
     cfg = LearnerConfig(p0=p0, p_max=p_max, tau=tau)
-    probs = [cfg.success_prob(k) for k in range(101)]
+    # Past k = 746 * tau, exp(-k / tau) underflows to 0.
+    ks = [*range(101), int(746 * tau) + 1, far, 10**9]
+    probs = [cfg.success_prob(k) for k in sorted(ks)]
     assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
-    assert all(-1e-12 <= p <= p_max + 1e-12 for p in probs)
+    assert all(0.0 <= p <= 1.0 for p in probs)
+    assert all(p <= p_max + 1e-12 for p in probs)
 
 
 @given(tech_trees(), st.integers(0, 2**16))

@@ -6,11 +6,13 @@ import pytest
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
+    TreeError,
     TreeParseError,
     TreeValidationError,
     attempt_collect,
     attempt_craft,
     load_tree,
+    make_tree,
     serialize_tree,
 )
 
@@ -30,6 +32,13 @@ def test_parse_error_carries_position():
     with pytest.raises(TreeParseError) as info:
         load_tree('{"log": {"collectable": true,}}')
     assert info.value.line is not None
+
+
+def test_a_tree_with_no_items_is_rejected():
+    with pytest.raises(TreeError, match="tree has no items"):
+        load_tree("{}")
+    with pytest.raises(TreeError, match="tree has no items"):
+        make_tree([])
 
 
 def test_dangling_reference_rejected():
