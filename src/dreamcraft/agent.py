@@ -42,7 +42,8 @@ class AgentConfig:
 class AgentState:
     tree: TechTree
     awm: Awm
-    counts: Counter = field(default_factory=Counter)
+    counts: Counter = field(default_factory=Counter)  # visits; written by `visit` alone
+    exhausted: set[str] = field(default_factory=set)  # the nodes visited more than c0 times
     bank: PolicyBank = field(default_factory=PolicyBank)
     inventory: Inventory = field(default_factory=Inventory)
     rng: Random = field(default_factory=Random)
@@ -57,6 +58,13 @@ class AgentState:
             bank=PolicyBank(learner=config.learner),
             rng=Random(config.seed),
         )
+
+
+def visit(state: AgentState, config: AgentConfig, item: str) -> None:
+    """Count one visit to the item; past c0 visits it is exhausted."""
+    state.counts[item] += 1
+    if state.counts[item] > config.c0:
+        state.exhausted.add(item)
 
 
 class IterationRecord(NamedTuple):
@@ -78,15 +86,15 @@ class DreamSample(NamedTuple):
 
 
 def dream(state: AgentState, config: AgentConfig) -> DreamSample:
-    """Pick the next branch: a fresh (pruned) frontier node while any remains
-    under the c0 visit cap, otherwise widen to the whole frontier plus the
+    """Pick the next branch: a (pruned) frontier node visited at most c0
+    times while any remains, otherwise widen to the whole frontier plus the
     verified set for undirected exploration."""
     awm = state.awm
     frontier = awm.frontier()
     selectable = frontier
     if config.goal is not None:
         selectable = awm.prune_to_goal(frontier, config.goal)
-    eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
+    eligible = selectable - state.exhausted
     if eligible:
         return DreamSample(sample_branch(awm, eligible, state.rng), False)
     pool = frontier | awm.verified
@@ -102,7 +110,7 @@ def _verify_from_world(state: AgentState, item: str) -> None:
     state.awm.verify_node(item, tree.ground_truth_parents(item), craft_yield=tree.definition(item).craft_yield)
 
 
-def _exploration_sweep(state: AgentState) -> str | None:
+def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     """One undirected exploration pass: try each unverified item once, in
     lexicographic order, stopping at the first success.
 
@@ -112,7 +120,7 @@ def _exploration_sweep(state: AgentState) -> str | None:
     """
     awm = state.awm
     for item in sorted(awm.unverified()):
-        state.counts[item] += 1
+        visit(state, config, item)
         for action in ("collect", "craft") if awm.believed_collectable(item) else ("craft",):
             out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)
             state.total_env_steps += out.steps
@@ -142,18 +150,18 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
         planned = repetitions * max(1, awm.belief(item).craft_yield) if action == "craft" else repetitions
         wanted = inventory.count(item) + planned
         out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
-        state.counts[item] += 1
+        visit(state, config, item)
         state.total_env_steps += out.steps
         if not out.success:
             if item != target:  # the target is the last step
-                state.counts[target] += 1  # a sampled attempt even when unreached
+                visit(state, config, target)  # a sampled attempt even when unreached
             break
     else:
         if target not in awm.verified:
             _verify_from_world(state, target)
             newly = target
         else:
-            newly = _exploration_sweep(state)
+            newly = _exploration_sweep(state, config)
 
     return IterationRecord(
         iteration=state.iteration_index,

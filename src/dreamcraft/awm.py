@@ -5,8 +5,9 @@ Nodes are items; edges point from a prerequisite (parent) to the item that
 needs it (child) and are typed ingredient/tool/workbench. Each node is either
 hypothesized or verified. Frontier computation, goal-path pruning, branch
 expansion, and verification-time correction live here. A target's expanded
-branch is kept until the next write to the graph or its beliefs, so the dream
-phase expands a branch once per graph state.
+branch is kept until a write changes an edge into, or the belief of, a node of
+its closure (the target and its ancestors), so the dream phase expands a
+branch again only when the branch itself may have changed.
 """
 from __future__ import annotations
 
@@ -110,10 +111,14 @@ class Awm:
     `verify_node` change the graph: `nodes`, `verified` and `beliefs` are
     read-only views and `edges` is a new set on every read.
 
-    `expand_requirements` keeps each target's branch until the next write:
-    every write that changes the graph or a belief drops all kept branches
-    (`verify_node` through the writes it makes). `copy` clones the index and
-    the beliefs and starts with no kept branches.
+    `expand_requirements` keeps each target's branch, and its steps name the
+    branch's closure: the target and its ancestors. A branch reads only the
+    incoming edges and the beliefs of its closure, so `add_edge` and
+    `discard_edge` drop the kept branches whose closure holds the edge's
+    child, and a `set_belief` that changes a belief drops those whose closure
+    holds the item. `add_node` and marking a node verified drop nothing, and
+    `verify_node` writes only what differs from what is stored. `copy` clones
+    the index and the beliefs and starts with no kept branches.
     """
 
     def __init__(
@@ -129,7 +134,8 @@ class Awm:
         self._blocked: dict[str, int] = {}  # incoming edges from unverified parents
         self._frontier: set[str] = set()
         self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
-        self._branches: dict[str, Branch] = {}  # expand_requirements results since the last write
+        self._branches: dict[str, Branch] = {}  # kept expand_requirements results, by target
+        self._readers: dict[str, set[str]] = {}  # node -> targets of the kept branches through it
         for node in nodes:
             self.add_node(node)
         for edge in edges:
@@ -159,7 +165,6 @@ class Awm:
         if item in self._nodes:
             return
         self._nodes[item] = None
-        self._branches.clear()
         self._update_frontier(item)
 
     def add_edge(self, edge: AwmEdge) -> None:
@@ -169,7 +174,7 @@ class Awm:
             return
         incoming.add(edge)
         self._outgoing.setdefault(edge.parent, set()).add(edge)
-        self._branches.clear()
+        self._drop_branches_through(edge.child)
         if edge.parent not in self._verified:
             self._blocked[edge.child] = self._blocked.get(edge.child, 0) + 1
             self._frontier.discard(edge.child)
@@ -180,14 +185,23 @@ class Awm:
             return
         incoming.remove(edge)
         self._outgoing[edge.parent].remove(edge)
-        self._branches.clear()
+        self._drop_branches_through(edge.child)
         if edge.parent not in self._verified:
             self._blocked[edge.child] -= 1
             self._update_frontier(edge.child)
 
     def set_belief(self, item: str, belief: NodeBelief) -> None:
+        # A node without a stored belief reads as the unknown one; storing
+        # that belief shows in `beliefs` but changes no branch.
+        if self.belief(item) != belief:
+            self._drop_branches_through(item)
         self._beliefs[item] = belief
-        self._branches.clear()
+
+    def _drop_branches_through(self, node: str) -> None:
+        for target in self._readers.pop(node, ()):
+            for step in self._branches.pop(target).steps:
+                if step.item != node:
+                    self._readers[step.item].discard(target)
 
     def _mark_verified(self, item: str) -> None:
         self._verified[item] = None
@@ -244,6 +258,7 @@ class Awm:
         out._frontier = set(self._frontier)
         out._beliefs = dict(self._beliefs)
         out._branches = {}
+        out._readers = {}
         return out
 
     # -- frontier and pruning ------------------------------------------------
@@ -314,7 +329,8 @@ class Awm:
 
         Quantities are computed bottom-up with ceiling division by believed
         yields; tool/workbench uses add one non-consumed copy. The branch is
-        kept until the next write, which drops it.
+        kept until a write changes an incoming edge or the belief of one of
+        its steps' items.
         """
         branch = self._branches.get(target)
         if branch is not None:
@@ -345,24 +361,30 @@ class Awm:
                     tool_use[e.parent] = True
 
         branch = self._branches[target] = Branch(tuple(steps[n] for n in order))
+        for node in order:
+            self._readers.setdefault(node, set()).add(target)
         return branch
 
     # -- verification ---------------------------------------------------------
 
     def verify_node(self, item: str, observed: set[ParentSpec], craft_yield: int = 1) -> None:
         """Replace the item's hypothesized incoming edges with the observed
-        ground-truth parents and mark it verified. Verified edges are never
-        changed again; re-verification warns and leaves the graph untouched."""
+        ground-truth parents and mark it verified: only the hypothesized edges
+        that were not observed are discarded, and only the observed ones that
+        are missing are added. Every observed parent becomes a node. Verified
+        edges are never changed again; re-verification warns and leaves the
+        graph untouched."""
         if item not in self._nodes:
             raise UnknownNodeError(f"unknown node '{item}'")
         if item in self._verified:
             warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
             return
-        for e in list(self._incoming.get(item, ())):
+        edges = {AwmEdge(parent, item, kind, quantity) for parent, kind, quantity in observed}
+        for e in self._incoming.get(item, set()) - edges:
             self.discard_edge(e)
-        for parent, kind, quantity in observed:
-            self.add_node(parent)
-            self.add_edge(AwmEdge(parent=parent, child=item, kind=kind, quantity=quantity))
+        for e in edges:
+            self.add_node(e.parent)
+            self.add_edge(e)  # a no-op for an edge already stored
         self._mark_verified(item)
         collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
         self.set_belief(item, NodeBelief(collectable, 1 if collectable else craft_yield))

@@ -63,6 +63,15 @@ class ExperimentSpec:
                 raise ValueError("robustness needs a rate grid")
             if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
+        # A grid cell's row is labelled with its rates at `g` precision, so two
+        # distinct rates must not print alike; a rate listed twice runs once.
+        for name, rates in (("insert", self.insert_rates), ("delete", self.delete_rates)):
+            labels: dict[str, float] = {}
+            for rate in rates:
+                label = f"{rate:g}"
+                if label in labels and labels[label] != rate:
+                    raise ValueError(f"{name} rates {labels[label]!r} and {rate!r} share the label {label}")
+                labels[label] = rate
         if self.experiment == "score" and len(set(self.seeds)) > 1:
             raise ValueError("score builds one hypothesis, so it takes one seed")
         if not self.seeds:
@@ -244,19 +253,11 @@ def run_score(spec: ExperimentSpec, tree: TechTree):
 # ---------------------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[tuple]) -> Path:
     text = io.StringIO()  # one file write, not one per row
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(_cell, row) for row in rows)
+    writer.writerows(rows)  # ints as str, floats as repr
     path.write_text(text.getvalue(), encoding="utf-8", newline="\n")
     return path
 
@@ -287,7 +288,7 @@ def _steps_stats(group: list[TaskResult]) -> tuple:
 
 def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Path) -> list[Path]:
     rows = [
-        (r.hypothesis, r.seed, r.success, r.env_steps_to_goal, r.iterations, r.policies_created)
+        (r.hypothesis, r.seed, int(r.success), r.env_steps_to_goal, r.iterations, r.policies_created)
         for r in results
     ]
     results_path = _write_csv(

@@ -6,6 +6,7 @@ from dreamcraft.agent import (
     AgentState,
     dream,
     run_with_state,
+    visit,
     wake,
 )
 from dreamcraft.awm import Awm, AwmEdge, NodeBelief
@@ -140,7 +141,11 @@ def test_dream_fallback_after_c0(tree):
     awm = ground_truth_awm(tree)
     config = certain_config(goal="stone_pickaxe", c0=2, seed=0, max_iterations=10)
     state = AgentState.create(tree, awm, config)
-    state.counts["log"] = 3  # pruned frontier is exactly {log}
+    for _ in range(config.c0):  # pruned frontier is exactly {log}
+        visit(state, config, "log")
+    assert not dream(state, config).fallback  # c0 visits still leave it eligible
+    visit(state, config, "log")
+    assert state.exhausted == {"log"}
     sampled = dream(state, config)
     assert sampled.fallback
     assert sampled.branch.target in awm.frontier() | awm.verified

@@ -287,10 +287,11 @@ def test_expand_reports_cycles_defensively():
         awm.expand_requirements("a")
 
 
-def test_every_write_drops_the_kept_branches():
-    """A branch that `expand_requirements` keeps never outlives a write that
-    changes it, a copy keeps none of the original's, and reading a belief
-    writes nothing."""
+def test_a_write_drops_the_kept_branches_it_changes():
+    """Each write below changes some node's branch, and no kept branch
+    outlives a write that changes it: every expansion after the write equals
+    that of a rebuilt graph. A copy keeps none of the original's branches,
+    and reading a belief writes nothing."""
     awm = Awm(
         nodes={"a", "b", "c"},
         edges={AwmEdge("a", "b", "ingredient", 2)},
@@ -321,6 +322,45 @@ def test_every_write_drops_the_kept_branches():
     awm.add_edge(AwmEdge("a", "c", "ingredient", 1))
     assert awm.expand_requirements("c") != clone.expand_requirements("c")
     assert expansions(clone) == expansions(rebuilt(clone))
+
+
+def test_a_write_outside_a_branch_closure_keeps_the_branch():
+    """A kept branch reads the incoming edges and the beliefs of its closure
+    (the target and its ancestors) alone: writes anywhere else, new nodes and
+    unchanged beliefs keep the very same branch object."""
+    awm = Awm(
+        nodes={"a", "b", "c", "d"},
+        edges={AwmEdge("a", "b", "ingredient", 2), AwmEdge("b", "d", "tool")},
+    )
+    kept = awm.expand_requirements("b")  # closure {a, b}
+    writes = [
+        lambda: awm.add_edge(AwmEdge("b", "c", "ingredient", 1)),  # out of b: into c
+        lambda: awm.add_edge(AwmEdge("a", "d", "ingredient", 1)),
+        lambda: awm.discard_edge(AwmEdge("b", "d", "tool")),
+        lambda: awm.set_belief("c", NodeBelief(collectable=True)),
+        lambda: awm.set_belief("a", NodeBelief()),  # stored, but a already read as unknown
+        lambda: awm.add_node("e"),
+        lambda: awm.verify_node("d", {("a", "ingredient", 1)}),
+    ]
+    for write in writes:
+        write()
+        assert awm.expand_requirements("b") is kept
+    assert awm.beliefs["a"] == NodeBelief()  # the default belief is still stored
+    assert kept == Awm(awm.nodes, awm.edges, awm.beliefs).expand_requirements("b")
+
+    awm.set_belief("a", NodeBelief(collectable=True))
+    assert awm.expand_requirements("b") is not kept
+
+
+def test_verifying_a_correct_hypothesis_keeps_every_kept_branch(tree, perfect_awm):
+    """When the observed parents are the hypothesized edges and the belief is
+    the one already held, verification writes nothing a branch reads."""
+    kept = {n: perfect_awm.expand_requirements(n) for n in tree.names()}
+    edges = perfect_awm.edges
+    for item in perfect_awm.unverified():
+        verify_from_tree(perfect_awm, tree, item)
+    assert perfect_awm.edges == edges
+    assert all(perfect_awm.expand_requirements(n) is branch for n, branch in kept.items())
 
 
 def test_awm_json_round_trip(tree, perfect_awm):

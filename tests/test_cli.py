@@ -52,6 +52,14 @@ def test_robustness_command(tmp_path):
     assert "empty" in summary and "truth" in summary
 
 
+def test_robustness_rejects_rates_that_share_a_label_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["robustness", "--insert-rates", "0.1,0.1000001", "--delete-rates", "0", "--seeds", "3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "share the label 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_robustness_rejects_too_few_seeds(tmp_path, capsys):
     rc = main(["robustness", "--seeds", "2", "--out", str(tmp_path)])
     assert rc == 2

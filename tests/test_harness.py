@@ -86,6 +86,16 @@ def test_grid_cells_run_once_per_distinct_rate_in_the_order_first_given(tree):
     ]
 
 
+def test_distinct_rates_that_share_a_grid_label_are_a_spec_error():
+    base = dict(goal="log", seeds=(0, 1, 2))
+    with pytest.raises(ValueError, match="insert rates 0.1 and 0.1000001 share the label 0.1"):
+        spec_for("robustness", insert_rates=(0.1, 0.0, 0.1000001), delete_rates=(0.0,), **base)
+    with pytest.raises(ValueError, match="delete rates 0.2 and 0.20000001 share the label 0.2"):
+        spec_for("robustness", insert_rates=(0.0,), delete_rates=(0.2, 0.20000001), **base)
+    # A rate listed twice, or written two ways, is one rate and one label.
+    spec_for("robustness", insert_rates=(0.1, 0.1, 1e-7), delete_rates=(0.0, -0.0, 1e-6), **base)
+
+
 def test_build_hypothesis_sources(tree, tmp_path):
     truth = build_hypothesis(tree, "truth", seed=0)
     assert len(truth.edges) > 0

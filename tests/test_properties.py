@@ -1,17 +1,22 @@
 """Invariant suites driven by generated worlds, hypotheses, and seeds."""
 import itertools
 from random import Random
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from dreamcraft.agent import AgentConfig, run_with_state
+from dreamcraft import agent
+from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
 from dreamcraft.awm import Awm, AwmEdge, CycleError, NodeBelief, break_cycles, remove_cycles
+from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
+from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
     ErrorSpec,
     ParsedEntry,
     ParseResult,
+    empty_hypothesis,
     ground_truth_awm,
     parse_recipe_dict,
     perturb_ground_truth,
@@ -28,6 +33,7 @@ from dreamcraft.tech_tree import (
     RecipeEntry,
     attempt_collect,
     attempt_craft,
+    load_tree_file,
     make_tree,
 )
 
@@ -498,6 +504,60 @@ def test_run_deterministic_on_random_worlds(tree, seed):
     first = run_with_state(config, tree, ground_truth_awm(tree))[0]
     second = run_with_state(config, tree, ground_truth_awm(tree))[0]
     assert first == second
+
+
+def reference_dream(state, config):
+    """`agent.dream` as a scan of the visit counts over the candidates,
+    expanding the sampled target in a fresh copy, which keeps no branch."""
+    awm = state.awm
+    frontier = awm.frontier()
+    selectable = frontier if config.goal is None else awm.prune_to_goal(frontier, config.goal)
+    eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
+    pool = eligible or frontier | awm.verified
+    if not pool:
+        raise RuntimeError("degenerate belief graph: no frontier and nothing verified")
+    ordered = sorted(pool)
+    target = ordered[state.rng.randrange(len(ordered))]
+    return DreamSample(awm.copy().expand_requirements(target), not eligible)
+
+
+def check_run_against_the_reference_dream(config, tree, awm):
+    """The run's records equal those of a run whose dream is the reference,
+    and the exhausted set is the nodes visited more than c0 times."""
+    records, state = run_with_state(config, tree, awm)
+    assert state.exhausted == {n for n, count in state.counts.items() if count > config.c0}
+    with mock.patch.object(agent, "dream", reference_dream):
+        assert run_with_state(config, tree, awm)[0] == records
+
+
+@given(tech_trees(), st.sampled_from(["truth", "empty", "perturb"]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_run_matches_the_reference_dream_on_random_worlds(tree, source, data):
+    seed = data.draw(st.integers(0, 2**16))
+    if source == "truth":
+        awm = ground_truth_awm(tree)
+    elif source == "empty":
+        awm = empty_hypothesis(set(tree.items))
+    else:
+        rates = data.draw(st.tuples(st.floats(0, 0.5), st.floats(0, 0.5)))
+        awm = perturb_ground_truth(tree, ErrorSpec(*rates, distractor=tree.names()[0], seed=seed))
+    config = AgentConfig(
+        goal=data.draw(st.none() | st.sampled_from(tree.names())),
+        c0=data.draw(st.integers(1, 3)),
+        max_iterations=30,
+        learner=LearnerConfig(p0=0.5, p_max=0.95, tau=2.0),
+        retry_cap=3,
+        seed=seed,
+    )
+    check_run_against_the_reference_dream(config, tree, awm)
+
+
+def test_run_matches_the_reference_dream_on_the_bundled_document():
+    tree = load_tree_file(pickaxe16_path())
+    sources = ["truth", "empty", "perturb:0.3,0.3", f"file:{llm_fixture_path()}"]
+    for source, goal, seed in itertools.product(sources, [None, "stone_pickaxe"], range(3)):
+        config = AgentConfig(goal=goal, c0=2, max_iterations=60, seed=seed)
+        check_run_against_the_reference_dream(config, tree, build_hypothesis(tree, source, seed))
 
 
 @given(st.floats(0, 1), st.floats(0, 1), st.floats(1e-3, 1e3), st.integers(0, 10**9))
