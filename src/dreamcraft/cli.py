@@ -8,19 +8,10 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .awm import AwmError
 from .datafiles import pickaxe16_path
 from .harness import ExperimentSpec, run_experiment
-from .hypotheses import (
-    DEFAULT_PROMPT,
-    DocumentSyntaxError,
-    FetchError,
-    build_hypothesized_awm,
-    fetch_llm_hypothesis,
-    normalize_aliases,
-    parse_recipe_dict,
-)
-from .tech_tree import TreeError, load_tree_file
+from .hypotheses import build_hypothesized_awm, normalize_aliases, parse_recipe_dict
+from .tech_tree import load_tree_file
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -94,19 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-", help="document path, or - for stdin")
     p.add_argument("--tree", default=str(pickaxe16_path()), help="tree supplying the node universe")
     p.add_argument("--out", default="-", help="output path for the belief-graph JSON")
-    p.add_argument("--from-llm", action="store_true", help="fetch the document from a completion endpoint")
-    p.add_argument("--endpoint", help="completion endpoint URL (with --from-llm)")
     return parser
 
 
 def _cmd_parse(args) -> int:
     tree = load_tree_file(args.tree)
-    if args.from_llm:
-        if not args.endpoint:
-            print("error: --from-llm requires --endpoint", file=sys.stderr)
-            return 2
-        text = fetch_llm_hypothesis(args.endpoint, DEFAULT_PROMPT, tree.names())
-    elif args.input == "-":
+    if args.input == "-":
         text = sys.stdin.read()
     else:
         text = Path(args.input).read_text(encoding="utf-8")
@@ -135,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
         for path in files:
             print(path)
         return 0
-    except (TreeError, AwmError, DocumentSyntaxError, FetchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

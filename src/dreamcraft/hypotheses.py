@@ -3,17 +3,13 @@
 Covers parsing recipe-dictionary text as emitted by a code LLM (tolerant
 dict-literal grammar with per-entry skip-and-report), alias normalization,
 building belief graphs from parsed entries, the empty (no-guidance)
-hypothesis, controlled error injection into the ground truth, accuracy
-scoring against the truth, and an optional live completion-endpoint fetcher.
+hypothesis, controlled error injection into the ground truth, and accuracy
+scoring against the truth.
 """
 from __future__ import annotations
 
-import json
-import os
 import re
 import statistics
-import urllib.error
-import urllib.request
 from dataclasses import asdict, dataclass, field
 from random import Random
 
@@ -571,83 +567,3 @@ def score_hypothesis(predicted: Awm, tree: TechTree) -> AccuracyReport:
         qty_std=statistics.pstdev(qty_errors) if qty_errors else 0.0,
         n_items=n,
     )
-
-
-# ---------------------------------------------------------------------------
-# Live completion fetch (never exercised against real endpoints in tests)
-# ---------------------------------------------------------------------------
-
-API_KEY_ENV = "LLM_API_KEY"
-
-DEFAULT_PROMPT = """\
-# Build a nested python dictionary of crafting recipes and requirements for
-# game items. Every entry carries booleans requires_crafting_table and
-# requires_furnace, a required_tool (None when not applicable), and a recipe
-# list of {"item", "quantity"} maps; an empty recipe means the item is
-# gathered from the world rather than crafted.
-
-item_info = {
-    "diamond_pickaxe": {
-        "requires_crafting_table": True,
-        "requires_furnace": False,
-        "required_tool": None,
-        "recipe": [
-            {
-                "item": "stick",
-                "quantity": "2"
-            },
-            {
-                "item": "diamond",
-                "quantity": "3"
-            }
-        ]
-    },
-    "diamond": {
-        "requires_crafting_table": False,
-        "requires_furnace": False,
-        "required_tool": "iron_pickaxe",
-        "recipe": []
-    },
-"""
-
-
-class FetchError(RuntimeError):
-    def __init__(self, item: str, cause: Exception):
-        super().__init__(f"completion request for '{item}' failed: {cause}")
-        self.item = item
-
-
-def fetch_llm_hypothesis(
-    endpoint: str,
-    prompt: str,
-    items: list[str],
-    timeout: float = 30.0,
-) -> str:
-    """Request one completion per item against a text-completion endpoint and
-    concatenate the results into a single recipe-dictionary document.
-
-    The fixed prompt is extended with `"<item>": {` per call. Credentials are
-    read from the LLM_API_KEY environment variable when present. Transport and
-    auth failures raise FetchError naming the item; nothing is written.
-    """
-    pieces = ["item_info = {\n"]
-    for item in items:
-        payload = json.dumps({"prompt": f'{prompt}    "{item}": {{\n', "max_tokens": 256}).encode()
-        request = urllib.request.Request(
-            endpoint, data=payload, headers={"Content-Type": "application/json"}
-        )
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            request.add_header("Authorization", f"Bearer {api_key}")
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                body = json.loads(response.read().decode("utf-8"))
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise FetchError(item, exc) from exc
-        try:
-            completion = body["choices"][0]["text"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise FetchError(item, exc) from exc
-        pieces.append(f'    "{item}": {{\n{completion}\n')
-    pieces.append("}\n")
-    return "".join(pieces)

@@ -1,9 +1,16 @@
+import ast
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import pytest
 
+import dreamcraft
 from dreamcraft.cli import main
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec
@@ -208,10 +215,22 @@ def test_invalid_hypothesis_is_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
-def test_from_llm_requires_endpoint(capsys):
-    rc = main(["parse", "--from-llm"])
-    assert rc == 2
-    assert "--endpoint" in capsys.readouterr().err
+def test_parse_reads_the_document_from_stdin(monkeypatch, capsys):
+    assert main(["parse", str(llm_fixture_path())]) == 0
+    from_path = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.StringIO(llm_fixture_path().read_text(encoding="utf-8")))
+    assert main(["parse", "-"]) == 0
+    from_stdin = capsys.readouterr()
+    assert json.loads(from_stdin.out) == json.loads(from_path.out)
+    assert from_stdin.err == from_path.err
+    assert "skipped entry 'torch'" in from_stdin.err
+
+
+def test_parse_missing_input_is_exit_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out" / "awm.json"
+    assert main(["parse", str(tmp_path / "missing.txt"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_parse_deep_nesting_is_reported_as_skipped(tmp_path, capsys):
@@ -244,3 +263,28 @@ def test_parse_long_chain_document(tmp_path):
     doc = json.loads((tmp_path / "awm.json").read_text())
     assert len(doc["edges"]) == 1499
     assert {"parent": "i1498", "child": "i1499", "kind": "ingredient", "quantity": 1} in doc["edges"]
+
+
+PACKAGE_DIR = Path(dreamcraft.__file__).parent
+
+
+def test_importing_the_library_loads_no_network_module():
+    # dreamcraft.cli imports every module of the package. The standard
+    # library's URL opener imports http.client and socket, so it shows here too.
+    network = ("http.client", "ssl", "socket")
+    probe = f"import sys, dreamcraft.cli; print([m for m in {network!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+def test_the_library_imports_only_the_standard_library():
+    imported = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update((alias.name.split(".")[0], path.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((node.module.split(".")[0], path.name))
+    assert imported
+    assert sorted(pair for pair in imported if pair[0] not in sys.stdlib_module_names) == []

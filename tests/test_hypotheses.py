@@ -1,20 +1,15 @@
-import http.server
 import json
 import statistics
-import threading
 
 import pytest
 
 from dreamcraft.awm import Awm, AwmEdge
 from dreamcraft.hypotheses import (
-    DEFAULT_PROMPT,
     DocumentSyntaxError,
     ErrorSpec,
-    FetchError,
     ParsedEntry,
     build_hypothesized_awm,
     empty_hypothesis,
-    fetch_llm_hypothesis,
     ground_truth_awm,
     normalize_aliases,
     parse_recipe_dict,
@@ -388,70 +383,6 @@ def test_score_report_serialization(tree):
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("collectable_vs_craftable_acc,")
     assert isinstance(report.as_dict(), dict)
-
-
-# ---------------------------------------------------------------------------
-# Live fetch against a local mock endpoint
-# ---------------------------------------------------------------------------
-
-COMPLETION = """\
-        "requires_crafting_table": False,
-        "requires_furnace": False,
-        "required_tool": None,
-        "recipe": []
-    },"""
-
-
-class _Completer(http.server.BaseHTTPRequestHandler):
-    requests_seen = []
-    auth_seen = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(body["prompt"])
-        if self.headers.get("Authorization"):
-            type(self).auth_seen.append(self.headers["Authorization"])
-        payload = json.dumps({"choices": [{"text": COMPLETION}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def mock_endpoint():
-    server = http.server.HTTPServer(("127.0.0.1", 0), _Completer)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Completer.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/completions"
-    server.shutdown()
-
-
-def test_fetch_round_trip(mock_endpoint):
-    doc = fetch_llm_hypothesis(mock_endpoint, DEFAULT_PROMPT, ["log", "sand"])
-    assert len(_Completer.requests_seen) == 2
-    assert '"log": {' in _Completer.requests_seen[0]
-    result = parse_recipe_dict(doc)
-    assert [e.item for e in result.entries] == ["log", "sand"]
-    assert all(e.collectable for e in result.entries)
-
-
-def test_fetch_sends_env_credentials(mock_endpoint, monkeypatch):
-    monkeypatch.setenv("LLM_API_KEY", "sekrit")
-    _Completer.auth_seen = []
-    fetch_llm_hypothesis(mock_endpoint, DEFAULT_PROMPT, ["log"])
-    assert _Completer.auth_seen == ["Bearer sekrit"]
-
-
-def test_fetch_unreachable_endpoint_raises():
-    with pytest.raises(FetchError, match="log"):
-        fetch_llm_hypothesis("http://127.0.0.1:9/nope", DEFAULT_PROMPT, ["log"], timeout=0.5)
 
 
 def test_error_spec_validation():
