@@ -107,9 +107,11 @@ class Awm:
     sets index the same edges by parent. An edge may name a parent that is not
     a node, which keeps its child off the frontier for good. The frontier is
     kept up to date by counting, per child, the incoming edges whose parent is
-    unverified. Only `add_node`, `add_edge`, `discard_edge`, `set_belief` and
-    `verify_node` change the graph: `nodes`, `verified` and `beliefs` are
-    read-only views and `edges` is a new set on every read.
+    unverified. The constructor indexes its nodes, edges and beliefs in one
+    pass, with nothing verified. After it, only `add_node`, `add_edge`,
+    `discard_edge`, `set_belief` and `verify_node` change the graph: `nodes`,
+    `verified` and `beliefs` are read-only views and `edges` is a new set on
+    every read.
 
     `expand_requirements` keeps each target's branch, and its steps name the
     branch's closure: the target and its ancestors. A branch reads only the
@@ -127,19 +129,20 @@ class Awm:
         edges: Iterable[AwmEdge] = (),
         beliefs: dict[str, NodeBelief] | None = None,
     ):
-        self._nodes: dict[str, None] = {}
+        self._nodes: dict[str, None] = dict.fromkeys(nodes)
         self._verified: dict[str, None] = {}
         self._incoming: dict[str, set[AwmEdge]] = {}
         self._outgoing: dict[str, set[AwmEdge]] = {}
-        self._blocked: dict[str, int] = {}  # incoming edges from unverified parents
-        self._frontier: set[str] = set()
+        for edge in edges:
+            self._incoming.setdefault(edge.child, set()).add(edge)
+            self._outgoing.setdefault(edge.parent, set()).add(edge)
+        # Incoming edges from unverified parents: nothing is verified yet, so
+        # every stored edge blocks its child, and only edgeless nodes qualify.
+        self._blocked: dict[str, int] = {child: len(incoming) for child, incoming in self._incoming.items()}
+        self._frontier: set[str] = self._nodes.keys() - self._incoming.keys()
         self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
         self._branches: dict[str, Branch] = {}  # kept expand_requirements results, by target
         self._readers: dict[str, set[str]] = {}  # node -> targets of the kept branches through it
-        for node in nodes:
-            self.add_node(node)
-        for edge in edges:
-            self.add_edge(edge)
 
     # -- read-only state ------------------------------------------------------
 

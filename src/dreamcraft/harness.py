@@ -63,11 +63,13 @@ class ExperimentSpec:
                 raise ValueError("robustness needs a rate grid")
             if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
+        # Every rate is held to `ErrorSpec`'s rule here, before any cell runs.
         # A grid cell's row is labelled with its rates at `g` precision, so two
         # distinct rates must not print alike; a rate listed twice runs once.
         for name, rates in (("insert", self.insert_rates), ("delete", self.delete_rates)):
             labels: dict[str, float] = {}
             for rate in rates:
+                ErrorSpec.check_rate(rate)
                 label = f"{rate:g}"
                 if label in labels and labels[label] != rate:
                     raise ValueError(f"{name} rates {labels[label]!r} and {rate!r} share the label {label}")

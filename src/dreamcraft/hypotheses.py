@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import statistics
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from random import Random
 
 from .awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
@@ -54,8 +55,29 @@ class SkippedEntry:
 
 @dataclass
 class ParseResult:
+    """The entries a document parsed to, and the entries it skipped.
+
+    A skip is held as its key, the index of the token it reports and its
+    reason. Its line is found in the text when `skipped` is first read, so a
+    reader of `entries` alone never pays for the positions.
+    """
+
     entries: list[ParsedEntry]
-    skipped: list[SkippedEntry] = field(default_factory=list)
+    text: str = field(repr=False)
+    skips: list[tuple[str, int, str]] = field(repr=False)
+
+    @cached_property
+    def skipped(self) -> list[SkippedEntry]:
+        # Each skip moves the parser past the token it reports, so the indices increase.
+        text = self.text
+        offsets = _token_offsets(text, [index for _, index, _ in self.skips])
+        out = []
+        line, last = 1, 0
+        for (key, _, reason), offset in zip(self.skips, offsets):
+            line += text.count("\n", last, offset)
+            last = offset
+            out.append(SkippedEntry(key=key, line=line, reason=reason))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +86,12 @@ class ParseResult:
 # brackets and braces, tolerated trailing commas, '#' line comments.
 #
 # A token is its lexeme: a string keeps its quotes and escapes, and the end of
-# the document is the empty lexeme. Positions are computed only when one is
-# reported. A token's line is 1 plus the newlines before it, its column 1 plus
-# the characters since the last of them; the end of the document is the
-# position after its last character.
+# the document is the empty lexeme. Positions are found only when a skip list
+# or an error is read: a syntax error finds its own at once, and a skipped
+# entry's line is found when `ParseResult.skipped` is first read. A token's
+# line is 1 plus the newlines before it, its column 1 plus the characters since
+# the last of them; the end of the document is the position after its last
+# character.
 # ---------------------------------------------------------------------------
 
 _LEXEME = r"""
@@ -258,7 +282,7 @@ def parse_recipe_dict(text: str) -> ParseResult:
     i += 1
 
     entries: list[ParsedEntry] = []
-    skipped: list[tuple[str, int, str]] = []  # key, index of the token to report, reason
+    skips: list[tuple[str, int, str]] = []
     # The empty lexeme ends a truncated document: keep what parsed.
     while (tok := tokens[i]) not in ("", "}"):
         key_index = i
@@ -272,26 +296,19 @@ def parse_recipe_dict(text: str) -> ParseResult:
             body, i = _value(tokens, i + 1)
             entries.append(_entry_from_body(key, body))
         except _EntryError as exc:
-            skipped.append((key, exc.index, str(exc)))
+            skips.append((key, exc.index, str(exc)))
             i = _skip_entry(tokens, key_index + 1)
             continue
         except RecursionError:
-            skipped.append((key, key_index, "entry nested too deeply"))
+            skips.append((key, key_index, "entry nested too deeply"))
             i = _skip_entry(tokens, key_index + 1)
             continue
         except ValueError as exc:
-            skipped.append((key, key_index, str(exc)))
+            skips.append((key, key_index, str(exc)))
         if tokens[i] == ",":
             i += 1
 
-    # Each skip moves the parser past the token it reports, so the indices increase.
-    result = ParseResult(entries=entries)
-    line, last = 1, 0
-    for (key, _, reason), offset in zip(skipped, _token_offsets(text, [index for _, index, _ in skipped])):
-        line += text.count("\n", last, offset)
-        last = offset
-        result.skipped.append(SkippedEntry(key=key, line=line, reason=reason))
-    return result
+    return ParseResult(entries, text, skips)
 
 
 def _quoted(name: str) -> str:
@@ -382,17 +399,20 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
     """Assemble the hypothesized belief graph from normalized entries.
 
     Nodes are the universe plus every name an entry mentions; dangling
-    ingredient names become definition-less nodes. Cycle removal is applied,
-    and everything starts unverified.
+    ingredient names become definition-less nodes. The graph is constructed
+    once from the collected nodes, edges and beliefs, then cycle removal is
+    applied, and everything starts unverified.
     """
-    awm = Awm(nodes=universe)
+    nodes = dict.fromkeys(universe)
+    edges: list[AwmEdge] = []
+    beliefs: dict[str, NodeBelief] = {}
 
     def add(parent: str, child: str, kind: str, quantity: int) -> None:
-        awm.add_node(parent)
-        awm.add_edge(AwmEdge(parent, child, kind, quantity))
+        nodes[parent] = None
+        edges.append(AwmEdge(parent, child, kind, quantity))
 
     for e in entries:
-        awm.add_node(e.item)
+        nodes[e.item] = None
         merged: dict[str, int] = {}
         for ingredient, qty in e.recipe:
             if ingredient == e.item:
@@ -406,10 +426,11 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
             add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
-        awm.set_belief(e.item, NodeBelief(collectable=e.collectable))
-    for node in awm.nodes:
-        if node not in awm.beliefs:
-            awm.set_belief(node, NodeBelief())
+        beliefs[e.item] = NodeBelief(collectable=e.collectable)
+    unknown = NodeBelief()
+    for node in nodes:
+        beliefs.setdefault(node, unknown)
+    awm = Awm(nodes, edges, beliefs)
     break_cycles(awm)
     return awm
 
@@ -446,8 +467,14 @@ class ErrorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.insert_rate <= 1.0 or not 0.0 <= self.delete_rate <= 1.0:
-            raise ValueError("rates must lie in [0, 1]")
+        self.check_rate(self.insert_rate)
+        self.check_rate(self.delete_rate)
+
+    @staticmethod
+    def check_rate(rate: float) -> None:
+        """The rule for an insert or a delete rate; NaN fails it."""
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"rate {rate!r} does not lie in [0, 1]")
 
 
 def perturb_ground_truth(tree: TechTree, spec: ErrorSpec) -> Awm:

@@ -221,13 +221,16 @@ def _check_acyclic(tree: TechTree) -> None:
         raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
 
 
+_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+
+
 def _field(body: dict, key: str, kind: type, default=None):
     """`body[key]`, or `default` when given and the key is absent, checked to
     have exactly the type `kind`: no value is coerced, and a boolean is not an
     integer."""
     value = body[key] if default is None else body.get(key, default)
     if type(value) is not kind:
-        raise TypeError(f"{key} must be {'a boolean' if kind is bool else 'an integer'}, not {value!r}")
+        raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
     return value
 
 
@@ -246,13 +249,14 @@ def load_tree(text: str) -> TechTree:
             raise TreeParseError(f"definition of '{name}' must be a map")
         try:
             recipe = tuple(
-                RecipeEntry(entry["item"], _field(entry, "quantity", int))
+                RecipeEntry(_field(entry, "item", str), _field(entry, "quantity", int))
                 for entry in body.get("recipe", [])
             )
+            tool = body.get("required_tool")
             items[name] = ItemDef(
                 id=name,
                 collectable=_field(body, "collectable", bool),
-                required_tool=body.get("required_tool"),
+                required_tool=None if tool is None else _field(body, "required_tool", str),
                 requires_crafting_table=_field(body, "requires_crafting_table", bool, False),
                 requires_furnace=_field(body, "requires_furnace", bool, False),
                 recipe=recipe,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import dreamcraft
+from dreamcraft import harness
 from dreamcraft.cli import main
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec
@@ -64,6 +65,26 @@ def test_robustness_rejects_rates_that_share_a_label_before_any_output(tmp_path,
     argv = ["robustness", "--insert-rates", "0.1,0.1000001", "--delete-rates", "0", "--seeds", "3"]
     assert main([*argv, "--out", str(out)]) == 2
     assert "share the label 0.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "rates", [["--insert-rates", "0,0.1,1.5"], ["--insert-rates", "nan"], ["--delete-rates", "0,-0.1"]]
+)
+def test_robustness_checks_every_rate_before_any_cell_runs(tmp_path, capsys, monkeypatch, rates):
+    calls = []
+    run_with_state = harness.run_with_state
+
+    def counted(*args):
+        calls.append(args)
+        return run_with_state(*args)
+
+    monkeypatch.setattr(harness, "run_with_state", counted)
+    out = tmp_path / "out"
+    argv = ["robustness", "--insert-rates", "0", "--delete-rates", "0", *rates, "--seeds", "3"]
+    assert main([*argv, "--max-iterations", "5", "--out", str(out)]) == 2
+    assert "does not lie in [0, 1]" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 
@@ -207,6 +228,19 @@ def test_tree_value_of_the_wrong_type_is_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["task", "planks", "--tree", str(tree), "--out", str(out)]) == 2
     assert "'planks': requires_furnace must be a boolean" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["required_tool", "item"])
+def test_a_tree_field_that_is_not_a_name_is_exit_2(tmp_path, capsys, field):
+    doc = {"x": {"collectable": True}, "a": {"collectable": True, "required_tool": ["x"]}}
+    if field == "item":
+        doc["a"] = {"collectable": False, "recipe": [{"item": ["x"], "quantity": 1}]}
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["explore", "--tree", str(tree), "--out", str(out)]) == 2
+    assert f"'a': {field} must be a string" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,7 +3,10 @@ import statistics
 
 import pytest
 
+from dreamcraft import hypotheses
 from dreamcraft.awm import Awm, AwmEdge
+from dreamcraft.datafiles import llm_fixture_path
+from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
     ErrorSpec,
@@ -38,6 +41,23 @@ def test_parse_fixture_document(llm_document):
     assert [(s.key, s.line) for s in result.skipped] == [("torch", 183), ("brown_mushroom_block", 194)]
     reasons = {s.key: s.reason for s in result.skipped}
     assert "recipe" in reasons["torch"]
+
+
+def test_the_experiment_path_finds_no_skip_positions(tree, llm_document, monkeypatch):
+    # An experiment reads only the entries: a skip's line is found when the
+    # skip list is read, and not before.
+    def no_positions(*_args):
+        raise AssertionError("skip positions found before the skip list was read")
+
+    monkeypatch.setattr(hypotheses, "_token_offsets", no_positions)
+    awm = build_hypothesis(tree, f"file:{llm_fixture_path()}", 0)
+    result = parse_recipe_dict(llm_document)
+    monkeypatch.undo()
+    assert awm.to_json() == build_hypothesis(tree, f"file:{llm_fixture_path()}", 0).to_json()
+    assert [(s.key, s.line, s.reason) for s in result.skipped] == [
+        ("torch", 183, "missing recipe key"),
+        ("brown_mushroom_block", 194, "unexpected name 'planks'"),
+    ]
 
 
 def test_parse_tolerates_trailing_commas_and_comments():
@@ -390,3 +410,5 @@ def test_error_spec_validation():
         ErrorSpec(1.5, 0.0)
     with pytest.raises(ValueError):
         ErrorSpec(0.0, -0.1)
+    with pytest.raises(ValueError, match="does not lie in"):
+        ErrorSpec(float("nan"), 0.0)

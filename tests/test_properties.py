@@ -90,6 +90,9 @@ def digraphs(draw):
             continue
         kind = draw(st.sampled_from(["ingredient", "tool", "workbench"]))
         edges.add(AwmEdge(a, b, kind, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        # An edge may name a parent that is not a node: "ghost".
+        edges.add(AwmEdge("ghost", draw(st.sampled_from(nodes)), "tool"))
     return Awm(nodes=set(nodes), edges=edges)
 
 
@@ -416,12 +419,25 @@ def _expansion(awm, node):
 def check_branches_against_a_fresh_copy(awm):
     """Every node's branch, kept from before the last write or not, equals
     the one a fresh copy expands, and the one a graph rebuilt from the nodes,
-    edges and beliefs expands; expanding writes nothing."""
+    edges and beliefs expands; expanding writes nothing. The rebuilt graph's
+    index, made in one pass by the constructor, equals that of the same graph
+    replayed write by write."""
     before = _snapshot(awm)
     fresh = awm.copy()
     rebuilt = Awm(awm.nodes, awm.edges, awm.beliefs)
+    replayed = Awm()
+    for n in awm.nodes:
+        replayed.add_node(n)
+    for e in awm.edges:
+        replayed.add_edge(e)
+    for n, b in awm.beliefs.items():
+        replayed.set_belief(n, b)
+    assert _snapshot(rebuilt) == _snapshot(replayed)
+    for n in awm.nodes | {e.parent for e in awm.edges}:
+        assert rebuilt.parents_of(n) == replayed.parents_of(n)
+        assert rebuilt.children_of(n) == replayed.children_of(n)
     for n in sorted(awm.nodes):
-        assert _expansion(awm, n) == _expansion(fresh, n) == _expansion(rebuilt, n), n
+        assert _expansion(awm, n) == _expansion(fresh, n) == _expansion(rebuilt, n) == _expansion(replayed, n), n
     assert _snapshot(awm) == before
 
 

@@ -74,6 +74,12 @@ def test_workbench_tool_cycle_rejected():
         ("planks", "yield", True),
         ("planks", "quantity", 2.7),
         ("planks", "quantity", "2"),
+        ("planks", "item", ["log"]),
+        ("planks", "item", {"log": 1}),
+        ("planks", "item", 1),
+        ("log", "required_tool", ["planks"]),
+        ("log", "required_tool", {"planks": 1}),
+        ("log", "required_tool", False),
     ],
 )
 def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, value):
@@ -81,7 +87,7 @@ def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, val
         "log": {"collectable": True},
         "planks": {"collectable": False, "recipe": [{"item": "log", "quantity": 1}]},
     }
-    if field == "quantity":
+    if field in ("item", "quantity"):
         doc[item]["recipe"][0][field] = value
     else:
         doc[item][field] = value
