@@ -243,13 +243,6 @@ class Awm:
     def unverified(self) -> set[str]:
         return self._nodes.keys() - self._verified.keys()
 
-    def is_acyclic(self) -> bool:
-        try:
-            self._topo_order(self.nodes)
-            return True
-        except CycleError:
-            return False
-
     def copy(self) -> "Awm":
         """An independent graph: the index is cloned, not rebuilt."""
         out = Awm.__new__(Awm)
@@ -426,15 +419,7 @@ def _workbench_or_tool_nodes(awm: Awm) -> set[str]:
     return special
 
 
-def remove_cycles(awm: Awm) -> Awm:
-    """A copy of the graph with its circular dependencies broken by
-    `break_cycles`; the graph itself is left as it is."""
-    out = awm.copy()
-    break_cycles(out)
-    return out
-
-
-def break_cycles(awm: Awm) -> None:
+def remove_cycles(awm: Awm) -> None:
     """Break circular dependencies in a hypothesized graph, in place.
 
     Rule 1: a workbench/tool node drops its outgoing edges to items that appear

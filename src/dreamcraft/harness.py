@@ -112,7 +112,7 @@ class BaselinePoint(NamedTuple):
 
 def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
     """Materialize a hypothesis source string: truth, empty, perturb:I,D
-    (seeded per trial, with the `ErrorSpec` distractor), or file:PATH with a
+    (seeded per trial, see `perturb_ground_truth`), or file:PATH with a
     recipe-dictionary document."""
     kind, _, arg = source.partition(":")
     universe = set(tree.items)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from random import Random
 
-from .awm import Awm, AwmEdge, NodeBelief, break_cycles, remove_cycles
+from .awm import Awm, AwmEdge, NodeBelief, remove_cycles
 from .tech_tree import (
     CRAFTING_TABLE,
     FURNACE,
@@ -431,7 +431,7 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
     for node in nodes:
         beliefs.setdefault(node, unknown)
     awm = Awm(nodes, edges, beliefs)
-    break_cycles(awm)
+    remove_cycles(awm)
     return awm
 
 
@@ -463,7 +463,6 @@ class ErrorSpec:
 
     insert_rate: float
     delete_rate: float
-    distractor: str = "sand"
     seed: int = 0
 
     def __post_init__(self):
@@ -479,21 +478,20 @@ class ErrorSpec:
 
 def perturb_ground_truth(tree: TechTree, spec: ErrorSpec) -> Awm:
     """Inject edge errors into the exact graph: per item, with insert_rate add
-    a distractor ingredient edge, and with delete_rate drop one uniformly
-    chosen incoming edge. Deterministic under the spec seed."""
-    if spec.distractor not in tree:
-        raise ValueError(f"distractor '{spec.distractor}' not in tree")
+    an ingredient edge from the distractor, the tree's first parentless item
+    by name, and with delete_rate drop one uniformly chosen incoming edge.
+    Deterministic under the spec seed. No edge enters the distractor, so no
+    inserted edge can close a cycle."""
+    distractor = min(i for i in tree.items if not tree.ground_truth_parents(i))
     awm = ground_truth_awm(tree)
     rng = Random(spec.seed)
     for item in sorted(awm.nodes):
-        if item != spec.distractor and rng.random() < spec.insert_rate:
-            awm.add_edge(AwmEdge(spec.distractor, item, INGREDIENT, 1))
+        if item != distractor and rng.random() < spec.insert_rate:
+            awm.add_edge(AwmEdge(distractor, item, INGREDIENT, 1))
         if rng.random() < spec.delete_rate:
             incoming = awm.parents_of(item)
             if incoming:
                 awm.discard_edge(incoming[rng.randrange(len(incoming))])
-    if not awm.is_acyclic():
-        awm = remove_cycles(awm)  # unreachable with the default sand distractor
     return awm
 
 

@@ -221,7 +221,7 @@ def _check_acyclic(tree: TechTree) -> None:
         raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
 
 
-_KIND_NAMES = {bool: "a boolean", int: "an integer", str: "a string"}
+_KIND_NAMES = {bool: "a boolean", int: "an integer", list: "a list", str: "a string"}
 
 
 def _field(body: dict, key: str, kind: type, default=None):
@@ -248,9 +248,12 @@ def load_tree(text: str) -> TechTree:
         if not isinstance(body, dict):
             raise TreeParseError(f"definition of '{name}' must be a map")
         try:
+            entries = _field(body, "recipe", list, [])
+            if not all(type(entry) is dict for entry in entries):
+                raise TypeError(f"recipe must be a list of maps, not {entries!r}")
             recipe = tuple(
                 RecipeEntry(_field(entry, "item", str), _field(entry, "quantity", int))
-                for entry in body.get("recipe", [])
+                for entry in entries
             )
             tool = body.get("required_tool")
             items[name] = ItemDef(

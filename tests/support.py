@@ -1,0 +1,30 @@
+"""Test-side references that more than one suite uses."""
+from random import Random
+
+import networkx as nx
+
+from dreamcraft.awm import AwmEdge, remove_cycles
+from dreamcraft.hypotheses import ErrorSpec, ground_truth_awm
+
+
+def is_acyclic(awm) -> bool:
+    """Whether the stored edges form no cycle, by networkx."""
+    return nx.is_directed_acyclic_graph(nx.DiGraph((e.parent, e.child) for e in awm.edges))
+
+
+def perturb_with_distractor(tree, spec: ErrorSpec, distractor: str):
+    """`perturb_ground_truth` with the inserted edges drawn from `distractor`,
+    then `remove_cycles`, as a recipe document's graph gets. A distractor with
+    parents can close cycles, so a run starts from a graph whose cycles were
+    broken; with the library's distractor nothing is removed."""
+    awm = ground_truth_awm(tree)
+    rng = Random(spec.seed)
+    for item in sorted(awm.nodes):
+        if item != distractor and rng.random() < spec.insert_rate:
+            awm.add_edge(AwmEdge(distractor, item, "ingredient", 1))
+        if rng.random() < spec.delete_rate:
+            incoming = awm.parents_of(item)
+            if incoming:
+                awm.discard_edge(incoming[rng.randrange(len(incoming))])
+    remove_cycles(awm)
+    return awm

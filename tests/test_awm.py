@@ -7,6 +7,7 @@ import pytest
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles, sample_branch
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import Inventory, attempt_collect, attempt_craft
+from support import is_acyclic
 
 
 def truth_frontier(tree, verified):
@@ -222,11 +223,11 @@ def test_remove_cycles_workbench_rule():
         },
         beliefs={"planks": NodeBelief(collectable=False)},
     )
-    fixed = remove_cycles(awm)
-    assert AwmEdge("crafting_table", "planks", "workbench", 1) not in fixed.edges
-    assert AwmEdge("planks", "crafting_table", "ingredient", 4) in fixed.edges
-    assert [e for e in fixed.parents_of("planks") if e.kind == "workbench"] == []
-    assert fixed.is_acyclic()
+    assert remove_cycles(awm) is None  # in place
+    assert AwmEdge("crafting_table", "planks", "workbench", 1) not in awm.edges
+    assert AwmEdge("planks", "crafting_table", "ingredient", 4) in awm.edges
+    assert [e for e in awm.parents_of("planks") if e.kind == "workbench"] == []
+    assert is_acyclic(awm)
 
 
 def test_remove_cycles_mutual_pair_loses_both():
@@ -237,12 +238,13 @@ def test_remove_cycles_mutual_pair_loses_both():
             AwmEdge("fermented_spider_eye", "spider_eye", "ingredient", 1),
         },
     )
-    fixed = remove_cycles(awm)
-    assert fixed.edges == set()
+    remove_cycles(awm)
+    assert awm.edges == set()
 
 
 def test_remove_cycles_acyclic_fixed_point(perfect_awm):
-    fixed = remove_cycles(perfect_awm)
+    fixed = perfect_awm.copy()
+    remove_cycles(fixed)
     assert fixed.edges == perfect_awm.edges
     assert fixed.nodes == perfect_awm.nodes
 
@@ -256,11 +258,11 @@ def test_remove_cycles_breaks_longer_cycles():
             AwmEdge("c", "a", "ingredient", 1),
         },
     )
-    fixed = remove_cycles(awm)
-    assert fixed.is_acyclic()
+    remove_cycles(awm)
+    assert is_acyclic(awm)
     # lexicographically-last edge of the cycle goes
-    assert AwmEdge("c", "a", "ingredient", 1) not in fixed.edges
-    assert len(fixed.edges) == 2
+    assert AwmEdge("c", "a", "ingredient", 1) not in awm.edges
+    assert len(awm.edges) == 2
 
 
 def test_awm_edge_is_a_checked_tuple():

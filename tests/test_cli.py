@@ -107,6 +107,22 @@ def test_score_command(tmp_path):
     assert "collectable_vs_craftable_acc=100.0" in text
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["robustness", "--goal", "planks", "--seeds", "3"], "robustness_summary.csv"),
+        (["score", "--hypothesis", "perturb:0.2,0.2"], "accuracy_report.txt"),
+    ],
+)
+def test_perturb_runs_on_a_tree_without_sand(tmp_path, argv, written):
+    doc = {"log": {"collectable": True}, "planks": {"collectable": False, "recipe": [{"item": "log", "quantity": 1}]}}
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--tree", str(tree), "--max-iterations", "20", "--out", str(out)]) == 0
+    assert (out / written).exists()
+
+
 def test_score_rejects_more_than_one_seed(tmp_path, capsys):
     rc = main(["score", "--hypothesis", "perturb:0.3,0.3", "--seeds", "0,5", "--out", str(tmp_path)])
     assert rc == 2

@@ -43,7 +43,7 @@ GOLDEN = {
     "open_ended_document": "7ffedc4e4c537c53db08f9dd71eb0de560d03fdfa84f301f3bbe2b40a1cbcbad",
     "open_ended_empty": "b313a82c288953c8ced0577056b433bda1f88778dd315e48365814f5a96d9415",
     "open_ended_truth": "654dbe9da4420b20dbba4f64c267a9d718adc6e62faad5d371cb448dc4f08a12",
-    "robustness": "ef5c7cafdec413c593b755c3f5bc82b5cfd57cc1afe434afdf1eeee85a8c1ce9",
+    "robustness": "124223a26e7f372c2e8df18d21a64156adf49db76ec5feb536d95be7db959fb9",
     "task": "e3373b0b3fe778e1dc42d6f6cb340db5deb94a76b7e391abd84cfaee537cd94c",
 }
 

@@ -19,7 +19,8 @@ from dreamcraft.hypotheses import (
     perturb_ground_truth,
     score_hypothesis,
 )
-from dreamcraft.tech_tree import load_tree
+from dreamcraft.tech_tree import ItemDef, RecipeEntry, load_tree, make_tree
+from support import is_acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_build_awm_glass_error_is_parentless(tree, llm_document):
     # cycle removal handled the planks/crafting_table mutual prediction
     assert AwmEdge("crafting_table", "planks", "workbench", 1) not in awm.edges
     assert awm.ingredient_parents("crafting_table") == {"planks": 4}
-    assert awm.is_acyclic()
+    assert is_acyclic(awm)
 
 
 def test_build_awm_empty_entries(tree):
@@ -265,27 +266,29 @@ def test_perturb_zero_rates_is_identity(tree):
     assert perturbed.nodes == truth.nodes
 
 
-def test_perturb_full_insert_adds_sand_everywhere(tree):
+def test_perturb_full_insert_draws_every_edge_from_the_first_parentless_item(tree):
     perturbed = perturb_ground_truth(tree, ErrorSpec(1.0, 0.0, seed=3))
     truth = ground_truth_awm(tree)
-    for item in tree.items:
-        if item == "sand":
-            continue
-        assert AwmEdge("sand", item, "ingredient", 1) in perturbed.edges, item
-    # nothing else changed
-    assert {e for e in perturbed.edges if e.parent != "sand"} == {
-        e for e in truth.edges if e.parent != "sand"
+    assert perturbed.edges - truth.edges == {
+        AwmEdge("dirt", item, "ingredient", 1) for item in tree.items if item != "dirt"
     }
+    assert truth.edges <= perturbed.edges
+
+    # A tree without sand, whose first name (crafting_table) has parents.
+    small = make_tree(
+        [
+            ItemDef("log", collectable=True),
+            ItemDef("planks", collectable=False, recipe=(RecipeEntry("log", 1),), craft_yield=4),
+            ItemDef("crafting_table", collectable=False, recipe=(RecipeEntry("planks", 4),)),
+        ]
+    )
+    perturbed = perturb_ground_truth(small, ErrorSpec(1.0, 0.0, seed=3))
+    assert perturbed.edges - ground_truth_awm(small).edges == {AwmEdge("log", "crafting_table", "ingredient", 1)}
 
 
 def test_perturb_deterministic(tree):
     spec = ErrorSpec(0.3, 0.4, seed=11)
     assert perturb_ground_truth(tree, spec).edges == perturb_ground_truth(tree, spec).edges
-
-
-def test_perturb_unknown_distractor(tree):
-    with pytest.raises(ValueError):
-        perturb_ground_truth(tree, ErrorSpec(0.1, 0.1, distractor="obsidian"))
 
 
 def test_perturb_insert_count_grows_with_rate(tree):
@@ -305,7 +308,7 @@ def test_perturb_insert_count_grows_with_rate(tree):
 
 def test_perturb_keeps_graph_acyclic(tree):
     for seed in range(10):
-        assert perturb_ground_truth(tree, ErrorSpec(0.5, 0.5, seed=seed)).is_acyclic()
+        assert is_acyclic(perturb_ground_truth(tree, ErrorSpec(0.5, 0.5, seed=seed)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 from dreamcraft import agent
 from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
-from dreamcraft.awm import Awm, AwmEdge, CycleError, NodeBelief, break_cycles, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, CycleError, NodeBelief, remove_cycles
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import (
@@ -36,6 +36,7 @@ from dreamcraft.tech_tree import (
     load_tree_file,
     make_tree,
 )
+from support import is_acyclic, perturb_with_distractor
 
 
 @st.composite
@@ -276,9 +277,10 @@ def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
 @given(digraphs())
 @settings(max_examples=150, deadline=None)
 def test_remove_cycles_always_acyclic(awm):
-    fixed = remove_cycles(awm)
-    assert fixed.is_acyclic()
-    if awm.is_acyclic():
+    fixed = awm.copy()
+    remove_cycles(fixed)
+    assert is_acyclic(fixed)
+    if is_acyclic(awm):
         assert fixed.edges == awm.edges  # acyclic graphs are fixed points
 
 
@@ -339,8 +341,8 @@ def _find_cycle_from_scratch(awm):
     return None
 
 
-def break_cycles_by_restarting(awm):
-    """Reference for `break_cycles`: the same two rules, then the search is
+def remove_cycles_by_restarting(awm):
+    """Reference for `remove_cycles`: the same two rules, then the search is
     run again from scratch after every edge it drops."""
     special = {e.parent for e in awm.edges if e.kind == "tool"} | ({"crafting_table", "furnace"} & awm.nodes)
     for node in sorted(special):
@@ -374,12 +376,12 @@ def cyclic_digraphs(draw):
 
 @given(digraphs() | cyclic_digraphs())
 @settings(max_examples=300, deadline=None)
-def test_break_cycles_drops_what_restarting_the_search_drops(awm):
+def test_remove_cycles_drops_what_restarting_the_search_drops(awm):
     expected = awm.copy()
-    break_cycles_by_restarting(expected)
-    break_cycles(awm)
+    remove_cycles_by_restarting(expected)
+    remove_cycles(awm)
     assert awm.edges == expected.edges
-    assert awm.is_acyclic()
+    assert is_acyclic(awm)
 
 
 def _snapshot(awm):
@@ -492,7 +494,8 @@ def test_expand_requirements_feasible(tree, data):
 @given(tech_trees(), st.floats(0, 0.5), st.floats(0, 0.5), st.integers(0, 2**16))
 @settings(max_examples=150, deadline=None)
 def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
-    awm = perturb_ground_truth(tree, ErrorSpec(insert_rate, delete_rate, distractor=tree.names()[0], seed=seed))
+    # The first name may have parents, so its edges can close cycles.
+    awm = perturb_with_distractor(tree, ErrorSpec(insert_rate, delete_rate, seed=seed), tree.names()[0])
     config = AgentConfig(
         c0=3,
         max_iterations=25,
@@ -505,7 +508,7 @@ def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
         got = {(e.parent, e.kind, e.quantity) for e in state.awm.parents_of(item)}
         assert got == tree.ground_truth_parents(item), item
     assert all(state.inventory.count(i) >= 0 for i in tree.items)
-    assert state.awm.is_acyclic()
+    assert is_acyclic(state.awm)
     for node in state.awm.frontier():
         assert node not in state.awm.verified
         assert all(
@@ -556,7 +559,7 @@ def test_run_matches_the_reference_dream_on_random_worlds(tree, source, data):
         awm = empty_hypothesis(set(tree.items))
     else:
         rates = data.draw(st.tuples(st.floats(0, 0.5), st.floats(0, 0.5)))
-        awm = perturb_ground_truth(tree, ErrorSpec(*rates, distractor=tree.names()[0], seed=seed))
+        awm = perturb_with_distractor(tree, ErrorSpec(*rates, seed=seed), tree.names()[0])
     config = AgentConfig(
         goal=data.draw(st.none() | st.sampled_from(tree.names())),
         c0=data.draw(st.integers(1, 3)),
@@ -593,10 +596,22 @@ def test_learning_curve_monotone_and_bounded(p0, span, tau, far):
 @settings(max_examples=60, deadline=None)
 def test_perturb_identity_at_zero_rates(tree, seed):
     truth = ground_truth_awm(tree)
-    perturbed = perturb_ground_truth(
-        tree, ErrorSpec(0.0, 0.0, distractor=tree.names()[0], seed=seed)
-    )
+    perturbed = perturb_ground_truth(tree, ErrorSpec(0.0, 0.0, seed=seed))
     assert perturbed.edges == truth.edges
+
+
+@given(tech_trees(max_items=40), st.floats(0, 1), st.floats(0, 1), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_perturb_stays_acyclic_with_every_insert_from_the_first_parentless_item(
+    tree, insert_rate, delete_rate, seed
+):
+    spec = ErrorSpec(insert_rate, delete_rate, seed=seed)
+    perturbed = perturb_ground_truth(tree, spec)
+    assert is_acyclic(perturbed)
+    first_root = min(i for i in tree.items if not tree.ground_truth_parents(i))
+    assert {e.parent for e in perturbed.edges - ground_truth_awm(tree).edges} <= {first_root}
+    # With that distractor no edge closes a cycle, so none is removed.
+    assert perturbed.edges == perturb_with_distractor(tree, spec, first_root).edges
 
 
 parsed_entries = st.builds(

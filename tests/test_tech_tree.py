@@ -80,6 +80,9 @@ def test_workbench_tool_cycle_rejected():
         ("log", "required_tool", ["planks"]),
         ("log", "required_tool", {"planks": 1}),
         ("log", "required_tool", False),
+        ("planks", "recipe", ["log"]),
+        ("planks", "recipe", "log"),
+        ("planks", "recipe", {"item": "log", "quantity": 1}),
     ],
 )
 def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, value):
