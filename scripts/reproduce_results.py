@@ -7,6 +7,7 @@ without guidance, task-step ratios, robustness under injected errors, and the
 random-explorer baseline.
 """
 import argparse
+import csv
 import statistics
 import sys
 from pathlib import Path
@@ -15,6 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec, run_experiment
+from dreamcraft.tech_tree import load_tree_file
+
+MAX_ITERATIONS = 900
 
 
 def _seed_count(text: str) -> int:
@@ -22,6 +26,22 @@ def _seed_count(text: str) -> int:
     if count < 3:
         raise argparse.ArgumentTypeError("need at least 3: the robustness grid runs three seeds per cell")
     return count
+
+
+def open_ended_line(label: str, summary: Path, n_items: int) -> str:
+    """The table line of one open-ended `summary.csv`: the mean iterations of
+    the runs that verified all `n_items` tree items and, apart from them, the
+    runs that stopped at the iteration cap first."""
+    with summary.open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    full = [int(row["iterations"]) for row in rows if int(row["final_verified"]) == n_items]
+    mean = f"{statistics.mean(full):8.1f}" if full else "     n/a"
+    line = f"  {label:9s} mean iterations to full verification: {mean} ({len(full)} of {len(rows)} runs)"
+    capped = [row["final_verified"] for row in rows if int(row["final_verified"]) != n_items]
+    if capped:
+        verified = ", ".join(capped)
+        line += f"; stopped at the {MAX_ITERATIONS}-iteration cap: {len(capped)} (verified {verified} of {n_items})"
+    return line
 
 
 def main() -> int:
@@ -41,20 +61,17 @@ def main() -> int:
         ("unguided", "empty"),
         ("exact", "truth"),
     ]
+    n_items = len(load_tree_file(args.tree).items)
     for label, source in sources:
         spec = ExperimentSpec(
-            experiment="open_ended", hypothesis=source, max_iterations=900, **base
+            experiment="open_ended", hypothesis=source, max_iterations=MAX_ITERATIONS, **base
         )
         run_experiment(spec, out / f"open_ended_{label}")
-        finals = []
-        for seed in seeds:
-            rows = (out / f"open_ended_{label}" / f"curves_seed{seed}.csv").read_text().splitlines()[1:]
-            finals.append(int(rows[-1].split(",")[0]))
-        print(f"  {label:9s} mean iterations to full verification: {statistics.mean(finals):8.1f}")
+        print(open_ended_line(label, out / f"open_ended_{label}" / "summary.csv", n_items))
 
     print("== goal task: stone_pickaxe (guided vs empty reference) ==")
     spec = ExperimentSpec(
-        experiment="task", hypothesis="truth", goal="stone_pickaxe", max_iterations=900, **base
+        experiment="task", hypothesis="truth", goal="stone_pickaxe", max_iterations=MAX_ITERATIONS, **base
     )
     run_experiment(spec, out / "task_stone_pickaxe")
     for line in (out / "task_stone_pickaxe" / "task_summary.csv").read_text().splitlines():
@@ -67,7 +84,7 @@ def main() -> int:
         goal="stone_pickaxe",
         insert_rates=(0.0, 0.1, 0.2),
         delete_rates=(0.0, 0.1, 0.2),
-        max_iterations=900,
+        max_iterations=MAX_ITERATIONS,
         **base,
     )
     run_experiment(spec, out / "robustness")
@@ -75,7 +92,7 @@ def main() -> int:
         print("  " + line)
 
     print("== random-explorer baseline ==")
-    spec = ExperimentSpec(experiment="baseline", hypothesis="empty", max_iterations=900, **base)
+    spec = ExperimentSpec(experiment="baseline", hypothesis="empty", max_iterations=MAX_ITERATIONS, **base)
     run_experiment(spec, out / "baseline")
     for line in (out / "baseline" / "baseline_summary.csv").read_text().splitlines():
         print("  " + line)

@@ -11,7 +11,6 @@ branch again only when the branch itself may have changed.
 """
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import warnings
@@ -21,7 +20,7 @@ from random import Random
 from types import MappingProxyType
 from typing import Literal, NamedTuple
 
-from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec
+from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec, topological_order
 
 SubgoalAction = Literal["collect", "craft"]
 
@@ -289,36 +288,6 @@ class Awm:
 
     # -- branch expansion -----------------------------------------------------
 
-    def _topo_order(self, subset: set[str] | KeysView[str]) -> list[str]:
-        """Deterministic topological order of `subset` (prerequisites first),
-        lexicographic tie-break. Parallel edges of different kinds between the
-        same pair count once."""
-        pairs = {
-            (e.parent, child)
-            for child in subset
-            for e in self._incoming.get(child, ())
-            if e.parent in subset
-        }
-        indeg = {n: 0 for n in subset}
-        children: dict[str, list[str]] = {n: [] for n in subset}
-        for parent, child in pairs:
-            indeg[child] += 1
-            children[parent].append(child)
-        ready = [n for n in subset if indeg[n] == 0]
-        heapq.heapify(ready)
-        order: list[str] = []
-        while ready:
-            node = heapq.heappop(ready)
-            order.append(node)
-            for child in sorted(children[node]):
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    heapq.heappush(ready, child)
-        if len(order) != len(subset):
-            stuck = sorted(n for n in subset if indeg[n] > 0)
-            raise CycleError(f"cycle among {stuck}")
-        return order
-
     def expand_requirements(self, target: str) -> Branch:
         """Expand the hypothesized prerequisite closure of `target` into an
         ordered branch with per-subgoal repetitions.
@@ -333,8 +302,10 @@ class Awm:
             return branch
         if target not in self._nodes:
             raise UnknownNodeError(f"unknown node '{target}'")
-        closure = self.ancestors(target) | {target}
-        order = self._topo_order(closure)
+        closure = self.ancestors(target) | {target}  # holds every parent of its nodes
+        order = topological_order(closure, ((e.parent, n) for n in closure for e in self._incoming.get(n, ())))
+        if len(order) != len(closure):
+            raise CycleError(f"cycle among {sorted(closure - set(order))}")
 
         consumed: dict[str, int] = {n: 0 for n in closure}
         tool_use: dict[str, bool] = {n: False for n in closure}
@@ -349,8 +320,6 @@ class Awm:
                 step = BranchStep(node, CRAFT, max(1, math.ceil(need / per_craft)))
             steps[node] = step
             for e in self._incoming.get(node, ()):
-                if e.parent not in closure:
-                    continue
                 if e.kind == INGREDIENT:
                     consumed[e.parent] += step.repetitions * e.quantity
                 else:

@@ -69,15 +69,11 @@ class ParseResult:
     @cached_property
     def skipped(self) -> list[SkippedEntry]:
         # Each skip moves the parser past the token it reports, so the indices increase.
-        text = self.text
-        offsets = _token_offsets(text, [index for _, index, _ in self.skips])
-        out = []
-        line, last = 1, 0
-        for (key, _, reason), offset in zip(self.skips, offsets):
-            line += text.count("\n", last, offset)
-            last = offset
-            out.append(SkippedEntry(key=key, line=line, reason=reason))
-        return out
+        offsets = _token_offsets(self.text, [index for _, index, _ in self.skips])
+        return [
+            SkippedEntry(key, _line_column(self.text, offset)[0], reason)
+            for (key, _, reason), offset in zip(self.skips, offsets)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +101,6 @@ _GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
 # starts no token takes the rest of the text as its lexeme, and the end of the
 # text is the empty lexeme.
 _TOKEN = re.compile(_GAP + r"(" + _LEXEME + r"| .+ | \Z)", re.S | re.X)
-# Blocks of tokens to skip when looking for the offset of a later one: one
-# match per block, and no match object per token.
-_BLOCKS = [
-    (n, re.compile(r"(?:" + _GAP + r"(?:" + _LEXEME + r")){%d}" % n, re.S | re.X)) for n in (256, 16, 1)
-]
 _WHOLE_LEXEME = re.compile(_LEXEME, re.S | re.X)
 _NAME_START = re.compile(r"[^\W\d]")
 _ESCAPE = re.compile(r"\\(.)", re.S)
@@ -129,16 +120,12 @@ def _line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _token_offsets(text: str, indices: list[int]):
-    """Offsets of the tokens at the given increasing indices: the tokens
-    before each are skipped in blocks."""
-    start = done = 0  # where the match of token `done` starts
-    for index in indices:
-        for size, block in _BLOCKS:
-            while index - done >= size:
-                start = block.match(text, start).end()
-                done += size
-        yield _TOKEN.match(text, start).start(1)
+def _token_offsets(text: str, indices: list[int]) -> list[int]:
+    """Offsets of the tokens at the given increasing indices, in one pass
+    over the tokens up to the last of them."""
+    wanted = set(indices)
+    scan = zip(range(max(indices, default=-1) + 1), _TOKEN.finditer(text))
+    return [match.start(1) for n, match in scan if n in wanted]
 
 
 def _syntax_error(text: str, message: str, index: int) -> DocumentSyntaxError:
@@ -198,7 +185,10 @@ def _value(tokens: list[str], i: int):
     if tok in _LITERALS:
         return _LITERALS[tok], i + 1
     if tok[:1] == "-" or tok[:1].isdecimal():
-        return int(tok), i + 1
+        try:
+            return int(tok), i + 1
+        except ValueError:  # past the interpreter's limit on integer digits
+            raise _EntryError(f"integer of {len(tok.lstrip('-'))} digits is too long", i) from None
     if _NAME_START.match(tok):
         raise _EntryError(f"unexpected name {tok!r}", i)
     raise _EntryError(f"unexpected token {tok!r}", i)

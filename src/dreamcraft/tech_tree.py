@@ -17,6 +17,7 @@ Steps are environment steps: each collect try costs one full episode of
 """
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from collections import Counter
@@ -195,30 +196,35 @@ def _validate(items: dict[str, ItemDef]) -> TechTree:
             raise TreeValidationError(name, "requires_furnace but no furnace item")
 
     tree = TechTree(items)
-    _check_acyclic(tree)
+    order = topological_order(items, ((p, i) for i in items for p, _, _ in tree.ground_truth_parents(i)))
+    if len(order) != len(items):
+        cyclic = sorted(items.keys() - set(order))
+        raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
     return tree
 
 
-def _check_acyclic(tree: TechTree) -> None:
-    # Kahn's algorithm over all dependency kinds; leftovers form cycles.
-    indeg = {i: 0 for i in tree.items}
-    children: dict[str, list[str]] = {i: [] for i in tree.items}
-    for item in tree.items:
-        for parent, _, _ in tree.ground_truth_parents(item):
-            indeg[item] += 1
-            children[parent].append(item)
-    ready = [i for i, n in indeg.items() if n == 0]
-    done = 0
+def topological_order(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[str]:
+    """The nodes in dependency order, each (parent, child) pair's parent
+    before its child, by Kahn's algorithm with the smallest ready name taken
+    first. Every pair joins two of the nodes, and a pair listed twice counts
+    once. Nodes on a cycle or downstream of one are left out, so the order is
+    shorter than `nodes` exactly when the pairs hold a cycle."""
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    indeg = dict.fromkeys(children, 0)
+    for parent, child in set(pairs):
+        children[parent].append(child)
+        indeg[child] += 1
+    ready = [n for n, d in indeg.items() if not d]
+    heapq.heapify(ready)
+    order = []
     while ready:
-        node = ready.pop()
-        done += 1
+        node = heapq.heappop(ready)
+        order.append(node)
         for child in children[node]:
             indeg[child] -= 1
-            if indeg[child] == 0:
-                ready.append(child)
-    if done != len(tree.items):
-        cyclic = sorted(i for i, n in indeg.items() if n > 0)
-        raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
+            if not indeg[child]:
+                heapq.heappush(ready, child)
+    return order
 
 
 _KIND_NAMES = {bool: "a boolean", int: "an integer", list: "a list", str: "a string"}
@@ -240,6 +246,10 @@ def load_tree(text: str) -> TechTree:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TreeParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError as exc:
+        raise TreeParseError("document nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise TreeParseError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise TreeParseError("top level must be a map of item definitions")
 

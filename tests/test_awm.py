@@ -282,11 +282,17 @@ def test_expand_reports_cycles_defensively():
     from dreamcraft.awm import CycleError
 
     awm = Awm(
-        nodes={"a", "b"},
-        edges={AwmEdge("a", "b", "ingredient", 1), AwmEdge("b", "a", "ingredient", 1)},
+        nodes={"a", "b", "c", "d"},
+        edges={
+            AwmEdge("a", "b", "ingredient", 1),
+            AwmEdge("b", "a", "ingredient", 1),
+            AwmEdge("b", "c", "tool", 1),
+            AwmEdge("d", "c", "ingredient", 1),
+        },
     )
-    with pytest.raises(CycleError):
-        awm.expand_requirements("a")
+    # The message names the nodes on the cycle and downstream of it, not d.
+    with pytest.raises(CycleError, match=r"^cycle among \['a', 'b', 'c'\]$"):
+        awm.expand_requirements("c")
 
 
 def test_a_write_drops_the_kept_branches_it_changes():

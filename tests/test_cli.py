@@ -247,6 +247,31 @@ def test_tree_value_of_the_wrong_type_is_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+CYCLIC_TREE = json.dumps(
+    {
+        "a": {"collectable": False, "recipe": [{"item": "b", "quantity": 1}]},
+        "b": {"collectable": False, "recipe": [{"item": "a", "quantity": 1}]},
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CYCLIC_TREE, "item 'a': dependency cycle involving ['a', 'b']"),
+        ("[" * 100_000 + "]" * 100_000, "document nested too deeply"),
+    ],
+    ids=["cycle", "deep"],
+)
+def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, message):
+    tree = tmp_path / "tree.json"
+    tree.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["explore", "--tree", str(tree), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["required_tool", "item"])
 def test_a_tree_field_that_is_not_a_name_is_exit_2(tmp_path, capsys, field):
     doc = {"x": {"collectable": True}, "a": {"collectable": True, "required_tool": ["x"]}}

@@ -1,5 +1,6 @@
 import json
 import statistics
+import sys
 
 import pytest
 
@@ -149,6 +150,15 @@ def test_deep_nesting_is_a_skipped_entry():
     result = parse_recipe_dict(text)
     assert [e.item for e in result.entries] == ["log", "sand"]
     assert [(s.key, s.line, s.reason) for s in result.skipped] == [("a", 2, "entry nested too deeply")]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_an_integer_past_the_digit_limit_skips_its_entry_only():
+    digits = sys.get_int_max_str_digits() + 1
+    text = '{"a": {"recipe": [{"item": "b", "quantity": ' + "9" * digits + '}]},\n "c": {"recipe": []}}'
+    result = parse_recipe_dict(text)
+    assert [e.item for e in result.entries] == ["c"]
+    assert [(s.key, s.line, s.reason) for s in result.skipped] == [("a", 1, f"integer of {digits} digits is too long")]
 
 
 def test_non_decimal_digits_are_names():

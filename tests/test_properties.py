@@ -4,6 +4,7 @@ from random import Random
 from unittest import mock
 
 import hypothesis.strategies as st
+import networkx as nx
 from hypothesis import given, settings
 
 from dreamcraft import agent
@@ -35,6 +36,7 @@ from dreamcraft.tech_tree import (
     attempt_craft,
     load_tree_file,
     make_tree,
+    topological_order,
 )
 from support import is_acyclic, perturb_with_distractor
 
@@ -650,3 +652,45 @@ def test_parse_returns_a_result_or_a_syntax_error(text):
     else:
         assert isinstance(result, ParseResult)
         assert all(1 <= s.line <= text.count("\n") + 1 for s in result.skipped)
+
+
+# Node names of mixed length, so that name order is not insertion order.
+TOPO_NAMES = ["a", "b", "c", "ab", "ba", "d", "e10", "e9", "f", "zz"]
+
+
+@st.composite
+def pair_graphs(draw, acyclic: bool):
+    """A node list and (parent, child) pairs among them, some listed twice;
+    with `acyclic`, every pair runs from an earlier node of a random rank to a
+    later one."""
+    nodes = draw(st.lists(st.sampled_from(TOPO_NAMES), min_size=1, unique=True))
+    ranked = draw(st.permutations(nodes))
+    index = st.integers(0, len(nodes) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=25))
+    if acyclic:
+        pairs = [(min(i, j), max(i, j)) for i, j in pairs if i != j]
+    pairs = [(ranked[i], ranked[j]) for i, j in pairs]
+    return nodes, pairs + pairs[: draw(st.integers(0, len(pairs)))]
+
+
+@given(pair_graphs(acyclic=True))
+@settings(max_examples=300, deadline=None)
+def test_topological_order_is_the_lexicographic_one_of_networkx(graph):
+    nodes, pairs = graph
+    reference = nx.DiGraph(pairs)
+    reference.add_nodes_from(nodes)
+    assert topological_order(nodes, pairs) == list(nx.lexicographical_topological_sort(reference))
+
+
+@given(pair_graphs(acyclic=False))
+@settings(max_examples=300, deadline=None)
+def test_topological_order_leaves_out_every_node_reachable_from_a_cycle(graph):
+    nodes, pairs = graph
+    reference = nx.DiGraph(pairs)
+    reference.add_nodes_from(nodes)
+    on_cycle = {n for part in nx.strongly_connected_components(reference) if len(part) > 1 for n in part}
+    on_cycle |= set(nx.nodes_with_selfloops(reference))
+    left_out = on_cycle.union(*(nx.descendants(reference, n) for n in on_cycle))
+    order = topological_order(nodes, pairs)
+    assert set(order) == set(nodes) - left_out
+    assert order == list(nx.lexicographical_topological_sort(reference.subgraph(order)))

@@ -1,4 +1,5 @@
 import json
+import sys
 from random import Random
 
 import pytest
@@ -58,9 +59,20 @@ def test_workbench_tool_cycle_rejected():
             "recipe": [{"item": "log", "quantity": 1}],
         },
         "crafting_table": {"collectable": False, "recipe": [{"item": "planks", "quantity": 4}]},
+        "stick": {"collectable": False, "recipe": [{"item": "planks", "quantity": 2}]},
     }
-    with pytest.raises(TreeValidationError, match="cycle"):
+    # The error names every item on the cycle or downstream of it, stick too.
+    with pytest.raises(TreeValidationError) as info:
         load_tree(json.dumps(doc))
+    assert info.value.item == "crafting_table"
+    assert str(info.value) == "item 'crafting_table': dependency cycle involving ['crafting_table', 'planks', 'stick']"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_an_integer_past_the_digit_limit_is_a_parse_error():
+    digits = sys.get_int_max_str_digits() + 1
+    with pytest.raises(TreeParseError, match=f"{digits} digits"):
+        load_tree('{"log": {"collectable": true, "yield": ' + "9" * digits + "}}")
 
 
 @pytest.mark.parametrize(
