@@ -147,7 +147,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     target = branch.target
     newly: str | None = None
     for item, action, repetitions in branch.steps:
-        planned = repetitions * max(1, awm.belief(item).craft_yield) if action == "craft" else repetitions
+        planned = repetitions * awm.belief(item).craft_yield if action == "craft" else repetitions
         wanted = inventory.count(item) + planned
         out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
         visit(state, config, item)

@@ -12,7 +12,6 @@ branch again only when the branch itself may have changed.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from collections.abc import Iterable, KeysView, Mapping
 from dataclasses import dataclass
@@ -70,13 +69,17 @@ class NodeBelief:
     """What the agent currently believes about one item.
 
     collectable=None means unknown (tabula rasa); craft_yield is 1 until a
-    craft for the item has actually been observed. Tools and workbenches are
-    the node's incoming edges, not labels. A belief is replaced through
-    `Awm.set_belief`, never changed in place.
+    craft for the item has actually been observed, and is never below 1. Tools
+    and workbenches are the node's incoming edges, not labels. A belief is
+    replaced by `Awm.verify_node`, never changed in place.
     """
 
     collectable: bool | None = None
     craft_yield: int = 1
+
+    def __post_init__(self):
+        if self.craft_yield < 1:
+            raise AwmError("craft yield must be positive")
 
 
 _UNKNOWN_BELIEF = NodeBelief()
@@ -107,19 +110,17 @@ class Awm:
     a node, which keeps its child off the frontier for good. The frontier is
     kept up to date by counting, per child, the incoming edges whose parent is
     unverified. The constructor indexes its nodes, edges and beliefs in one
-    pass, with nothing verified. After it, only `add_node`, `add_edge`,
-    `discard_edge`, `set_belief` and `verify_node` change the graph: `nodes`,
-    `verified` and `beliefs` are read-only views and `edges` is a new set on
-    every read.
+    pass, with nothing verified. After it, only `add_edge`, `discard_edge` and
+    `verify_node` change the graph: `nodes`, `verified` and `beliefs` are
+    read-only views and `edges` is a new set on every read.
 
     `expand_requirements` keeps each target's branch, and its steps name the
     branch's closure: the target and its ancestors. A branch reads only the
-    incoming edges and the beliefs of its closure, so `add_edge` and
-    `discard_edge` drop the kept branches whose closure holds the edge's
-    child, and a `set_belief` that changes a belief drops those whose closure
-    holds the item. `add_node` and marking a node verified drop nothing, and
-    `verify_node` writes only what differs from what is stored. `copy` clones
-    the index and the beliefs and starts with no kept branches.
+    incoming edges and the beliefs of its closure, so a write drops the kept
+    branches whose closure holds the edge's child, or the verified item when
+    its belief changes; `verify_node` writes only what differs from what is
+    stored, and marking a node verified drops nothing. `copy` clones the
+    index and the beliefs and starts with no kept branches.
     """
 
     def __init__(
@@ -163,12 +164,6 @@ class Awm:
 
     # -- writes -----------------------------------------------------------------
 
-    def add_node(self, item: str) -> None:
-        if item in self._nodes:
-            return
-        self._nodes[item] = None
-        self._update_frontier(item)
-
     def add_edge(self, edge: AwmEdge) -> None:
         """Store the edge; its endpoints are not added as nodes."""
         incoming = self._incoming.setdefault(edge.child, set())
@@ -192,25 +187,11 @@ class Awm:
             self._blocked[edge.child] -= 1
             self._update_frontier(edge.child)
 
-    def set_belief(self, item: str, belief: NodeBelief) -> None:
-        # A node without a stored belief reads as the unknown one; storing
-        # that belief shows in `beliefs` but changes no branch.
-        if self.belief(item) != belief:
-            self._drop_branches_through(item)
-        self._beliefs[item] = belief
-
     def _drop_branches_through(self, node: str) -> None:
         for target in self._readers.pop(node, ()):
             for step in self._branches.pop(target).steps:
                 if step.item != node:
                     self._readers[step.item].discard(target)
-
-    def _mark_verified(self, item: str) -> None:
-        self._verified[item] = None
-        self._frontier.discard(item)
-        for e in self._outgoing.get(item, ()):
-            self._blocked[e.child] -= 1
-            self._update_frontier(e.child)
 
     def _update_frontier(self, item: str) -> None:
         # Called when the item may have just qualified for the frontier.
@@ -316,8 +297,8 @@ class Awm:
             if self.believed_collectable(node):
                 step = BranchStep(node, COLLECT, need)
             else:
-                per_craft = max(1, self.belief(node).craft_yield)
-                step = BranchStep(node, CRAFT, max(1, math.ceil(need / per_craft)))
+                # need >= 1 (the target needs one, every parent is used), so no floor applies
+                step = BranchStep(node, CRAFT, -(-need // self.belief(node).craft_yield))
             steps[node] = step
             for e in self._incoming.get(node, ()):
                 if e.kind == INGREDIENT:
@@ -333,26 +314,32 @@ class Awm:
     # -- verification ---------------------------------------------------------
 
     def verify_node(self, item: str, observed: set[ParentSpec], craft_yield: int = 1) -> None:
-        """Replace the item's hypothesized incoming edges with the observed
-        ground-truth parents and mark it verified: only the hypothesized edges
-        that were not observed are discarded, and only the observed ones that
-        are missing are added. Every observed parent becomes a node. Verified
-        edges are never changed again; re-verification warns and leaves the
-        graph untouched."""
+        """Replace the item's hypothesized incoming edges and belief with the
+        observed ones and mark it verified, writing only what differs from what
+        is stored. Observed parents are not added as nodes. Verified edges are
+        never changed again; re-verification warns and leaves the graph
+        untouched."""
         if item not in self._nodes:
             raise UnknownNodeError(f"unknown node '{item}'")
         if item in self._verified:
             warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
             return
+        # Checked before anything is written: a bad edge or yield writes nothing.
         edges = {AwmEdge(parent, item, kind, quantity) for parent, kind, quantity in observed}
+        collectable = not any(e.kind == INGREDIENT for e in edges)
+        belief = NodeBelief(collectable, 1 if collectable else craft_yield)
         for e in self._incoming.get(item, set()) - edges:
             self.discard_edge(e)
         for e in edges:
-            self.add_node(e.parent)
             self.add_edge(e)  # a no-op for an edge already stored
-        self._mark_verified(item)
-        collectable = not any(kind == INGREDIENT for _, kind, _ in observed)
-        self.set_belief(item, NodeBelief(collectable, 1 if collectable else craft_yield))
+        self._verified[item] = None
+        self._frontier.discard(item)
+        for e in self._outgoing.get(item, ()):
+            self._blocked[e.child] -= 1
+            self._update_frontier(e.child)
+        if self.belief(item) != belief:
+            self._drop_branches_through(item)
+        self._beliefs[item] = belief
 
     # -- export ----------------------------------------------------------------
 

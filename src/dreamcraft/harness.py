@@ -183,7 +183,7 @@ def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, 
                     success=goal in state.awm.verified,
                     env_steps_to_goal=state.total_env_steps,
                     iterations=len(records),
-                    policies_created=state.bank.count(),
+                    policies_created=len(state.bank.attempts),
                 )
             )
     return results
@@ -340,10 +340,12 @@ def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Pa
 
 
 def _write_score(spec: ExperimentSpec, report, out: Path) -> list[Path]:
-    files = [out / "accuracy_report.csv", out / "accuracy_report.txt"]
-    files[0].write_text(report.to_csv(), encoding="utf-8", newline="\n")
-    files[1].write_text(report.to_text(), encoding="utf-8", newline="\n")
-    return files
+    values = asdict(report)
+    row = tuple(str(v) if isinstance(v, int) else f"{v:.6f}" for v in values.values())
+    csv_path = _write_csv(out / "accuracy_report.csv", list(values), [row])
+    text_path = out / "accuracy_report.txt"
+    text_path.write_text("".join(f"{k}={v}\n" for k, v in values.items()), encoding="utf-8", newline="\n")
+    return [csv_path, text_path]
 
 
 # experiment -> (runner, writer). The runners call `build_hypothesis` and

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 import statistics
-from dataclasses import asdict, dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
 
@@ -21,6 +22,7 @@ from .tech_tree import (
     INGREDIENT,
     TOOL,
     WORKBENCH,
+    ParentSpec,
     TechTree,
 )
 
@@ -133,6 +135,13 @@ def _syntax_error(text: str, message: str, index: int) -> DocumentSyntaxError:
     return DocumentSyntaxError(message, *_line_column(text, offset))
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on integer digits, quoted or not
+        raise ValueError(f"integer of {len(digits.lstrip('-'))} digits is too long") from None
+
+
 def _string_value(lexeme: str) -> str:
     body = lexeme[1:-1]
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
@@ -186,9 +195,9 @@ def _value(tokens: list[str], i: int):
         return _LITERALS[tok], i + 1
     if tok[:1] == "-" or tok[:1].isdecimal():
         try:
-            return int(tok), i + 1
-        except ValueError:  # past the interpreter's limit on integer digits
-            raise _EntryError(f"integer of {len(tok.lstrip('-'))} digits is too long", i) from None
+            return _int(tok), i + 1
+        except ValueError as exc:
+            raise _EntryError(str(exc), i) from None
     if _NAME_START.match(tok):
         raise _EntryError(f"unexpected name {tok!r}", i)
     raise _EntryError(f"unexpected token {tok!r}", i)
@@ -222,7 +231,7 @@ def _coerce_quantity(raw) -> int:
     if isinstance(raw, int):
         qty = raw
     elif isinstance(raw, str) and raw.strip().isdecimal():
-        qty = int(raw.strip())
+        qty = _int(raw.strip())
     else:
         raise ValueError(f"bad quantity {raw!r}")
     if qty < 1:
@@ -249,13 +258,14 @@ def _entry_from_body(key: str, body) -> ParsedEntry:
     tool = body.get("required_tool")
     if tool is not None and not isinstance(tool, str):
         raise ValueError("required_tool must be a string or None")
-    return ParsedEntry(
-        item=key,
-        requires_crafting_table=bool(body.get("requires_crafting_table", False)),
-        requires_furnace=bool(body.get("requires_furnace", False)),
-        required_tool=tool,
-        recipe=tuple(recipe),
-    )
+    # A workbench flag is True or False, bare or quoted like a quantity; absent means False.
+    flags = {flag: body.get(flag, False) for flag in ("requires_crafting_table", "requires_furnace")}
+    for flag, raw in flags.items():
+        if isinstance(raw, str) and raw.strip() in ("True", "False"):
+            flags[flag] = raw.strip() == "True"
+        elif not isinstance(raw, bool):
+            raise ValueError(f"{flag} must be True or False, not {raw!r}")
+    return ParsedEntry(item=key, required_tool=tool, recipe=tuple(recipe), **flags)
 
 
 def parse_recipe_dict(text: str) -> ParseResult:
@@ -503,21 +513,13 @@ class AccuracyReport:
     qty_std: float
     n_items: int
 
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
-    def to_text(self) -> str:
-        return "".join(f"{k}={v}\n" for k, v in self.as_dict().items())
-
-    def to_csv(self) -> str:
-        values = self.as_dict()
-        return ",".join(values) + "\n" + ",".join(map(_fmt_num, values.values())) + "\n"
-
-
-def _fmt_num(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6f}"
+def _by_kind(parents: Iterable[ParentSpec]) -> dict[str, dict[str, int]]:
+    """kind -> parent -> quantity; a parent listed twice keeps its last quantity."""
+    split: dict[str, dict[str, int]] = {INGREDIENT: {}, TOOL: {}, WORKBENCH: {}}
+    for parent, kind, quantity in parents:
+        split.setdefault(kind, {})[parent] = quantity
+    return split
 
 
 def score_hypothesis(predicted: Awm, tree: TechTree) -> AccuracyReport:
@@ -530,43 +532,32 @@ def score_hypothesis(predicted: Awm, tree: TechTree) -> AccuracyReport:
     qty_errors: list[float] = []
 
     for item in items:
-        d = tree.definition(item)
         truth_parents = tree.ground_truth_parents(item)
         truth_parent_ids = {p for p, _, _ in truth_parents}
-        truth_ingredients = {e.item: e.quantity for e in d.recipe}
-        truth_workbench = {p for p, kind, _ in truth_parents if kind == WORKBENCH}
-
         if item not in predicted.nodes:
             if truth_parent_ids:
                 missing += 1
             continue  # all-wrong: contributes to every denominator, no hits
 
-        pred_edges = predicted.parents_of(item)
-        pred_parent_ids = {e.parent for e in pred_edges}
-        pred_ingredients = {e.parent: e.quantity for e in pred_edges if e.kind == INGREDIENT}
-        pred_workbench = {e.parent for e in pred_edges if e.kind == WORKBENCH}
-        pred_tools = {e.parent for e in pred_edges if e.kind == TOOL}
-        pred_collectable = predicted.believed_collectable(item)
+        pred_parents = [(e.parent, e.kind, e.quantity) for e in predicted.parents_of(item)]
+        pred_parent_ids = {p for p, _, _ in pred_parents}
+        truth, pred = _by_kind(truth_parents), _by_kind(pred_parents)
 
-        if pred_collectable == d.collectable:
+        if predicted.believed_collectable(item) == tree.definition(item).collectable:
             label_hits += 1
-        if pred_workbench == truth_workbench:
+        if pred[WORKBENCH].keys() == truth[WORKBENCH].keys():
             workbench_hits += 1
-        truth_tool = {d.required_tool} if d.required_tool else set()
-        items_match = (
-            set(pred_ingredients) == set(truth_ingredients) and pred_tools == truth_tool
-        )
-        if items_match:
+        if pred[INGREDIENT].keys() == truth[INGREDIENT].keys() and pred[TOOL].keys() == truth[TOOL].keys():
             items_hits += 1
-            if pred_ingredients == truth_ingredients:
+            if pred[INGREDIENT] == truth[INGREDIENT]:
                 exact_hits += 1
         if pred_parent_ids - truth_parent_ids:
             inserted += 1
         if truth_parent_ids - pred_parent_ids:
             missing += 1
-        for ingredient, pred_qty in pred_ingredients.items():
-            if ingredient in truth_ingredients:
-                qty_errors.append(pred_qty - truth_ingredients[ingredient])
+        for ingredient, pred_qty in pred[INGREDIENT].items():
+            if ingredient in truth[INGREDIENT]:
+                qty_errors.append(pred_qty - truth[INGREDIENT][ingredient])
 
     n = len(items)
     pct = lambda hits: 100.0 * hits / n

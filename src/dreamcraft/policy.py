@@ -13,7 +13,7 @@ which return the tries they made in `Outcome.tries`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, isfinite
+from math import isfinite
 from random import Random
 
 from .tech_tree import Inventory, Outcome, TechTree, attempt_collect, attempt_craft
@@ -37,9 +37,6 @@ class LearnerConfig:
         if not (isfinite(self.tau) and self.tau > 0):
             raise ValueError("tau must be finite and positive")
 
-    def success_prob(self, attempts: int) -> float:
-        return self.p0 + (self.p_max - self.p0) * (1.0 - exp(-attempts / self.tau))
-
 
 @dataclass
 class PolicyBank:
@@ -48,9 +45,6 @@ class PolicyBank:
 
     learner: LearnerConfig = field(default_factory=LearnerConfig)
     attempts: dict[str, int] = field(default_factory=dict)
-
-    def count(self) -> int:
-        return len(self.attempts)
 
 
 def execute_subgoal(

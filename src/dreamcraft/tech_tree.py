@@ -131,9 +131,6 @@ class TechTree:
 
     items: dict[str, ItemDef] = field(default_factory=dict)
 
-    def __contains__(self, item: str) -> bool:
-        return item in self.items
-
     def names(self) -> list[str]:
         return sorted(self.items)
 

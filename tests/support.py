@@ -1,10 +1,17 @@
 """Test-side references that more than one suite uses."""
+from math import exp
 from random import Random
 
 import networkx as nx
 
 from dreamcraft.awm import AwmEdge, remove_cycles
 from dreamcraft.hypotheses import ErrorSpec, ground_truth_awm
+
+
+def success_prob(learner, attempts: int) -> float:
+    """The documented collect curve p(k) = p0 + (p_max - p0) * (1 - exp(-k / tau)),
+    written out as the reference for `attempt_collect`'s per-try loop."""
+    return learner.p0 + (learner.p_max - learner.p0) * (1.0 - exp(-attempts / learner.tau))
 
 
 def is_acyclic(awm) -> bool:

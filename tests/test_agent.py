@@ -211,10 +211,12 @@ def test_wake_prefix_failure_charges_steps_and_counts_target(tree):
 
 def test_glass_error_corrected_via_fallback(tree):
     # The flagship correction: glass believed collectable and parentless.
-    awm = ground_truth_awm(tree)
-    for e in awm.parents_of("glass"):
-        awm.discard_edge(e)
-    awm.set_belief("glass", NodeBelief(collectable=True))
+    truth = ground_truth_awm(tree)
+    awm = Awm(
+        truth.nodes,
+        {e for e in truth.edges if e.child != "glass"},
+        {**truth.beliefs, "glass": NodeBelief(collectable=True)},
+    )
     config = certain_config(c0=4, seed=8, max_iterations=400)
     records, state = run_with_state(config, tree, awm)
     assert "glass" in state.awm.verified

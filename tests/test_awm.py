@@ -278,6 +278,18 @@ def test_awm_edge_is_a_checked_tuple():
         AwmEdge(parent="log", child="planks", kind="ingredient", quantity=0)
 
 
+def test_a_belief_yield_below_one_is_rejected(tree, perfect_awm):
+    with pytest.raises(AwmError, match="craft yield must be positive"):
+        NodeBelief(collectable=False, craft_yield=0)
+    before = perfect_awm.to_json()
+    with pytest.raises(AwmError, match="craft yield must be positive"):
+        perfect_awm.verify_node("planks", tree.ground_truth_parents("planks"), craft_yield=0)
+    assert perfect_awm.to_json() == before  # nothing was written
+    # A collectable's observed yield is 1 whatever the caller passes.
+    perfect_awm.verify_node("log", set(), craft_yield=0)
+    assert perfect_awm.belief("log") == NodeBelief(collectable=True, craft_yield=1)
+
+
 def test_expand_reports_cycles_defensively():
     from dreamcraft.awm import CycleError
 
@@ -316,7 +328,6 @@ def test_a_write_drops_the_kept_branches_it_changes():
     writes = [
         lambda: awm.add_edge(AwmEdge("c", "b", "tool")),
         lambda: awm.discard_edge(AwmEdge("a", "b", "ingredient", 2)),
-        lambda: awm.set_belief("b", NodeBelief(collectable=False, craft_yield=3)),
         lambda: awm.verify_node("c", set()),  # writes no edge: only the belief in c changes
         lambda: awm.verify_node("b", {("a", "ingredient", 1)}),
     ]
@@ -334,8 +345,8 @@ def test_a_write_drops_the_kept_branches_it_changes():
 
 def test_a_write_outside_a_branch_closure_keeps_the_branch():
     """A kept branch reads the incoming edges and the beliefs of its closure
-    (the target and its ancestors) alone: writes anywhere else, new nodes and
-    unchanged beliefs keep the very same branch object."""
+    (the target and its ancestors) alone: writes anywhere else keep the very
+    same branch object."""
     awm = Awm(
         nodes={"a", "b", "c", "d"},
         edges={AwmEdge("a", "b", "ingredient", 2), AwmEdge("b", "d", "tool")},
@@ -345,18 +356,15 @@ def test_a_write_outside_a_branch_closure_keeps_the_branch():
         lambda: awm.add_edge(AwmEdge("b", "c", "ingredient", 1)),  # out of b: into c
         lambda: awm.add_edge(AwmEdge("a", "d", "ingredient", 1)),
         lambda: awm.discard_edge(AwmEdge("b", "d", "tool")),
-        lambda: awm.set_belief("c", NodeBelief(collectable=True)),
-        lambda: awm.set_belief("a", NodeBelief()),  # stored, but a already read as unknown
-        lambda: awm.add_node("e"),
+        lambda: awm.verify_node("c", set()),  # a new belief in c
         lambda: awm.verify_node("d", {("a", "ingredient", 1)}),
     ]
     for write in writes:
         write()
         assert awm.expand_requirements("b") is kept
-    assert awm.beliefs["a"] == NodeBelief()  # the default belief is still stored
     assert kept == Awm(awm.nodes, awm.edges, awm.beliefs).expand_requirements("b")
 
-    awm.set_belief("a", NodeBelief(collectable=True))
+    awm.verify_node("a", set())  # a's belief, unknown before, becomes collectable
     assert awm.expand_requirements("b") is not kept
 
 
@@ -369,6 +377,18 @@ def test_verifying_a_correct_hypothesis_keeps_every_kept_branch(tree, perfect_aw
         verify_from_tree(perfect_awm, tree, item)
     assert perfect_awm.edges == edges
     assert all(perfect_awm.expand_requirements(n) is branch for n, branch in kept.items())
+
+
+def test_verifying_a_new_yield_alone_drops_the_kept_branch():
+    """Verification that observes the stored edges and a new yield changes
+    only the item's belief, and that alone drops the branches through it."""
+    edges = {AwmEdge("x", "y", "ingredient", 1), AwmEdge("y", "z", "ingredient", 4)}
+    awm = Awm(nodes={"x", "y", "z"}, edges=edges, beliefs={"y": NodeBelief(collectable=False)})
+    kept = awm.expand_requirements("z")
+    assert [step.repetitions for step in kept.steps] == [4, 4, 1]  # x, y, z
+    awm.verify_node("y", {("x", "ingredient", 1)}, craft_yield=2)
+    assert awm.edges == edges
+    assert [step.repetitions for step in awm.expand_requirements("z").steps] == [2, 2, 1]
 
 
 def test_awm_json_round_trip(tree, perfect_awm):

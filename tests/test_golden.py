@@ -1,6 +1,8 @@
 """Golden output: a fixed set of specs on the bundled 16-item tree must emit
-the pinned bytes, so a change to the agent, the simulator or the writers that
-moves a CSV byte fails here without running the benchmark.
+the pinned bytes, so a change to the agent, the simulator, the scorer or the
+writers that moves a CSV byte fails here without running the benchmark. The
+belief-graph JSON and the skip lines of `dreamcraft parse` on the bundled
+document are pinned too.
 
 A change that alters behaviour on purpose updates the pins below and says why.
 Manifests are left out of the digests: they record absolute input paths.
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from dreamcraft.cli import main
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec, run_experiment
 
@@ -35,6 +38,8 @@ SPECS = {
         max_iterations=200,
     ),
     "baseline": dict(experiment="baseline", seeds=(0, 1), max_iterations=100),
+    "score_document": dict(experiment="score", hypothesis=f"file:{llm_fixture_path()}"),
+    "score_perturb": dict(experiment="score", hypothesis="perturb:0.2,0.2"),
 }
 
 # Digests of the per-attempt executor, which the batch executor reproduces byte for byte.
@@ -44,6 +49,8 @@ GOLDEN = {
     "open_ended_empty": "b313a82c288953c8ced0577056b433bda1f88778dd315e48365814f5a96d9415",
     "open_ended_truth": "654dbe9da4420b20dbba4f64c267a9d718adc6e62faad5d371cb448dc4f08a12",
     "robustness": "124223a26e7f372c2e8df18d21a64156adf49db76ec5feb536d95be7db959fb9",
+    "score_document": "c2a8127c202cfdc7e249b552d3de3949016309dabf37abd50735830f9d82b012",
+    "score_perturb": "d5fe89809647ffd00567193cfeb62702c29ba033faa8a132c89e24acf606ced6",
     "task": "e3373b0b3fe778e1dc42d6f6cb340db5deb94a76b7e391abd84cfaee537cd94c",
 }
 
@@ -61,3 +68,19 @@ def output_digest(out_root: Path) -> str:
 def test_emitted_files_match_the_pinned_digest(name, tmp_path):
     run_experiment(ExperimentSpec(tree_path=str(pickaxe16_path()), **SPECS[name]), tmp_path)
     assert output_digest(tmp_path) == GOLDEN[name]
+
+
+# `dreamcraft parse` on the bundled document: the SHA-256 of the belief-graph
+# JSON on stdout, and the skip lines on stderr.
+PARSE_JSON = "d9012778140a8df2b8271b075f438e03fc24ee75a29108ef8708992a2368fe8a"
+PARSE_SKIPS = [
+    "skipped entry 'torch' (line 183): missing recipe key",
+    "skipped entry 'brown_mushroom_block' (line 194): unexpected name 'planks'",
+]
+
+
+def test_parse_output_matches_the_pins(capsys):
+    assert main(["parse", str(llm_fixture_path()), "--tree", str(pickaxe16_path())]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PARSE_JSON
+    assert captured.err.splitlines() == PARSE_SKIPS

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import statistics
 import sys
@@ -6,9 +7,10 @@ import pytest
 
 from dreamcraft import hypotheses
 from dreamcraft.awm import Awm, AwmEdge
-from dreamcraft.datafiles import llm_fixture_path
-from dreamcraft.harness import build_hypothesis
+from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
+from dreamcraft.harness import ExperimentSpec, build_hypothesis, run_experiment
 from dreamcraft.hypotheses import (
+    AccuracyReport,
     DocumentSyntaxError,
     ErrorSpec,
     ParsedEntry,
@@ -159,6 +161,40 @@ def test_an_integer_past_the_digit_limit_skips_its_entry_only():
     result = parse_recipe_dict(text)
     assert [e.item for e in result.entries] == ["c"]
     assert [(s.key, s.line, s.reason) for s in result.skipped] == [("a", 1, f"integer of {digits} digits is too long")]
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on integer digits")
+def test_a_quoted_integer_past_the_digit_limit_gives_the_unquoted_reason():
+    digits = sys.get_int_max_str_digits() + 1
+    reasons = []
+    for quantity in ("9" * digits, '"' + "9" * digits + '"'):
+        result = parse_recipe_dict('{"a": {"recipe": [{"item": "b", "quantity": ' + quantity + "}]}}")
+        assert result.entries == []
+        reasons += [s.reason for s in result.skipped]
+    assert reasons == [f"integer of {digits} digits is too long"] * 2
+
+
+def test_workbench_flags_are_booleans_bare_or_quoted():
+    def flags(table, furnace=None):
+        body = f'"recipe": [{{"item": "b", "quantity": 1}}], "requires_crafting_table": {table}'
+        if furnace is not None:
+            body += f', "requires_furnace": {furnace}'
+        result = parse_recipe_dict('{"a": {' + body + "}}")
+        if not result.entries:
+            return result.skipped[0].reason
+        (entry,) = result.entries
+        return entry.requires_crafting_table, entry.requires_furnace
+
+    assert flags("True") == (True, False)  # an absent flag is False
+    assert flags('"True"', '"False"') == (True, False)
+    assert flags('" False "', "True") == (False, True)
+    assert flags('"False"') == (False, False)
+    # Anything else, an integer included, skips the entry naming the flag.
+    assert flags('"no"') == "requires_crafting_table must be True or False, not 'no'"
+    assert flags("False", '"false"') == "requires_furnace must be True or False, not 'false'"
+    assert flags("1") == "requires_crafting_table must be True or False, not 1"
+    assert flags("None") == "requires_crafting_table must be True or False, not None"
+    assert flags("True", "0") == "requires_furnace must be True or False, not 0"
 
 
 def test_non_decimal_digits_are_names():
@@ -409,13 +445,12 @@ def test_score_missing_item_counts_all_wrong():
     assert report.pct_items_missing_deps == 50.0
 
 
-def test_score_report_serialization(tree):
-    report = score_hypothesis(ground_truth_awm(tree), tree)
-    text = report.to_text()
-    assert "recipe_exact_acc=100.0" in text
-    csv = report.to_csv()
-    assert csv.splitlines()[0].startswith("collectable_vs_craftable_acc,")
-    assert isinstance(report.as_dict(), dict)
+def test_score_report_serialization(tmp_path):
+    run_experiment(ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path())), tmp_path)
+    assert "recipe_exact_acc=100.0\n" in (tmp_path / "accuracy_report.txt").read_text()
+    header, row = (tmp_path / "accuracy_report.csv").read_text().splitlines()
+    assert header.split(",") == [f.name for f in dataclasses.fields(AccuracyReport)]
+    assert row.split(",")[3] == "100.000000" and row.split(",")[-1] == "16"
 
 
 def test_error_spec_validation():

@@ -38,7 +38,7 @@ from dreamcraft.tech_tree import (
     make_tree,
     topological_order,
 )
-from support import is_acyclic, perturb_with_distractor
+from support import is_acyclic, perturb_with_distractor, success_prob
 
 
 @st.composite
@@ -157,7 +157,7 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
             steps += COLLECT_STEPS
             if d is None or not d.collectable:
                 continue
-            p = bank.learner.success_prob(attempts)
+            p = success_prob(bank.learner, attempts)
             assert 0.0 <= p <= 1.0
             if d.required_tool is not None and inventory.count(d.required_tool) < 1:
                 continue
@@ -393,7 +393,7 @@ def _snapshot(awm):
 
 def _random_write(awm, names, data):
     kinds = st.sampled_from(["ingredient", "tool", "workbench"])
-    op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node", "add_node", "set_belief"]))
+    op = data.draw(st.sampled_from(["add_edge", "discard_edge", "verify_node"]))
     if op == "add_edge":
         a, b = data.draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
         awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
@@ -406,11 +406,6 @@ def _random_write(awm, names, data):
         )
         observed = {(p, data.draw(kinds), data.draw(st.integers(1, 3))) for p in parents}
         awm.verify_node(item, observed, craft_yield=data.draw(st.integers(1, 3)))
-    elif op == "add_node":
-        awm.add_node("ghost")
-    elif op == "set_belief":
-        belief = NodeBelief(data.draw(st.none() | st.booleans()), data.draw(st.integers(1, 3)))
-        awm.set_belief(data.draw(st.sampled_from(names)), belief)
 
 
 def _expansion(awm, node):
@@ -425,17 +420,13 @@ def check_branches_against_a_fresh_copy(awm):
     the one a fresh copy expands, and the one a graph rebuilt from the nodes,
     edges and beliefs expands; expanding writes nothing. The rebuilt graph's
     index, made in one pass by the constructor, equals that of the same graph
-    replayed write by write."""
+    with its edges replayed write by write."""
     before = _snapshot(awm)
     fresh = awm.copy()
     rebuilt = Awm(awm.nodes, awm.edges, awm.beliefs)
-    replayed = Awm()
-    for n in awm.nodes:
-        replayed.add_node(n)
+    replayed = Awm(awm.nodes, beliefs=awm.beliefs)
     for e in awm.edges:
         replayed.add_edge(e)
-    for n, b in awm.beliefs.items():
-        replayed.set_belief(n, b)
     assert _snapshot(rebuilt) == _snapshot(replayed)
     for n in awm.nodes | {e.parent for e in awm.edges}:
         assert rebuilt.parents_of(n) == replayed.parents_of(n)
@@ -448,12 +439,12 @@ def check_branches_against_a_fresh_copy(awm):
 @given(digraphs(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_index_matches_edge_scans_under_writes(awm, data):
-    # "ghost" starts outside the graph: edges may name it before it is a node.
+    # "ghost" is never a node: edges, observed ones included, may name it.
     # At one step the graph is copied; later writes go to either graph and
     # must leave the other as it was, beliefs included.
     names = sorted(awm.nodes) + ["ghost"]
-    for n in data.draw(st.lists(st.sampled_from(names[:-1]), unique=True)):
-        awm.set_belief(n, NodeBelief(collectable=data.draw(st.none() | st.booleans())))
+    labelled = data.draw(st.lists(st.sampled_from(names[:-1]), unique=True))
+    awm = Awm(awm.nodes, awm.edges, {n: NodeBelief(data.draw(st.none() | st.booleans())) for n in labelled})
     graphs = [awm]
     check_index_against_scans(awm)
     check_branches_against_a_fresh_copy(awm)
@@ -588,7 +579,7 @@ def test_learning_curve_monotone_and_bounded(p0, span, tau, far):
     cfg = LearnerConfig(p0=p0, p_max=p_max, tau=tau)
     # Past k = 746 * tau, exp(-k / tau) underflows to 0.
     ks = [*range(101), int(746 * tau) + 1, far, 10**9]
-    probs = [cfg.success_prob(k) for k in sorted(ks)]
+    probs = [success_prob(cfg, k) for k in sorted(ks)]
     assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
     assert all(0.0 <= p <= 1.0 for p in probs)
     assert all(p <= p_max + 1e-12 for p in probs)
