@@ -6,15 +6,22 @@ Usage: plot_curves.py DIR [DIR ...] [--out curves.png]
 """
 import argparse
 import csv
+import json
 from pathlib import Path
 
 
 def load_curves(directory: Path):
+    """The verified counts of every curve file that the directory's manifest
+    lists, in name order. A curve left by an earlier run with more seeds is
+    not listed, so it is not read; a directory without a manifest has none."""
+    manifest = directory / "manifest.json"
+    if not manifest.is_file():
+        return []
     curves = []
-    for path in sorted(directory.glob("curves_seed*.csv")):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        curves.append([int(r["verified"]) for r in rows])
+    for name in json.loads(manifest.read_text(encoding="utf-8"))["files"]:
+        if name.startswith("curves_seed") and name.endswith(".csv"):
+            with open(directory / name, newline="") as fh:
+                curves.append([int(r["verified"]) for r in csv.DictReader(fh)])
     return curves
 
 

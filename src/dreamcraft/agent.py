@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .awm import Awm, Branch, sample_branch
 from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
-from .tech_tree import Inventory, TechTree
+from .tech_tree import COLLECT, CRAFT, Inventory, TechTree
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class DreamSample(NamedTuple):
 def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     """Pick the next branch: a (pruned) frontier node visited at most c0
     times while any remains, otherwise widen to the whole frontier plus the
-    verified set for undirected exploration."""
+    verified set for undirected exploration; `sample_branch` rejects a graph
+    with neither."""
     awm = state.awm
     frontier = awm.frontier()
     selectable = frontier
@@ -97,10 +98,7 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     eligible = selectable - state.exhausted
     if eligible:
         return DreamSample(sample_branch(awm, eligible, state.rng), False)
-    pool = frontier | awm.verified
-    if not pool:
-        raise RuntimeError("degenerate belief graph: no frontier and nothing verified")
-    return DreamSample(sample_branch(awm, pool, state.rng), True)
+    return DreamSample(sample_branch(awm, frontier | awm.verified, state.rng), True)
 
 
 def _verify_from_world(state: AgentState, item: str) -> None:
@@ -121,7 +119,7 @@ def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     awm = state.awm
     for item in sorted(awm.unverified()):
         visit(state, config, item)
-        for action in ("collect", "craft") if awm.believed_collectable(item) else ("craft",):
+        for action in (COLLECT, CRAFT) if awm.believed_collectable(item) else (CRAFT,):
             out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)
             state.total_env_steps += out.steps
             if out.success:
@@ -147,7 +145,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     target = branch.target
     newly: str | None = None
     for item, action, repetitions in branch.steps:
-        planned = repetitions * awm.belief(item).craft_yield if action == "craft" else repetitions
+        planned = repetitions * awm.belief(item).craft_yield if action == CRAFT else repetitions
         wanted = inventory.count(item) + planned
         out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
         visit(state, config, item)

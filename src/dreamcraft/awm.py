@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Iterable, KeysView, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, KeysView
+from dataclasses import asdict, dataclass
 from random import Random
-from types import MappingProxyType
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
-from .tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec, topological_order
-
-SubgoalAction = Literal["collect", "craft"]
-
-COLLECT: SubgoalAction = "collect"
-CRAFT: SubgoalAction = "craft"
+from .tech_tree import COLLECT, CRAFT, CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, ParentSpec, topological_order
 
 
 class AwmError(ValueError):
@@ -32,10 +26,6 @@ class AwmError(ValueError):
 
 
 class CycleError(AwmError):
-    pass
-
-
-class UnknownNodeError(AwmError):
     pass
 
 
@@ -68,10 +58,11 @@ class AwmEdge(_EdgeFields):
 class NodeBelief:
     """What the agent currently believes about one item.
 
-    collectable=None means unknown (tabula rasa); craft_yield is 1 until a
-    craft for the item has actually been observed, and is never below 1. Tools
-    and workbenches are the node's incoming edges, not labels. A belief is
-    replaced by `Awm.verify_node`, never changed in place.
+    collectable=None means unknown (tabula rasa), the belief of a node that
+    has none stored; craft_yield is 1 until a craft for the item has actually
+    been observed, and is never below 1. Tools and workbenches are the node's
+    incoming edges, not labels. A belief is replaced by `Awm.verify_node`,
+    never changed in place.
     """
 
     collectable: bool | None = None
@@ -87,7 +78,7 @@ _UNKNOWN_BELIEF = NodeBelief()
 
 class BranchStep(NamedTuple):
     item: str
-    action: SubgoalAction
+    action: str  # tech_tree.COLLECT or CRAFT
     repetitions: int
 
 
@@ -111,8 +102,8 @@ class Awm:
     kept up to date by counting, per child, the incoming edges whose parent is
     unverified. The constructor indexes its nodes, edges and beliefs in one
     pass, with nothing verified. After it, only `add_edge`, `discard_edge` and
-    `verify_node` change the graph: `nodes`, `verified` and `beliefs` are
-    read-only views and `edges` is a new set on every read.
+    `verify_node` change the graph: `nodes` and `verified` are read-only
+    views, `edges` is a new set on every read and `belief` reads one node.
 
     `expand_requirements` keeps each target's branch, and its steps name the
     branch's closure: the target and its ancestors. A branch reads only the
@@ -157,10 +148,6 @@ class Awm:
     @property
     def edges(self) -> set[AwmEdge]:
         return {e for incoming in self._incoming.values() for e in incoming}
-
-    @property
-    def beliefs(self) -> Mapping[str, NodeBelief]:
-        return MappingProxyType(self._beliefs)
 
     # -- writes -----------------------------------------------------------------
 
@@ -250,7 +237,7 @@ class Awm:
 
     def ancestors(self, item: str) -> set[str]:
         if item not in self._nodes:
-            raise UnknownNodeError(f"unknown node '{item}'")
+            raise AwmError(f"unknown node '{item}'")
         seen: set[str] = set()
         stack = [item]
         while stack:
@@ -281,8 +268,6 @@ class Awm:
         branch = self._branches.get(target)
         if branch is not None:
             return branch
-        if target not in self._nodes:
-            raise UnknownNodeError(f"unknown node '{target}'")
         closure = self.ancestors(target) | {target}  # holds every parent of its nodes
         order = topological_order(closure, ((e.parent, n) for n in closure for e in self._incoming.get(n, ())))
         if len(order) != len(closure):
@@ -320,7 +305,7 @@ class Awm:
         never changed again; re-verification warns and leaves the graph
         untouched."""
         if item not in self._nodes:
-            raise UnknownNodeError(f"unknown node '{item}'")
+            raise AwmError(f"unknown node '{item}'")
         if item in self._verified:
             warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
             return
@@ -351,19 +336,18 @@ class Awm:
                 for e in sorted(self.edges)
             ],
             "verified": sorted(self.verified),
-            "beliefs": {
-                n: {"collectable": b.collectable, "craft_yield": b.craft_yield}
-                for n, b in sorted(self._beliefs.items())
-            },
+            "beliefs": {n: asdict(self.belief(n)) for n in sorted(self.nodes)},
         }
         return json.dumps(doc, indent=2) + "\n"
 
 
 def sample_branch(awm: Awm, candidates: set[str], rng: Random) -> Branch:
     """Pick a target uniformly from the candidates (one draw over the sorted
-    set) and expand its prerequisite closure."""
+    set) and expand its prerequisite closure. The dream phase's widest pool is
+    the frontier plus the verified set, so no candidates means a graph with
+    neither."""
     if not candidates:
-        raise AwmError("empty candidate set")
+        raise AwmError("degenerate belief graph: no frontier and nothing verified")
     ordered = sorted(candidates)
     target = ordered[rng.randrange(len(ordered))]
     return awm.expand_requirements(target)

@@ -398,8 +398,8 @@ def normalize_aliases(entries: list[ParsedEntry]) -> list[ParsedEntry]:
 def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Awm:
     """Assemble the hypothesized belief graph from normalized entries.
 
-    Nodes are the universe plus every name an entry mentions; dangling
-    ingredient names become definition-less nodes. The graph is constructed
+    Nodes are the universe plus every name an entry mentions; a node without
+    an entry of its own keeps the unknown belief. The graph is constructed
     once from the collected nodes, edges and beliefs, then cycle removal is
     applied, and everything starts unverified.
     """
@@ -427,9 +427,6 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
         beliefs[e.item] = NodeBelief(collectable=e.collectable)
-    unknown = NodeBelief()
-    for node in nodes:
-        beliefs.setdefault(node, unknown)
     awm = Awm(nodes, edges, beliefs)
     remove_cycles(awm)
     return awm
@@ -437,7 +434,7 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
 
 def empty_hypothesis(universe: set[str]) -> Awm:
     """The no-guidance configuration: all nodes, zero edges, zero verified."""
-    return Awm(nodes=universe, beliefs={node: NodeBelief() for node in universe})
+    return Awm(universe)
 
 
 def ground_truth_awm(tree: TechTree) -> Awm:
@@ -557,7 +554,7 @@ def score_hypothesis(predicted: Awm, tree: TechTree) -> AccuracyReport:
             missing += 1
         for ingredient, pred_qty in pred[INGREDIENT].items():
             if ingredient in truth[INGREDIENT]:
-                qty_errors.append(pred_qty - truth[INGREDIENT][ingredient])
+                qty_errors.append(float(pred_qty - truth[INGREDIENT][ingredient]))
 
     n = len(items)
     pct = lambda hits: 100.0 * hits / n

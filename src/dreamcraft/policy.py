@@ -7,8 +7,9 @@ policy's whole state is its attempt count.
 
 A branch step is one executor call: `execute_subgoal` hands the whole retry
 loop to the simulator's batch forms (`attempt_collect` with the bank's
-`LearnerConfig` as its curve, `attempt_craft` with its k crafts in one step),
-which return the tries they made in `Outcome.tries`.
+`LearnerConfig` as its curve and at most `retry_cap` tries, `attempt_craft`
+with every affordable craft in one step), which return the tries they made in
+`Outcome.tries`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 from random import Random
 
-from .tech_tree import Inventory, Outcome, TechTree, attempt_collect, attempt_craft
+from .tech_tree import COLLECT, CRAFT, Inventory, Outcome, TechTree, attempt_collect, attempt_craft
 
 
 @dataclass(frozen=True)
@@ -58,15 +59,16 @@ def execute_subgoal(
     retry_cap: int = 1,
 ) -> Outcome:
     """Run a collect or craft subgoal under the agent's current competence, in
-    one simulator call: tries until the inventory holds `quantity` of the item
-    (default: one more than it holds now) or `retry_cap` tries are spent. The
-    defaults make one attempt. Every collect try counts as practice.
+    one simulator call, until the inventory holds `quantity` of the item
+    (default: one more than it holds now). A collect stops after `retry_cap`
+    tries, and every try counts as practice; a craft makes what the inventory
+    affords. The defaults make one attempt.
 
     A believed action that the world does not support (collecting a craft-only
     or unknown item, crafting a collectable) is a plain failure with the normal
     step charge, not an error: exploring wrong hypotheses must be possible.
     """
-    if action == "collect":
+    if action == COLLECT:
         practice = bank.attempts.get(item, 0)
         out = attempt_collect(
             tree, item, inventory, bank.learner, rng, quantity=quantity, tries=retry_cap, practice=practice
@@ -74,8 +76,8 @@ def execute_subgoal(
         if out.tries:
             bank.attempts[item] = practice + out.tries
         return out
-    if action == "craft":
-        return attempt_craft(tree, item, inventory, quantity=quantity, tries=retry_cap)
+    if action == CRAFT:
+        return attempt_craft(tree, item, inventory, quantity=quantity)
     raise ValueError(f"unknown action {action!r}")
 
 
@@ -89,10 +91,10 @@ def acquire(
     rng: Random,
     retry_cap: int,
 ) -> Outcome:
-    """Repeat the subgoal until the inventory holds `quantity` of the item or
-    the retry cap is exhausted; failure is an outcome, not an exception. A
-    failed craft ends the call, since crafting is deterministic given the
-    inventory and retrying cannot help."""
+    """Repeat the subgoal until the inventory holds `quantity` of the item or,
+    for a collect, the retry cap is exhausted; failure is an outcome, not an
+    exception. A failed craft ends the call, since crafting is deterministic
+    given the inventory and retrying cannot help."""
     if quantity < 1:
         raise ValueError("quantity must be positive")
     if retry_cap < 1:

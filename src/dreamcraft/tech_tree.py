@@ -6,11 +6,10 @@ It is immutable after loading and shared by every trial of an experiment;
 inventories and RNG streams are per-trial.
 
 `attempt_collect` and `attempt_craft` are the only copy of the simulator's
-rules. Each runs a whole retry loop in one call, until the inventory holds a
-quantity or the tries run out, and reports the tries it made in
-`Outcome.tries`; with their defaults they make one attempt. A collect loop
-draws once per try, in order; a craft is deterministic, so its k repetitions
-happen in one step.
+rules. Each works in one call until the inventory holds a quantity, and
+reports the tries it made in `Outcome.tries`. A collect loop draws once per
+try, in order, and stops when its tries run out; a craft is deterministic, so
+every craft the inventory affords happens in one step.
 
 Steps are environment steps: each collect try costs one full episode of
 `COLLECT_STEPS`, whether or not it succeeds, and crafting is instant.
@@ -33,7 +32,11 @@ WORKBENCH = "workbench"
 CRAFTING_TABLE = "crafting_table"
 FURNACE = "furnace"
 
-_NAME_RE = re.compile(r"^[a-z0-9_]+$")
+_NAME_RE = re.compile(r"[a-z0-9_]+")
+
+# The two subgoal actions of the simulator.
+COLLECT = "collect"
+CRAFT = "craft"
 
 COLLECT_STEPS = 1000  # environment steps in one collect episode
 
@@ -57,10 +60,6 @@ class TreeValidationError(TreeError):
     def __init__(self, item: str, message: str):
         super().__init__(f"item '{item}': {message}")
         self.item = item
-
-
-class UnknownItemError(TreeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ class TechTree:
         try:
             return self.items[item]
         except KeyError:
-            raise UnknownItemError(f"unknown item '{item}'") from None
+            raise TreeError(f"unknown item '{item}'") from None
 
     def collectables(self) -> list[str]:
         return sorted(i for i, d in self.items.items() if d.collectable)
@@ -164,7 +163,7 @@ def _validate(items: dict[str, ItemDef]) -> TechTree:
     if not items:
         raise TreeError("tree has no items")
     for name, d in items.items():
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise TreeValidationError(name, "name must match [a-z0-9_]+")
         if d.collectable and d.recipe:
             raise TreeValidationError(name, "collectable item has a recipe")
@@ -356,26 +355,24 @@ def attempt_craft(
     inventory: Inventory,
     *,
     quantity: int | None = None,
-    tries: int = 1,
 ) -> Outcome:
     """Crafts until the inventory holds `quantity` of the item (default: one
-    more than it holds now) or `tries` crafts are spent; the defaults make one
-    craft. Ingredients are consumed, the yield added; tools and workbenches are
-    never consumed.
+    more than it holds now). Ingredients are consumed, the yield added; tools
+    and workbenches are never consumed.
 
     A craft is deterministic given the inventory, so the k crafts that succeed
-    are made in one step: k is the smallest of the crafts still needed, the
-    tries and the recipe's `count // quantity`, and 0 without a required
-    workbench or for an item that is unknown or not craftable. When k falls
-    short, one more failing try is charged and the call ends, since retrying
-    cannot help. Crafts charge no environment steps.
+    are made in one step: k is the smaller of the crafts still needed and the
+    recipe's `count // quantity`, and 0 without a required workbench or for an
+    item that is unknown or not craftable. When k falls short, one more
+    failing try is charged, since retrying cannot help. Crafts charge no
+    environment steps.
     """
     counts = inventory._counts
     held = counts.get(item, 0)
     if quantity is None:
         quantity = held + 1
-    if held >= quantity or tries < 1:
-        return Outcome(held >= quantity, 0, 0)
+    if held >= quantity:
+        return Outcome(True, 0, 0)
     d = tree.items.get(item)
     made = 0
     if (
@@ -384,8 +381,7 @@ def attempt_craft(
         and (not d.requires_crafting_table or counts.get(CRAFTING_TABLE, 0))
         and (not d.requires_furnace or counts.get(FURNACE, 0))
     ):
-        needed = -(-(quantity - held) // d.craft_yield)
-        made = min(needed, tries)
+        needed = made = -(-(quantity - held) // d.craft_yield)
         for e in d.recipe:
             affordable = counts.get(e.item, 0) // e.quantity
             if affordable < made:
@@ -396,8 +392,7 @@ def attempt_craft(
             inventory.add(item, made * d.craft_yield)
         if made == needed:
             return Outcome(True, 0, made)
-    done = made if made == tries else made + 1
-    return Outcome(False, 0, done)
+    return Outcome(False, 0, made + 1)
 
 
 def make_tree(defs: Iterable[ItemDef]) -> TechTree:

@@ -14,6 +14,12 @@ def success_prob(learner, attempts: int) -> float:
     return learner.p0 + (learner.p_max - learner.p0) * (1.0 - exp(-attempts / learner.tau))
 
 
+def beliefs_of(awm) -> dict:
+    """Every node's belief, the unknown one included, as the constructor's
+    `beliefs` argument."""
+    return {n: awm.belief(n) for n in awm.nodes}
+
+
 def is_acyclic(awm) -> bool:
     """Whether the stored edges form no cycle, by networkx."""
     return nx.is_directed_acyclic_graph(nx.DiGraph((e.parent, e.child) for e in awm.edges))

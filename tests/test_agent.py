@@ -9,12 +9,13 @@ from dreamcraft.agent import (
     visit,
     wake,
 )
-from dreamcraft.awm import Awm, AwmEdge, NodeBelief
+from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief
 from dreamcraft.datafiles import llm_fixture_path
 from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import empty_hypothesis, ground_truth_awm
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import COLLECT_STEPS, ItemDef, RecipeEntry, make_tree
+from support import beliefs_of
 
 
 def certain_config(**kw) -> AgentConfig:
@@ -174,10 +175,11 @@ def test_run_rejects_a_goal_outside_the_tree_before_any_iteration(tree, monkeypa
 def test_dream_degenerate_graph_raises(tree):
     # A node gated behind a parent that is not even in the graph can never be
     # a frontier node; with nothing verified there is nowhere to sample from.
+    # The sampler's check is the one that fires, so it is a ValueError.
     awm = Awm(nodes={"b"}, edges={AwmEdge("ghost", "b", "ingredient", 1)})
     config = AgentConfig()
     state = AgentState.create(tree, awm, config)
-    with pytest.raises(RuntimeError, match="degenerate"):
+    with pytest.raises(AwmError, match="degenerate belief graph: no frontier and nothing verified"):
         dream(state, config)
 
 
@@ -209,13 +211,31 @@ def test_wake_prefix_failure_charges_steps_and_counts_target(tree):
     assert state.counts["log"] == 1
 
 
+def test_a_branch_makes_more_crafts_than_the_retry_cap():
+    # A fence needs twelve sticks, each one craft: with the default retry cap
+    # of 10 every craft is still made in the fence's own branch, so the goal
+    # takes one iteration per item and no fallback.
+    tree = make_tree([
+        ItemDef("log", collectable=True),
+        ItemDef("planks", collectable=False, recipe=(RecipeEntry("log", 1),), craft_yield=4),
+        ItemDef("stick", collectable=False, recipe=(RecipeEntry("planks", 1),)),
+        ItemDef("fence", collectable=False, recipe=(RecipeEntry("stick", 12),)),
+    ])
+    config = certain_config(goal="fence", retry_cap=10)
+    records, state = run_with_state(config, tree, ground_truth_awm(tree))
+    assert "fence" in state.awm.verified
+    assert [r.target for r in records] == ["log", "planks", "stick", "fence"]
+    assert not any(r.fallback for r in records)
+    assert state.total_env_steps == 6 * COLLECT_STEPS  # 1 + 1 + 1 + 3 logs
+
+
 def test_glass_error_corrected_via_fallback(tree):
     # The flagship correction: glass believed collectable and parentless.
     truth = ground_truth_awm(tree)
     awm = Awm(
         truth.nodes,
         {e for e in truth.edges if e.child != "glass"},
-        {**truth.beliefs, "glass": NodeBelief(collectable=True)},
+        {**beliefs_of(truth), "glass": NodeBelief(collectable=True)},
     )
     config = certain_config(c0=4, seed=8, max_iterations=400)
     records, state = run_with_state(config, tree, awm)

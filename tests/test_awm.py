@@ -7,7 +7,7 @@ import pytest
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles, sample_branch
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import Inventory, attempt_collect, attempt_craft
-from support import is_acyclic
+from support import beliefs_of, is_acyclic
 
 
 def truth_frontier(tree, verified):
@@ -127,8 +127,7 @@ def test_expand_with_overstated_quantity_still_feasible(tree, perfect_awm):
     edges = {e for e in perfect_awm.edges
              if not (e.parent == "planks" and e.child == "wooden_pickaxe")}
     edges.add(AwmEdge("planks", "wooden_pickaxe", "ingredient", 4))
-    awm = Awm(nodes=set(perfect_awm.nodes), edges=edges,
-              beliefs={k: v for k, v in perfect_awm.beliefs.items()})
+    awm = Awm(nodes=set(perfect_awm.nodes), edges=edges, beliefs=beliefs_of(perfect_awm))
     ok, inv = simulate_branch(tree, awm.expand_requirements("wooden_pickaxe"))
     assert ok
     assert inv.count("planks") >= 1  # surplus left over
@@ -184,7 +183,7 @@ def test_verify_node_corrects_glass_error(tree):
     awm.verify_node("glass", observed, craft_yield=1)
     assert "glass" in awm.verified
     assert {(e.parent, e.kind, e.quantity) for e in awm.parents_of("glass")} == observed
-    assert awm.beliefs["glass"].collectable is False
+    assert awm.belief("glass").collectable is False
     assert [e for e in awm.parents_of("glass") if e.kind == "workbench"] == [
         AwmEdge("furnace", "glass", "workbench", 1)
     ]
@@ -317,13 +316,13 @@ def test_a_write_drops_the_kept_branches_it_changes():
         edges={AwmEdge("a", "b", "ingredient", 2)},
         beliefs={"c": NodeBelief(collectable=False, craft_yield=2)},
     )
-    assert awm.belief("a") == NodeBelief() and "a" not in awm.beliefs
+    assert awm.belief("a") == NodeBelief()
 
     def expansions(graph):
         return {n: graph.expand_requirements(n) for n in sorted(graph.nodes)}
 
     def rebuilt(graph):
-        return Awm(graph.nodes, graph.edges, graph.beliefs)
+        return Awm(graph.nodes, graph.edges, beliefs_of(graph))
 
     writes = [
         lambda: awm.add_edge(AwmEdge("c", "b", "tool")),
@@ -362,7 +361,7 @@ def test_a_write_outside_a_branch_closure_keeps_the_branch():
     for write in writes:
         write()
         assert awm.expand_requirements("b") is kept
-    assert kept == Awm(awm.nodes, awm.edges, awm.beliefs).expand_requirements("b")
+    assert kept == Awm(awm.nodes, awm.edges, beliefs_of(awm)).expand_requirements("b")
 
     awm.verify_node("a", set())  # a's belief, unknown before, becomes collectable
     assert awm.expand_requirements("b") is not kept
@@ -401,3 +400,10 @@ def test_awm_json_round_trip(tree, perfect_awm):
     assert doc["verified"] == ["log"]
     # Tools and workbenches are edges, so a belief holds only these two keys.
     assert doc["beliefs"]["planks"] == {"collectable": False, "craft_yield": 4}
+
+
+def test_awm_json_lists_the_unknown_belief_of_every_node():
+    # No belief is stored for either node; the export still names both.
+    doc = json.loads(Awm({"a", "b"}).to_json())
+    unknown = {"collectable": None, "craft_yield": 1}
+    assert doc["beliefs"] == {"a": unknown, "b": unknown}

@@ -260,8 +260,10 @@ CYCLIC_TREE = json.dumps(
     [
         (CYCLIC_TREE, "item 'a': dependency cycle involving ['a', 'b']"),
         ("[" * 100_000 + "]" * 100_000, "document nested too deeply"),
+        # `$` alone would let a name end in a newline; the whole name must match.
+        ('{"log\\n": {"collectable": true}}', "item 'log\n': name must match [a-z0-9_]+"),
     ],
-    ids=["cycle", "deep"],
+    ids=["cycle", "deep", "newline-name"],
 )
 def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, message):
     tree = tmp_path / "tree.json"

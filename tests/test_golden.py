@@ -43,6 +43,9 @@ SPECS = {
 }
 
 # Digests of the per-attempt executor, which the batch executor reproduces byte for byte.
+# `score_perturb` moved when the quantity errors became floats: its whole-number
+# means 0 now read `0.000000` in the CSV and `0.0` in the text report, like
+# every other float field.
 GOLDEN = {
     "baseline": "6230d37745fa164141dd393bd43e991a299766c4a16436e757385055d46f638b",
     "open_ended_document": "7ffedc4e4c537c53db08f9dd71eb0de560d03fdfa84f301f3bbe2b40a1cbcbad",
@@ -50,7 +53,7 @@ GOLDEN = {
     "open_ended_truth": "654dbe9da4420b20dbba4f64c267a9d718adc6e62faad5d371cb448dc4f08a12",
     "robustness": "124223a26e7f372c2e8df18d21a64156adf49db76ec5feb536d95be7db959fb9",
     "score_document": "c2a8127c202cfdc7e249b552d3de3949016309dabf37abd50735830f9d82b012",
-    "score_perturb": "d5fe89809647ffd00567193cfeb62702c29ba033faa8a132c89e24acf606ced6",
+    "score_perturb": "d3fd8d6758acaf0e5def74870454cf1150e42cebfea3048d9782574e3a2ddfc0",
     "task": "e3373b0b3fe778e1dc42d6f6cb340db5deb94a76b7e391abd84cfaee537cd94c",
 }
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import statistics
 
 import pytest
@@ -318,6 +319,18 @@ def test_run_experiment_score(tmp_path):
     assert "recipe_exact_acc=100.0" in report
     assert (tmp_path / "accuracy_report.csv").exists()
     assert len(files) == 3
+
+
+@pytest.mark.parametrize("hypothesis", ["truth", "perturb:0.2,0.2"])
+def test_every_float_column_of_the_score_report_has_six_places(tmp_path, hypothesis):
+    # Both hypotheses have whole-number quantity errors (all zero), which
+    # must still be written as floats.
+    run_experiment(spec_for("score", hypothesis=hypothesis), tmp_path)
+    with (tmp_path / "accuracy_report.csv").open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row.pop("n_items") == "16"
+    assert all(re.fullmatch(r"-?\d+\.\d{6}", value) for value in row.values()), row
+    assert "qty_abs_error=0.0\n" in (tmp_path / "accuracy_report.txt").read_text()
 
 
 def test_baseline_point_shape():

@@ -23,7 +23,7 @@ from dreamcraft.hypotheses import (
     score_hypothesis,
 )
 from dreamcraft.tech_tree import ItemDef, RecipeEntry, load_tree, make_tree
-from support import is_acyclic
+from support import beliefs_of, is_acyclic
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def test_score_missing_item_counts_all_wrong():
         )
     )
     truth = ground_truth_awm(tree)
-    awm = Awm(nodes={"sand"}, beliefs=truth.beliefs)
+    awm = Awm(nodes={"sand"}, beliefs=beliefs_of(truth))
     report = score_hypothesis(awm, tree)
     assert report.collectable_vs_craftable_acc == 50.0
     assert report.pct_items_missing_deps == 50.0

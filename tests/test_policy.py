@@ -101,6 +101,21 @@ def test_acquire_yield_shortcut(tree):
     assert out.success and inv.count("planks") == 4  # single craft
 
 
+def test_acquire_crafts_past_the_retry_cap(tree):
+    # Twelve plank crafts from twelve logs: the retry cap bounds collects only.
+    inv = Inventory({"log": 12})
+    out = acquire(PolicyBank(), tree, "planks", "craft", 48, inv, Random(0), retry_cap=10)
+    assert out == (True, 0, 12)
+    assert inv.count("planks") == 48 and inv.count("log") == 0
+
+
+def test_acquire_craft_short_of_ingredients_charges_one_failing_try(tree):
+    inv = Inventory({"log": 2})
+    out = acquire(PolicyBank(), tree, "planks", "craft", 16, inv, Random(0), retry_cap=1)
+    assert out == (False, 0, 3)
+    assert inv.count("planks") == 8 and inv.count("log") == 0
+
+
 def test_acquire_craft_failure_breaks_immediately(tree):
     bank = PolicyBank()
     inv = Inventory()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from dreamcraft import agent
 from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
-from dreamcraft.awm import Awm, AwmEdge, CycleError, NodeBelief, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, AwmError, CycleError, NodeBelief, remove_cycles
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import (
@@ -38,7 +38,7 @@ from dreamcraft.tech_tree import (
     make_tree,
     topological_order,
 )
-from support import is_acyclic, perturb_with_distractor, success_prob
+from support import beliefs_of, is_acyclic, perturb_with_distractor, success_prob
 
 
 @st.composite
@@ -146,10 +146,12 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
     """The per-attempt executor that the batch forms replace, kept as their
     reference: one collect or craft attempt per turn of the loop, with the
     simulator's rules written out for a single attempt. A collect try costs
-    one episode; a craft costs nothing."""
+    one episode and `retry_cap` bounds the collect tries; a craft costs
+    nothing and goes on until the quantity is held or a craft is
+    unaffordable."""
     steps = tries = 0
     d = tree.items.get(item)
-    while inventory.count(item) < quantity and tries < retry_cap:
+    while inventory.count(item) < quantity and (action != "collect" or tries < retry_cap):
         tries += 1
         if action == "collect":
             attempts = bank.attempts.get(item, 0)
@@ -306,9 +308,8 @@ def check_index_against_scans(awm):
                 break
             closure |= more
         assert awm.ancestors(n) == closure
-        b = awm.beliefs.get(n)
-        labelled = b is not None and b.collectable is not None
-        expected = b.collectable if labelled else not any(
+        b = awm.belief(n)
+        expected = b.collectable if b.collectable is not None else not any(
             e.child == n and e.kind == "ingredient" for e in edges
         )
         assert awm.believed_collectable(n) == expected
@@ -387,7 +388,7 @@ def test_remove_cycles_drops_what_restarting_the_search_drops(awm):
 
 
 def _snapshot(awm):
-    beliefs = {n: (b.collectable, b.craft_yield) for n, b in awm.beliefs.items()}
+    beliefs = {n: (b.collectable, b.craft_yield) for n, b in beliefs_of(awm).items()}
     return set(awm.nodes), awm.edges, set(awm.verified), awm.frontier(), beliefs
 
 
@@ -423,8 +424,8 @@ def check_branches_against_a_fresh_copy(awm):
     with its edges replayed write by write."""
     before = _snapshot(awm)
     fresh = awm.copy()
-    rebuilt = Awm(awm.nodes, awm.edges, awm.beliefs)
-    replayed = Awm(awm.nodes, beliefs=awm.beliefs)
+    rebuilt = Awm(awm.nodes, awm.edges, beliefs_of(awm))
+    replayed = Awm(awm.nodes, beliefs=beliefs_of(awm))
     for e in awm.edges:
         replayed.add_edge(e)
     assert _snapshot(rebuilt) == _snapshot(replayed)
@@ -527,7 +528,7 @@ def reference_dream(state, config):
     eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
     pool = eligible or frontier | awm.verified
     if not pool:
-        raise RuntimeError("degenerate belief graph: no frontier and nothing verified")
+        raise AwmError("degenerate belief graph: no frontier and nothing verified")
     ordered = sorted(pool)
     target = ordered[state.rng.randrange(len(ordered))]
     return DreamSample(awm.copy().expand_requirements(target), not eligible)

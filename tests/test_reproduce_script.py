@@ -1,9 +1,14 @@
+import csv
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_results.py"
+from dreamcraft.datafiles import pickaxe16_path
+from dreamcraft.harness import ExperimentSpec, run_experiment
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "reproduce_results.py"
 TABLES = ("open-ended exploration", "goal task", "robustness grid", "random-explorer baseline")
 
 
@@ -28,10 +33,15 @@ def test_reproduce_script_rejects_too_few_seeds(tmp_path):
     assert not out.exists()
 
 
-def test_a_run_stopped_at_the_cap_is_not_counted_as_full_verification(tmp_path):
-    spec = importlib.util.spec_from_file_location("reproduce_results", SCRIPT)
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_a_run_stopped_at_the_cap_is_not_counted_as_full_verification(tmp_path):
+    script = load_script(SCRIPT)
     summary = tmp_path / "summary.csv"
     summary.write_text(
         "seed,iterations,final_verified,final_steps\n0,20,16,5000\n1,900,12,90000\n2,30,16,7000\n", encoding="utf-8"
@@ -40,3 +50,17 @@ def test_a_run_stopped_at_the_cap_is_not_counted_as_full_verification(tmp_path):
         "  guided    mean iterations to full verification:     25.0 (2 of 3 runs);"
         " stopped at the 900-iteration cap: 1 (verified 12 of 16)"
     )
+
+
+def test_plot_curves_reads_only_the_curves_the_manifest_lists(tmp_path):
+    # A three-seed run and then a one-seed run into the same directory: the
+    # stale curves of seeds 1 and 2 stay on disk but are not plotted.
+    plot = load_script(SCRIPTS / "plot_curves.py")
+    for seeds in ((0, 1, 2), (0,)):
+        spec = ExperimentSpec(experiment="open_ended", tree_path=str(pickaxe16_path()), seeds=seeds, max_iterations=5)
+        run_experiment(spec, tmp_path)
+    assert len(list(tmp_path.glob("curves_seed*.csv"))) == 3
+    with (tmp_path / "curves_seed0.csv").open(newline="") as fh:
+        expected = [int(row["verified"]) for row in csv.DictReader(fh)]
+    assert plot.load_curves(tmp_path) == [expected]
+    assert plot.load_curves(tmp_path / "missing") == []

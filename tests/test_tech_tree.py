@@ -42,6 +42,13 @@ def test_a_tree_with_no_items_is_rejected():
         make_tree([])
 
 
+@pytest.mark.parametrize("name", ["log\n", "\nlog", "Log", "log planks", ""])
+def test_a_name_must_match_the_whole_rule(name):
+    # A final newline would satisfy `$` in a search; the whole name must match.
+    with pytest.raises(TreeValidationError, match="name must match"):
+        load_tree(json.dumps({name: {"collectable": True}}))
+
+
 def test_dangling_reference_rejected():
     doc = {
         "glass": {"collectable": False, "recipe": [{"item": "obsidian", "quantity": 1}]},
