@@ -117,7 +117,7 @@ def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     craft-only items eventually get discovered and corrected.
     """
     awm = state.awm
-    for item in sorted(awm.unverified()):
+    for item in sorted(awm.nodes - awm.verified):
         visit(state, config, item)
         for action in (COLLECT, CRAFT) if awm.believed_collectable(item) else (CRAFT,):
             out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)
@@ -142,9 +142,9 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     awm = state.awm
     inventory = state.inventory
     steps_before = state.total_env_steps
-    target = branch.target
+    target = branch[-1].item
     newly: str | None = None
-    for item, action, repetitions in branch.steps:
+    for item, action, repetitions in branch:
         planned = repetitions * awm.belief(item).craft_yield if action == CRAFT else repetitions
         wanted = inventory.count(item) + planned
         out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
@@ -185,7 +185,7 @@ def run_with_state(
     if missing:
         raise ValueError(f"belief graph is missing tree items: {sorted(missing)}")
     if config.goal is not None and config.goal not in tree.items:
-        raise ValueError(f"goal '{config.goal}' is not a tree item")
+        raise ValueError(f"goal {config.goal!r} is not a tree item")
     state = AgentState.create(tree, initial_awm.copy(), config)
     # Open-ended runs end when every item the world contains is verified;
     # hypothesis-only fictional nodes can never be. Every tree item is a node

@@ -25,10 +25,6 @@ class AwmError(ValueError):
     pass
 
 
-class CycleError(AwmError):
-    pass
-
-
 # A NamedTuple class may not define __new__, so AwmEdge's checks live in a subclass.
 class _EdgeFields(NamedTuple):
     parent: str
@@ -82,15 +78,8 @@ class BranchStep(NamedTuple):
     repetitions: int
 
 
-@dataclass(frozen=True)
-class Branch:
-    """Ordered, quantity-expanded subgoal sequence; its last step is the target."""
-
-    steps: tuple[BranchStep, ...]
-
-    @property
-    def target(self) -> str:
-        return self.steps[-1].item
+# An ordered, quantity-expanded subgoal sequence; its last step is the target.
+Branch = tuple[BranchStep, ...]
 
 
 class Awm:
@@ -176,7 +165,7 @@ class Awm:
 
     def _drop_branches_through(self, node: str) -> None:
         for target in self._readers.pop(node, ()):
-            for step in self._branches.pop(target).steps:
+            for step in self._branches.pop(target):
                 if step.item != node:
                     self._readers[step.item].discard(target)
 
@@ -206,9 +195,6 @@ class Awm:
         if b is not None and b.collectable is not None:
             return b.collectable
         return not any(e.kind == INGREDIENT for e in self._incoming.get(item, ()))
-
-    def unverified(self) -> set[str]:
-        return self._nodes.keys() - self._verified.keys()
 
     def copy(self) -> "Awm":
         """An independent graph: the index is cloned, not rebuilt."""
@@ -271,7 +257,7 @@ class Awm:
         closure = self.ancestors(target) | {target}  # holds every parent of its nodes
         order = topological_order(closure, ((e.parent, n) for n in closure for e in self._incoming.get(n, ())))
         if len(order) != len(closure):
-            raise CycleError(f"cycle among {sorted(closure - set(order))}")
+            raise AwmError(f"cycle among {sorted(closure - set(order))}")
 
         consumed: dict[str, int] = {n: 0 for n in closure}
         tool_use: dict[str, bool] = {n: False for n in closure}
@@ -291,7 +277,7 @@ class Awm:
                 else:
                     tool_use[e.parent] = True
 
-        branch = self._branches[target] = Branch(tuple(steps[n] for n in order))
+        branch = self._branches[target] = tuple(steps[n] for n in order)
         for node in order:
             self._readers.setdefault(node, set()).add(target)
         return branch

@@ -97,7 +97,7 @@ def _cmd_parse(args) -> int:
 
     result = parse_recipe_dict(text)
     for skip in result.skipped:
-        print(f"skipped entry '{skip.key}' (line {skip.line}): {skip.reason}", file=sys.stderr)
+        print(f"skipped entry {skip.key!r} (line {skip.line}): {skip.reason}", file=sys.stderr)
     entries = normalize_aliases(result.entries)
     awm = build_hypothesized_awm(entries, set(tree.items))
     payload = awm.to_json()

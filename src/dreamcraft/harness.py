@@ -18,8 +18,8 @@ from . import __version__
 from .agent import AgentConfig, IterationRecord, run_with_state
 from .awm import Awm
 from .hypotheses import (
-    ErrorSpec,
     build_hypothesized_awm,
+    check_rate,
     empty_hypothesis,
     ground_truth_awm,
     normalize_aliases,
@@ -63,13 +63,13 @@ class ExperimentSpec:
                 raise ValueError("robustness needs a rate grid")
             if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
-        # Every rate is held to `ErrorSpec`'s rule here, before any cell runs.
+        # Every rate is held to `check_rate` here, before any cell runs.
         # A grid cell's row is labelled with its rates at `g` precision, so two
         # distinct rates must not print alike; a rate listed twice runs once.
         for name, rates in (("insert", self.insert_rates), ("delete", self.delete_rates)):
             labels: dict[str, float] = {}
             for rate in rates:
-                ErrorSpec.check_rate(rate)
+                check_rate(rate)
                 label = f"{rate:g}"
                 if label in labels and labels[label] != rate:
                     raise ValueError(f"{name} rates {labels[label]!r} and {rate!r} share the label {label}")
@@ -82,9 +82,6 @@ class ExperimentSpec:
         # no manifest records a spec that one of them would reject.
         _agent_config(self, self.goal, self.seeds[0])
 
-    def learner(self) -> LearnerConfig:
-        return LearnerConfig(p0=self.p0, p_max=self.p_max, tau=self.tau)
-
 
 class CurvePoint(NamedTuple):
     iteration: int
@@ -94,11 +91,10 @@ class CurvePoint(NamedTuple):
     steps: int
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     hypothesis: str
     seed: int
-    success: bool
+    success: int  # 1 when the goal was verified, else 0
     env_steps_to_goal: int
     iterations: int
     policies_created: int
@@ -123,10 +119,9 @@ def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
     if kind == "perturb":
         try:
             insert_s, delete_s = arg.split(",")
-            spec = ErrorSpec(float(insert_s), float(delete_s), seed=seed)
+            return perturb_ground_truth(tree, float(insert_s), float(delete_s), seed)
         except ValueError as exc:
             raise ValueError(f"bad perturb rates {arg!r}") from exc
-        return perturb_ground_truth(tree, spec)
     if kind == "file":
         text = Path(arg).read_text(encoding="utf-8")
         parsed = parse_recipe_dict(text)
@@ -140,7 +135,7 @@ def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentCon
         goal=goal,
         c0=spec.c0,
         max_iterations=spec.max_iterations,
-        learner=spec.learner(),
+        learner=LearnerConfig(p0=spec.p0, p_max=spec.p_max, tau=spec.tau),
         retry_cap=spec.retry_cap,
         seed=seed,
     )
@@ -180,7 +175,7 @@ def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, 
                 TaskResult(
                     hypothesis=label,
                     seed=seed,
-                    success=goal in state.awm.verified,
+                    success=int(goal in state.awm.verified),
                     env_steps_to_goal=state.total_env_steps,
                     iterations=len(records),
                     policies_created=len(state.bank.attempts),
@@ -289,15 +284,7 @@ def _steps_stats(group: list[TaskResult]) -> tuple:
 
 
 def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Path) -> list[Path]:
-    rows = [
-        (r.hypothesis, r.seed, int(r.success), r.env_steps_to_goal, r.iterations, r.policies_created)
-        for r in results
-    ]
-    results_path = _write_csv(
-        out / f"{spec.experiment}_results.csv",
-        ["hypothesis", "seed", "success", "env_steps_to_goal", "iterations", "policies_created"],
-        rows,
-    )
+    results_path = _write_csv(out / f"{spec.experiment}_results.csv", TaskResult._fields, results)
 
     groups: dict[str, list[TaskResult]] = {}
     for r in results:
@@ -312,7 +299,7 @@ def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Pa
             (
                 label,
                 len(group),
-                statistics.mean(1.0 if r.success else 0.0 for r in group),
+                statistics.mean(float(r.success) for r in group),
                 mean,
                 stdev,
                 lo,

@@ -40,12 +40,7 @@ class ParsedEntry:
     requires_crafting_table: bool = False
     requires_furnace: bool = False
     required_tool: str | None = None
-    recipe: tuple[tuple[str, int], ...] = ()
-
-    @property
-    def collectable(self) -> bool:
-        # A recipe of length zero marks a collectable item.
-        return not self.recipe
+    recipe: tuple[tuple[str, int], ...] = ()  # empty for a collectable item
 
 
 @dataclass(frozen=True)
@@ -426,7 +421,7 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
             add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
-        beliefs[e.item] = NodeBelief(collectable=e.collectable)
+        beliefs[e.item] = NodeBelief(collectable=not e.recipe)
     awm = Awm(nodes, edges, beliefs)
     remove_cycles(awm)
     return awm
@@ -454,38 +449,27 @@ def ground_truth_awm(tree: TechTree) -> Awm:
     )
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
-    """Controlled corruption of a ground-truth belief graph."""
-
-    insert_rate: float
-    delete_rate: float
-    seed: int = 0
-
-    def __post_init__(self):
-        self.check_rate(self.insert_rate)
-        self.check_rate(self.delete_rate)
-
-    @staticmethod
-    def check_rate(rate: float) -> None:
-        """The rule for an insert or a delete rate; NaN fails it."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate {rate!r} does not lie in [0, 1]")
+def check_rate(rate: float) -> None:
+    """The rule for an insert or a delete rate; NaN fails it."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate {rate!r} does not lie in [0, 1]")
 
 
-def perturb_ground_truth(tree: TechTree, spec: ErrorSpec) -> Awm:
+def perturb_ground_truth(tree: TechTree, insert_rate: float, delete_rate: float, seed: int = 0) -> Awm:
     """Inject edge errors into the exact graph: per item, with insert_rate add
     an ingredient edge from the distractor, the tree's first parentless item
     by name, and with delete_rate drop one uniformly chosen incoming edge.
-    Deterministic under the spec seed. No edge enters the distractor, so no
-    inserted edge can close a cycle."""
+    Both rates are checked first. Deterministic under the seed. No edge enters
+    the distractor, so no inserted edge can close a cycle."""
+    check_rate(insert_rate)
+    check_rate(delete_rate)
     distractor = min(i for i in tree.items if not tree.ground_truth_parents(i))
     awm = ground_truth_awm(tree)
-    rng = Random(spec.seed)
+    rng = Random(seed)
     for item in sorted(awm.nodes):
-        if item != distractor and rng.random() < spec.insert_rate:
+        if item != distractor and rng.random() < insert_rate:
             awm.add_edge(AwmEdge(distractor, item, INGREDIENT, 1))
-        if rng.random() < spec.delete_rate:
+        if rng.random() < delete_rate:
             incoming = awm.parents_of(item)
             if incoming:
                 awm.discard_edge(incoming[rng.randrange(len(incoming))])

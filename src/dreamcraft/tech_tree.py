@@ -58,7 +58,7 @@ class TreeParseError(TreeError):
 
 class TreeValidationError(TreeError):
     def __init__(self, item: str, message: str):
-        super().__init__(f"item '{item}': {message}")
+        super().__init__(f"item {item!r}: {message}")
         self.item = item
 
 
@@ -178,14 +178,14 @@ def _validate(items: dict[str, ItemDef]) -> TechTree:
         seen = set()
         for e in d.recipe:
             if e.quantity < 1:
-                raise TreeValidationError(name, f"non-positive quantity for {e.item}")
+                raise TreeValidationError(name, f"non-positive quantity for {e.item!r}")
             if e.item in seen:
-                raise TreeValidationError(name, f"duplicate recipe entry {e.item}")
+                raise TreeValidationError(name, f"duplicate recipe entry {e.item!r}")
             seen.add(e.item)
             if e.item not in items:
-                raise TreeValidationError(name, f"recipe references unknown item '{e.item}'")
+                raise TreeValidationError(name, f"recipe references unknown item {e.item!r}")
         if d.required_tool is not None and d.required_tool not in items:
-            raise TreeValidationError(name, f"required_tool references unknown item '{d.required_tool}'")
+            raise TreeValidationError(name, f"required_tool references unknown item {d.required_tool!r}")
         if d.requires_crafting_table and CRAFTING_TABLE not in items:
             raise TreeValidationError(name, "requires_crafting_table but no crafting_table item")
         if d.requires_furnace and FURNACE not in items:
@@ -252,7 +252,7 @@ def load_tree(text: str) -> TechTree:
     items: dict[str, ItemDef] = {}
     for name, body in raw.items():
         if not isinstance(body, dict):
-            raise TreeParseError(f"definition of '{name}' must be a map")
+            raise TreeParseError(f"definition of {name!r} must be a map")
         try:
             entries = _field(body, "recipe", list, [])
             if not all(type(entry) is dict for entry in entries):
@@ -272,7 +272,7 @@ def load_tree(text: str) -> TechTree:
                 craft_yield=_field(body, "yield", int, 1),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise TreeParseError(f"malformed definition for '{name}': {exc}") from exc
+            raise TreeParseError(f"malformed definition for {name!r}: {exc}") from exc
     return _validate(items)
 
 

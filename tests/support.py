@@ -5,7 +5,7 @@ from random import Random
 import networkx as nx
 
 from dreamcraft.awm import AwmEdge, remove_cycles
-from dreamcraft.hypotheses import ErrorSpec, ground_truth_awm
+from dreamcraft.hypotheses import ground_truth_awm
 
 
 def success_prob(learner, attempts: int) -> float:
@@ -25,17 +25,17 @@ def is_acyclic(awm) -> bool:
     return nx.is_directed_acyclic_graph(nx.DiGraph((e.parent, e.child) for e in awm.edges))
 
 
-def perturb_with_distractor(tree, spec: ErrorSpec, distractor: str):
+def perturb_with_distractor(tree, insert_rate, delete_rate, seed, distractor: str):
     """`perturb_ground_truth` with the inserted edges drawn from `distractor`,
     then `remove_cycles`, as a recipe document's graph gets. A distractor with
     parents can close cycles, so a run starts from a graph whose cycles were
     broken; with the library's distractor nothing is removed."""
     awm = ground_truth_awm(tree)
-    rng = Random(spec.seed)
+    rng = Random(seed)
     for item in sorted(awm.nodes):
-        if item != distractor and rng.random() < spec.insert_rate:
+        if item != distractor and rng.random() < insert_rate:
             awm.add_edge(AwmEdge(distractor, item, "ingredient", 1))
-        if rng.random() < spec.delete_rate:
+        if rng.random() < delete_rate:
             incoming = awm.parents_of(item)
             if incoming:
                 awm.discard_edge(incoming[rng.randrange(len(incoming))])

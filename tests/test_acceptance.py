@@ -16,7 +16,6 @@ from dreamcraft.awm import AwmEdge
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import ExperimentSpec, run_experiment, run_robustness, run_task
 from dreamcraft.hypotheses import (
-    ErrorSpec,
     ParsedEntry,
     build_hypothesized_awm,
     empty_hypothesis,
@@ -216,7 +215,7 @@ def random_worlds(draw):
 )
 def _verification_soundness_case(tree, insert_rate, delete_rate, seed):
     # The first name may have parents, so its edges can close cycles.
-    awm = perturb_with_distractor(tree, ErrorSpec(insert_rate, delete_rate, seed=seed), tree.names()[0])
+    awm = perturb_with_distractor(tree, insert_rate, delete_rate, seed, tree.names()[0])
     config = AgentConfig(
         c0=3,
         max_iterations=25,

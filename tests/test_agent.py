@@ -134,7 +134,7 @@ def test_dream_prunes_to_goal_path(tree):
     config = certain_config(goal="stone_pickaxe", seed=0, max_iterations=10)
     state = AgentState.create(tree, awm, config)
     sampled = dream(state, config)
-    assert sampled.branch.target == "log"
+    assert sampled.branch[-1].item == "log"
     assert not sampled.fallback
 
 
@@ -149,17 +149,17 @@ def test_dream_fallback_after_c0(tree):
     assert state.exhausted == {"log"}
     sampled = dream(state, config)
     assert sampled.fallback
-    assert sampled.branch.target in awm.frontier() | awm.verified
+    assert sampled.branch[-1].item in awm.frontier() | awm.verified
 
 
 def test_dream_on_a_fully_verified_graph_samples_a_verified_fallback(tree):
     awm = ground_truth_awm(tree)
-    for item in awm.unverified():
+    for item in awm.nodes - awm.verified:
         awm.verify_node(item, tree.ground_truth_parents(item))
     config = AgentConfig()
     sampled = dream(AgentState.create(tree, awm, config), config)
     assert sampled.fallback
-    assert sampled.branch.target in awm.verified
+    assert sampled.branch[-1].item in awm.verified
 
 
 def test_run_rejects_a_goal_outside_the_tree_before_any_iteration(tree, monkeypatch):

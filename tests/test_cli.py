@@ -261,7 +261,7 @@ CYCLIC_TREE = json.dumps(
         (CYCLIC_TREE, "item 'a': dependency cycle involving ['a', 'b']"),
         ("[" * 100_000 + "]" * 100_000, "document nested too deeply"),
         # `$` alone would let a name end in a newline; the whole name must match.
-        ('{"log\\n": {"collectable": true}}', "item 'log\n': name must match [a-z0-9_]+"),
+        ('{"log\\n": {"collectable": true}}', "item 'log\\n': name must match [a-z0-9_]+"),
     ],
     ids=["cycle", "deep", "newline-name"],
 )
@@ -270,6 +270,61 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
     tree.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["explore", "--tree", str(tree), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# A name is quoted with its escapes, so a newline in it keeps the error on
+# one line. The newline-named tree key is the newline-name case above.
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (
+            ["explore"],
+            {"x": {"collectable": False, "recipe": [{"item": "a\nb", "quantity": 1}]}},
+            "item 'x': recipe references unknown item 'a\\nb'",
+        ),
+        (
+            ["explore"],
+            {"x": {"collectable": False, "recipe": [{"item": "a\nb", "quantity": 0}]}},
+            "item 'x': non-positive quantity for 'a\\nb'",
+        ),
+        (
+            ["explore"],
+            # Defined after x, so x's recipe is checked before the name a\nb is.
+            {
+                "x": {"collectable": False, "recipe": [{"item": "a\nb", "quantity": 1}] * 2},
+                "a\nb": {"collectable": True},
+            },
+            "item 'x': duplicate recipe entry 'a\\nb'",
+        ),
+        (
+            ["explore"],
+            {"x": {"collectable": True, "required_tool": "a\nb"}},
+            "item 'x': required_tool references unknown item 'a\\nb'",
+        ),
+        (["explore"], {"a\nb": 1}, "definition of 'a\\nb' must be a map"),
+        (
+            ["explore"],
+            {"a\nb": {"collectable": "yes"}},
+            "malformed definition for 'a\\nb': collectable must be a boolean, not 'yes'",
+        ),
+        (["task", "a\nb"], None, "goal 'a\\nb' is not a tree item"),
+        (["score", "--hypothesis", "perturb:1.5,0"], None, "bad perturb rates '1.5,0'"),
+    ],
+    ids=[
+        "recipe-item", "quantity", "duplicate", "required-tool", "non-map", "malformed",
+        "goal", "perturb-rate",
+    ],
+)
+def test_bad_input_is_exit_2_with_one_line_of_stderr(tmp_path, capsys, argv, doc, message):
+    tree = tmp_path / "tree.json"
+    if doc is None:
+        shutil.copyfile(pickaxe16_path(), tree)
+    else:
+        tree.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--tree", str(tree), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -317,6 +372,13 @@ def test_parse_deep_nesting_is_reported_as_skipped(tmp_path, capsys):
     assert rc == 0
     assert "skipped entry 'a' (line 2): entry nested too deeply" in capsys.readouterr().err
     assert "log" in json.loads((tmp_path / "awm.json").read_text())["nodes"]
+
+
+def test_parse_reports_a_skipped_key_with_a_newline_on_one_line(tmp_path, capsys):
+    document = tmp_path / "newline.txt"
+    document.write_text('{"log": {"recipe": []},\n "a\\\nb": 5}\n', encoding="utf-8")
+    assert main(["parse", str(document), "--out", str(tmp_path / "awm.json")]) == 0
+    assert capsys.readouterr().err == "skipped entry 'a\\nb' (line 2): entry body is not a map\n"
 
 
 def test_parse_syntax_error_is_exit_2_with_position(tmp_path, capsys):

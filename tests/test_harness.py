@@ -112,6 +112,12 @@ def test_build_hypothesis_sources(tree, tmp_path):
         build_hypothesis(tree, "perturb:nope", seed=0)
 
 
+@pytest.mark.parametrize("source", ["perturb:1.5,0", "perturb:x"])
+def test_build_hypothesis_reports_bad_perturb_rates(tree, source):
+    with pytest.raises(ValueError, match=f"^bad perturb rates '{source[len('perturb:'):]}'$"):
+        build_hypothesis(tree, source, 0)
+
+
 def test_open_ended_single_iteration_cap():
     spec = spec_for("open_ended", seeds=(0, 1), max_iterations=1)
     curves = run_open_ended(spec, load_tree_file(spec.tree_path))

@@ -12,7 +12,6 @@ from dreamcraft.harness import ExperimentSpec, build_hypothesis, run_experiment
 from dreamcraft.hypotheses import (
     AccuracyReport,
     DocumentSyntaxError,
-    ErrorSpec,
     ParsedEntry,
     build_hypothesized_awm,
     empty_hypothesis,
@@ -36,7 +35,7 @@ def test_parse_fixture_document(llm_document):
     by_name = {e.item: e for e in result.entries}
 
     diamond = by_name["diamond"]
-    assert diamond.collectable and diamond.required_tool == "iron_pickaxe"
+    assert not diamond.recipe and diamond.required_tool == "iron_pickaxe"
 
     pickaxe = by_name["diamond_pickaxe"]
     assert pickaxe.requires_crafting_table
@@ -77,7 +76,7 @@ def test_parse_tolerates_trailing_commas_and_comments():
     """
     result = parse_recipe_dict(text)
     assert [e.item for e in result.entries] == ["log"]
-    assert result.entries[0].collectable
+    assert result.entries[0].recipe == ()
 
 
 def test_parse_truncated_document_keeps_prior_entries():
@@ -307,13 +306,13 @@ def test_empty_hypothesis(tree):
 
 def test_perturb_zero_rates_is_identity(tree):
     truth = ground_truth_awm(tree)
-    perturbed = perturb_ground_truth(tree, ErrorSpec(0.0, 0.0, seed=9))
+    perturbed = perturb_ground_truth(tree, 0.0, 0.0, seed=9)
     assert perturbed.edges == truth.edges
     assert perturbed.nodes == truth.nodes
 
 
 def test_perturb_full_insert_draws_every_edge_from_the_first_parentless_item(tree):
-    perturbed = perturb_ground_truth(tree, ErrorSpec(1.0, 0.0, seed=3))
+    perturbed = perturb_ground_truth(tree, 1.0, 0.0, seed=3)
     truth = ground_truth_awm(tree)
     assert perturbed.edges - truth.edges == {
         AwmEdge("dirt", item, "ingredient", 1) for item in tree.items if item != "dirt"
@@ -328,13 +327,12 @@ def test_perturb_full_insert_draws_every_edge_from_the_first_parentless_item(tre
             ItemDef("crafting_table", collectable=False, recipe=(RecipeEntry("planks", 4),)),
         ]
     )
-    perturbed = perturb_ground_truth(small, ErrorSpec(1.0, 0.0, seed=3))
+    perturbed = perturb_ground_truth(small, 1.0, 0.0, seed=3)
     assert perturbed.edges - ground_truth_awm(small).edges == {AwmEdge("log", "crafting_table", "ingredient", 1)}
 
 
 def test_perturb_deterministic(tree):
-    spec = ErrorSpec(0.3, 0.4, seed=11)
-    assert perturb_ground_truth(tree, spec).edges == perturb_ground_truth(tree, spec).edges
+    assert perturb_ground_truth(tree, 0.3, 0.4, seed=11).edges == perturb_ground_truth(tree, 0.3, 0.4, seed=11).edges
 
 
 def test_perturb_insert_count_grows_with_rate(tree):
@@ -343,7 +341,7 @@ def test_perturb_insert_count_grows_with_rate(tree):
     def mean_inserted(rate):
         counts = []
         for seed in range(40):
-            p = perturb_ground_truth(tree, ErrorSpec(rate, 0.0, seed=seed))
+            p = perturb_ground_truth(tree, rate, 0.0, seed=seed)
             counts.append(len(p.edges - truth_edges))
         return statistics.mean(counts)
 
@@ -354,7 +352,7 @@ def test_perturb_insert_count_grows_with_rate(tree):
 
 def test_perturb_keeps_graph_acyclic(tree):
     for seed in range(10):
-        assert is_acyclic(perturb_ground_truth(tree, ErrorSpec(0.5, 0.5, seed=seed)))
+        assert is_acyclic(perturb_ground_truth(tree, 0.5, 0.5, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +451,7 @@ def test_score_report_serialization(tmp_path):
     assert row.split(",")[3] == "100.000000" and row.split(",")[-1] == "16"
 
 
-def test_error_spec_validation():
-    with pytest.raises(ValueError):
-        ErrorSpec(1.5, 0.0)
-    with pytest.raises(ValueError):
-        ErrorSpec(0.0, -0.1)
-    with pytest.raises(ValueError, match="does not lie in"):
-        ErrorSpec(float("nan"), 0.0)
+def test_perturb_rejects_a_rate_outside_the_unit_interval(tree):
+    for rates in [(1.5, 0.0), (0.0, -0.1), (float("nan"), 0.0)]:
+        with pytest.raises(ValueError, match=r"^rate .* does not lie in \[0, 1\]$"):
+            perturb_ground_truth(tree, *rates)

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 
 from dreamcraft import agent
 from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
-from dreamcraft.awm import Awm, AwmEdge, AwmError, CycleError, NodeBelief, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import (
     DocumentSyntaxError,
-    ErrorSpec,
     ParsedEntry,
     ParseResult,
     empty_hypothesis,
@@ -213,20 +212,27 @@ def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_c
 @given(tech_trees(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_batch_forms_match_the_per_attempt_loop(tree, data):
-    # Unknown items, craft-only collects and collectable crafts are drawn too.
+    # Unknown items, craft-only collects and collectable crafts are drawn too;
+    # half the draws pick a craftable item.
     names = tree.names() + ["unobtainium"]
     start = data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 5)))
-    item = data.draw(st.sampled_from(names))
+    item = data.draw(st.sampled_from(names) | st.sampled_from(tree.craftables() or names))
     action = data.draw(st.sampled_from(["collect", "craft"]))
+    retry_cap = data.draw(st.integers(1, 12))
+    # Stock and demand reach up to three crafts or collects past the retry
+    # cap, and often the most, so that a cap on crafts would show.
+    most = retry_cap + 3
     d = tree.items.get(item)
-    if d is not None and d.recipe and data.draw(st.booleans()):
-        # Stock the recipe for 0-3 crafts plus a remainder, and the workbenches
-        # that are not ingredients maybe, so that the gates and k matter.
+    if d is not None and d.recipe:
+        # Stock the recipe for 0 to `most` crafts plus a remainder, and the
+        # workbenches that are not ingredients maybe, so that the gates and k matter.
         for e in d.recipe:
-            start[e.item] = e.quantity * data.draw(st.integers(0, 3)) + data.draw(st.integers(0, e.quantity - 1))
+            crafts = data.draw(st.just(most) | st.integers(0, most))
+            start[e.item] = e.quantity * crafts + data.draw(st.integers(0, e.quantity - 1))
         for bench, gated in ((CRAFTING_TABLE, d.requires_crafting_table), (FURNACE, d.requires_furnace)):
             if gated and bench not in {e.item for e in d.recipe}:
                 start[bench] = data.draw(st.integers(0, 1))
+    largest = start.get(item, 0) + most * (d.craft_yield if d is not None else 1)
     p0 = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
     p_max = data.draw(st.just(p0) | st.floats(p0, 1))
     check_batch_against_per_attempt(
@@ -234,8 +240,8 @@ def test_batch_forms_match_the_per_attempt_loop(tree, data):
         start,
         item,
         action,
-        quantity=data.draw(st.integers(1, start.get(item, 0) + 8)),
-        retry_cap=data.draw(st.integers(1, 12)),
+        quantity=data.draw(st.just(largest) | st.integers(1, largest)),
+        retry_cap=retry_cap,
         learner=LearnerConfig(p0=p0, p_max=p_max, tau=data.draw(st.floats(0.1, 10))),
         attempts=data.draw(st.dictionaries(st.sampled_from(names), st.integers(0, 20), max_size=3)),
         seed=data.draw(st.integers(0, 2**16)),
@@ -400,8 +406,8 @@ def _random_write(awm, names, data):
         awm.add_edge(AwmEdge(a, b, data.draw(kinds), data.draw(st.integers(1, 3))))
     elif op == "discard_edge" and awm.edges:
         awm.discard_edge(data.draw(st.sampled_from(sorted(awm.edges))))
-    elif op == "verify_node" and awm.unverified():
-        item = data.draw(st.sampled_from(sorted(awm.unverified())))
+    elif op == "verify_node" and awm.nodes - awm.verified:
+        item = data.draw(st.sampled_from(sorted(awm.nodes - awm.verified)))
         parents = data.draw(
             st.lists(st.sampled_from([n for n in names if n != item]), max_size=3, unique=True)
         )
@@ -412,7 +418,7 @@ def _random_write(awm, names, data):
 def _expansion(awm, node):
     try:
         return awm.expand_requirements(node)
-    except CycleError as exc:
+    except AwmError as exc:
         return str(exc)
 
 
@@ -476,7 +482,7 @@ def test_expand_requirements_feasible(tree, data):
     branch = awm.expand_requirements(target)
     inv = Inventory()
     rng = Random(0)
-    for step in branch.steps:
+    for step in branch:
         for _ in range(step.repetitions):
             if step.action == "collect":
                 assert attempt_collect(tree, step.item, inv, LearnerConfig(1.0, 1.0), rng).success
@@ -489,7 +495,7 @@ def test_expand_requirements_feasible(tree, data):
 @settings(max_examples=150, deadline=None)
 def test_run_soundness_under_errors(tree, insert_rate, delete_rate, seed):
     # The first name may have parents, so its edges can close cycles.
-    awm = perturb_with_distractor(tree, ErrorSpec(insert_rate, delete_rate, seed=seed), tree.names()[0])
+    awm = perturb_with_distractor(tree, insert_rate, delete_rate, seed, tree.names()[0])
     config = AgentConfig(
         c0=3,
         max_iterations=25,
@@ -553,7 +559,7 @@ def test_run_matches_the_reference_dream_on_random_worlds(tree, source, data):
         awm = empty_hypothesis(set(tree.items))
     else:
         rates = data.draw(st.tuples(st.floats(0, 0.5), st.floats(0, 0.5)))
-        awm = perturb_with_distractor(tree, ErrorSpec(*rates, seed=seed), tree.names()[0])
+        awm = perturb_with_distractor(tree, *rates, seed, tree.names()[0])
     config = AgentConfig(
         goal=data.draw(st.none() | st.sampled_from(tree.names())),
         c0=data.draw(st.integers(1, 3)),
@@ -590,7 +596,7 @@ def test_learning_curve_monotone_and_bounded(p0, span, tau, far):
 @settings(max_examples=60, deadline=None)
 def test_perturb_identity_at_zero_rates(tree, seed):
     truth = ground_truth_awm(tree)
-    perturbed = perturb_ground_truth(tree, ErrorSpec(0.0, 0.0, seed=seed))
+    perturbed = perturb_ground_truth(tree, 0.0, 0.0, seed)
     assert perturbed.edges == truth.edges
 
 
@@ -599,13 +605,12 @@ def test_perturb_identity_at_zero_rates(tree, seed):
 def test_perturb_stays_acyclic_with_every_insert_from_the_first_parentless_item(
     tree, insert_rate, delete_rate, seed
 ):
-    spec = ErrorSpec(insert_rate, delete_rate, seed=seed)
-    perturbed = perturb_ground_truth(tree, spec)
+    perturbed = perturb_ground_truth(tree, insert_rate, delete_rate, seed)
     assert is_acyclic(perturbed)
     first_root = min(i for i in tree.items if not tree.ground_truth_parents(i))
     assert {e.parent for e in perturbed.edges - ground_truth_awm(tree).edges} <= {first_root}
     # With that distractor no edge closes a cycle, so none is removed.
-    assert perturbed.edges == perturb_with_distractor(tree, spec, first_root).edges
+    assert perturbed.edges == perturb_with_distractor(tree, insert_rate, delete_rate, seed, first_root).edges
 
 
 parsed_entries = st.builds(
