@@ -140,14 +140,11 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
         state.inventory.clear()
 
     awm = state.awm
-    inventory = state.inventory
     steps_before = state.total_env_steps
     target = branch[-1].item
     newly: str | None = None
-    for item, action, repetitions in branch:
-        planned = repetitions * awm.belief(item).craft_yield if action == CRAFT else repetitions
-        wanted = inventory.count(item) + planned
-        out = acquire(state.bank, state.tree, item, action, wanted, inventory, state.rng, config.retry_cap)
+    for item, action, quantity in branch:
+        out = acquire(state.bank, state.tree, item, action, quantity, state.inventory, state.rng, config.retry_cap)
         visit(state, config, item)
         state.total_env_steps += out.steps
         if not out.success:

@@ -75,7 +75,7 @@ _UNKNOWN_BELIEF = NodeBelief()
 class BranchStep(NamedTuple):
     item: str
     action: str  # tech_tree.COLLECT or CRAFT
-    repetitions: int
+    quantity: int  # the units of the item the step adds
 
 
 # An ordered, quantity-expanded subgoal sequence; its last step is the target.
@@ -244,10 +244,11 @@ class Awm:
 
     def expand_requirements(self, target: str) -> Branch:
         """Expand the hypothesized prerequisite closure of `target` into an
-        ordered branch with per-subgoal repetitions.
+        ordered branch whose steps carry the units of their item they add.
 
-        Quantities are computed bottom-up with ceiling division by believed
-        yields; tool/workbench uses add one non-consumed copy. The branch is
+        Quantities are computed bottom-up: a step makes `ceil(need / per_run)`
+        runs of `per_run` units (1 for a collect, the believed yield for a
+        craft); tool/workbench uses add one non-consumed copy. The branch is
         kept until a write changes an incoming edge or the belief of one of
         its steps' items.
         """
@@ -266,14 +267,14 @@ class Awm:
         for node in reversed(order):
             need = consumed[node] + (1 if tool_use[node] else 0)
             if self.believed_collectable(node):
-                step = BranchStep(node, COLLECT, need)
+                action, per_run = COLLECT, 1
             else:
-                # need >= 1 (the target needs one, every parent is used), so no floor applies
-                step = BranchStep(node, CRAFT, -(-need // self.belief(node).craft_yield))
-            steps[node] = step
+                action, per_run = CRAFT, self.belief(node).craft_yield
+            runs = -(-need // per_run)
+            steps[node] = BranchStep(node, action, runs * per_run)
             for e in self._incoming.get(node, ()):
                 if e.kind == INGREDIENT:
-                    consumed[e.parent] += step.repetitions * e.quantity
+                    consumed[e.parent] += runs * e.quantity
                 else:
                     tool_use[e.parent] = True
 

@@ -45,7 +45,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--pmax", dest="p_max", type=float, default=d["p_max"], help="asymptotic collect success probability"
     )
     parser.add_argument("--tau", type=float, default=d["tau"], help="attempts scale of the learning curve")
-    parser.add_argument("--retry-cap", type=int, default=d["retry_cap"], help="tries per branch step, at least 1")
+    parser.add_argument(
+        "--retry-cap", type=int, default=d["retry_cap"],
+        help="collect tries per branch step, at least 1; crafts are not capped",
+    )
     parser.add_argument("--out", default="results", help="output directory")
 
 

@@ -443,7 +443,7 @@ def ground_truth_awm(tree: TechTree) -> Awm:
             for parent, kind, qty in tree.ground_truth_parents(item)
         ),
         beliefs={
-            item: NodeBelief(collectable=d.collectable, craft_yield=d.craft_yield if not d.collectable else 1)
+            item: NodeBelief(collectable=d.collectable, craft_yield=d.craft_yield)
             for item, d in tree.items.items()
         },
     )

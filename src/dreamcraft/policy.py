@@ -5,11 +5,11 @@ finetuned policy: practice raises the per-attempt success probability. Craft
 subgoals are a single deterministic action and need no learner. A collect
 policy's whole state is its attempt count.
 
-A branch step is one executor call: `execute_subgoal` hands the whole retry
-loop to the simulator's batch forms (`attempt_collect` with the bank's
-`LearnerConfig` as its curve and at most `retry_cap` tries, `attempt_craft`
-with every affordable craft in one step), which return the tries they made in
-`Outcome.tries`.
+A branch step is one executor call asking for its `quantity` more units:
+`execute_subgoal` hands the retry loop to the simulator's batch forms
+(`attempt_collect` with the bank's `LearnerConfig` as its curve and at most
+`retry_cap` tries, `attempt_craft` with every affordable craft in one step),
+which return the tries they made in `Outcome.tries`.
 """
 from __future__ import annotations
 
@@ -55,14 +55,14 @@ def execute_subgoal(
     action: str,
     inventory: Inventory,
     rng: Random,
-    quantity: int | None = None,
+    quantity: int = 1,
     retry_cap: int = 1,
 ) -> Outcome:
     """Run a collect or craft subgoal under the agent's current competence, in
-    one simulator call, until the inventory holds `quantity` of the item
-    (default: one more than it holds now). A collect stops after `retry_cap`
-    tries, and every try counts as practice; a craft makes what the inventory
-    affords. The defaults make one attempt.
+    one simulator call, until `quantity` more of the item are in the
+    inventory. A collect stops after `retry_cap` tries, and every try counts
+    as practice; a craft makes what the inventory affords. The defaults make
+    one attempt.
 
     A believed action that the world does not support (collecting a craft-only
     or unknown item, crafting a collectable) is a plain failure with the normal
@@ -91,10 +91,10 @@ def acquire(
     rng: Random,
     retry_cap: int,
 ) -> Outcome:
-    """Repeat the subgoal until the inventory holds `quantity` of the item or,
-    for a collect, the retry cap is exhausted; failure is an outcome, not an
-    exception. A failed craft ends the call, since crafting is deterministic
-    given the inventory and retrying cannot help."""
+    """Repeat the subgoal until `quantity` more of the item are in the
+    inventory or, for a collect, the retry cap is exhausted; failure is an
+    outcome, not an exception. A failed craft ends the call, since crafting
+    is deterministic given the inventory and retrying cannot help."""
     if quantity < 1:
         raise ValueError("quantity must be positive")
     if retry_cap < 1:

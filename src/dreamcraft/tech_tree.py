@@ -6,10 +6,10 @@ It is immutable after loading and shared by every trial of an experiment;
 inventories and RNG streams are per-trial.
 
 `attempt_collect` and `attempt_craft` are the only copy of the simulator's
-rules. Each works in one call until the inventory holds a quantity, and
-reports the tries it made in `Outcome.tries`. A collect loop draws once per
-try, in order, and stops when its tries run out; a craft is deterministic, so
-every craft the inventory affords happens in one step.
+rules. Each works in one call until it has added `quantity` more of the item,
+and reports the tries it made in `Outcome.tries`. A collect loop draws once
+per try, in order, and stops when its tries run out; a craft is deterministic,
+so every craft the inventory affords happens in one step.
 
 Steps are environment steps: each collect try costs one full episode of
 `COLLECT_STEPS`, whether or not it succeeds, and crafting is instant.
@@ -82,9 +82,8 @@ class ItemDef:
 
 
 class Outcome(NamedTuple):
-    """What a collect or craft call did: whether the inventory ended up holding
-    the quantity asked for, the environment steps charged, and the attempts
-    made."""
+    """What a collect or craft call did: whether it added the quantity asked
+    for, the environment steps charged, and the attempts made."""
 
     success: bool
     steps: int
@@ -173,6 +172,8 @@ def _validate(items: dict[str, ItemDef]) -> TechTree:
             raise TreeValidationError(name, "required_tool only applies to collectables")
         if d.collectable and (d.requires_crafting_table or d.requires_furnace):
             raise TreeValidationError(name, "workbench flags only apply to craftables")
+        if d.collectable and d.craft_yield != 1:
+            raise TreeValidationError(name, "yield only applies to craftables")
         if d.craft_yield < 1:
             raise TreeValidationError(name, "yield must be positive")
         seen = set()
@@ -236,15 +237,24 @@ def _field(body: dict, key: str, kind: type, default=None):
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"repeated key {next(key for key, n in counts.items() if n > 1)!r}")
+    return obj
+
+
 def load_tree(text: str) -> TechTree:
     """Parse and validate a tree-definition document (JSON, item name -> fields)."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise TreeParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise TreeParseError("document nested too deeply") from exc
-    except ValueError as exc:  # an integer past the interpreter's digit limit
+    except ValueError as exc:  # a repeated key, or an integer past the interpreter's digit limit
         raise TreeParseError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise TreeParseError("top level must be a map of item definitions")
@@ -307,13 +317,12 @@ def attempt_collect(
     learner,
     rng: Random,
     *,
-    quantity: int | None = None,
+    quantity: int = 1,
     tries: int = 1,
     practice: int = 0,
 ) -> Outcome:
-    """Collect attempts until the inventory holds `quantity` of the item
-    (default: one more than it holds now) or `tries` attempts are spent; the
-    defaults make one attempt.
+    """Collect attempts until `quantity` more of the item are in the inventory
+    or `tries` attempts are spent; the defaults make one attempt.
 
     `learner` is a `policy.LearnerConfig`, whose checks keep every value of
     the curve between 0 and 1. The attempt made after k earlier ones succeeds
@@ -323,14 +332,8 @@ def attempt_collect(
     tool, and for an item that is unknown or not collectable, every attempt
     fails with no draw. Each attempt is charged `COLLECT_STEPS` either way.
     """
-    counts = inventory._counts
-    held = counts.get(item, 0)
-    if quantity is None:
-        quantity = held + 1
-    if held >= quantity or tries < 1:
-        return Outcome(held >= quantity, 0, 0)
     d = tree.items.get(item)
-    if d is None or not d.collectable or (d.required_tool is not None and not counts.get(d.required_tool, 0)):
+    if d is None or not d.collectable or (d.required_tool is not None and not inventory.count(d.required_tool)):
         return Outcome(False, tries * COLLECT_STEPS, tries)
     p0 = learner.p0
     span = learner.p_max - p0
@@ -342,11 +345,11 @@ def attempt_collect(
         done += 1
         if draw() < p:
             made += 1
-            if held + made >= quantity:
+            if made == quantity:
                 break
     if made:
         inventory.add(item, made)
-    return Outcome(held + made >= quantity, done * COLLECT_STEPS, done)
+    return Outcome(made == quantity, done * COLLECT_STEPS, done)
 
 
 def attempt_craft(
@@ -354,25 +357,20 @@ def attempt_craft(
     item: str,
     inventory: Inventory,
     *,
-    quantity: int | None = None,
+    quantity: int = 1,
 ) -> Outcome:
-    """Crafts until the inventory holds `quantity` of the item (default: one
-    more than it holds now). Ingredients are consumed, the yield added; tools
-    and workbenches are never consumed.
+    """Crafts until `quantity` more of the item are in the inventory.
+    Ingredients are consumed, the yield added; tools and workbenches are never
+    consumed.
 
     A craft is deterministic given the inventory, so the k crafts that succeed
-    are made in one step: k is the smaller of the crafts still needed and the
-    recipe's `count // quantity`, and 0 without a required workbench or for an
-    item that is unknown or not craftable. When k falls short, one more
-    failing try is charged, since retrying cannot help. Crafts charge no
-    environment steps.
+    are made in one step: k is the smaller of the `ceil(quantity / yield)`
+    crafts needed and the crafts each ingredient's stock affords, and 0
+    without a required workbench or for an item that is unknown or not
+    craftable. When k falls short, one more failing try is charged, since
+    retrying cannot help. Crafts charge no environment steps.
     """
     counts = inventory._counts
-    held = counts.get(item, 0)
-    if quantity is None:
-        quantity = held + 1
-    if held >= quantity:
-        return Outcome(True, 0, 0)
     d = tree.items.get(item)
     made = 0
     if (
@@ -381,7 +379,7 @@ def attempt_craft(
         and (not d.requires_crafting_table or counts.get(CRAFTING_TABLE, 0))
         and (not d.requires_furnace or counts.get(FURNACE, 0))
     ):
-        needed = made = -(-(quantity - held) // d.craft_yield)
+        needed = made = -(-quantity // d.craft_yield)
         for e in d.recipe:
             affordable = counts.get(e.item, 0) // e.quantity
             if affordable < made:

@@ -32,12 +32,7 @@ def truth_graph(tree):
 
 
 def verify_from_tree(awm, tree, item):
-    d = tree.definition(item)
-    awm.verify_node(
-        item,
-        tree.ground_truth_parents(item),
-        craft_yield=d.craft_yield if not d.collectable else 1,
-    )
+    awm.verify_node(item, tree.ground_truth_parents(item), craft_yield=tree.definition(item).craft_yield)
 
 
 def test_frontier_matches_oracle(tree, perfect_awm):
@@ -87,32 +82,34 @@ def test_prune_without_path_returns_frontier_unchanged():
 
 def test_expand_requirements_wooden_pickaxe(perfect_awm):
     branch = perfect_awm.expand_requirements("wooden_pickaxe")
-    assert [(s.item, s.action, s.repetitions) for s in branch] == [
+    assert [(s.item, s.action, s.quantity) for s in branch] == [
         ("log", "collect", 3),
-        ("planks", "craft", 3),
+        ("planks", "craft", 12),  # three crafts of yield 4
         ("crafting_table", "craft", 1),
-        ("stick", "craft", 1),
+        ("stick", "craft", 4),  # one craft of yield 4
         ("wooden_pickaxe", "craft", 1),
     ]
 
 
 def test_expand_requirements_single_collectable(perfect_awm):
     branch = perfect_awm.expand_requirements("log")
-    assert [(s.item, s.action, s.repetitions) for s in branch] == [("log", "collect", 1)]
+    assert [(s.item, s.action, s.quantity) for s in branch] == [("log", "collect", 1)]
 
 
 def simulate_branch(tree, branch, consume_targets=True):
-    """Feasibility oracle: run the branch against the world with p=1 policies."""
+    """Feasibility oracle: run the branch against the world with p=1 policies,
+    one call per step for the quantity it adds."""
     inv = Inventory()
     rng = Random(0)
     for step in branch:
-        for _ in range(step.repetitions):
-            if step.action == "collect":
-                out = attempt_collect(tree, step.item, inv, LearnerConfig(1.0, 1.0), rng)
-            else:
-                out = attempt_craft(tree, step.item, inv)
-            if not out.success:
-                return False, inv
+        if step.action == "collect":
+            out = attempt_collect(
+                tree, step.item, inv, LearnerConfig(1.0, 1.0), rng, quantity=step.quantity, tries=step.quantity
+            )
+        else:
+            out = attempt_craft(tree, step.item, inv, quantity=step.quantity)
+        if not out.success:
+            return False, inv
     return True, inv
 
 
@@ -137,10 +134,10 @@ def test_sample_branch_verified_yields(tree, perfect_awm):
     verify_from_tree(perfect_awm, tree, "log")
     verify_from_tree(perfect_awm, tree, "planks")
     branch = sample_branch(perfect_awm, {"stick"}, Random(0))
-    assert [(s.item, s.action, s.repetitions) for s in branch] == [
+    assert [(s.item, s.action, s.quantity) for s in branch] == [
         ("log", "collect", 1),
-        ("planks", "craft", 1),
-        ("stick", "craft", 1),
+        ("planks", "craft", 4),
+        ("stick", "craft", 4),
     ]
 
 
@@ -160,11 +157,11 @@ def test_verified_yield_learned_from_scratch(tree):
         },
     )
     before = awm.expand_requirements("stick")
-    assert [(s.item, s.repetitions) for s in before] == [("log", 2), ("planks", 2), ("stick", 1)]
+    assert [(s.item, s.quantity) for s in before] == [("log", 2), ("planks", 2), ("stick", 1)]
     verify_from_tree(awm, tree, "log")
     verify_from_tree(awm, tree, "planks")
     after = awm.expand_requirements("stick")
-    assert [(s.item, s.repetitions) for s in after] == [("log", 1), ("planks", 1), ("stick", 1)]
+    assert [(s.item, s.quantity) for s in after] == [("log", 1), ("planks", 4), ("stick", 1)]
 
 
 def test_sample_branch_deterministic(perfect_awm):
@@ -382,10 +379,10 @@ def test_verifying_a_new_yield_alone_drops_the_kept_branch():
     edges = {AwmEdge("x", "y", "ingredient", 1), AwmEdge("y", "z", "ingredient", 4)}
     awm = Awm(nodes={"x", "y", "z"}, edges=edges, beliefs={"y": NodeBelief(collectable=False)})
     kept = awm.expand_requirements("z")
-    assert [step.repetitions for step in kept] == [4, 4, 1]  # x, y, z
+    assert [step.quantity for step in kept] == [4, 4, 1]  # x, y, z
     awm.verify_node("y", {("x", "ingredient", 1)}, craft_yield=2)
     assert awm.edges == edges
-    assert [step.repetitions for step in awm.expand_requirements("z")] == [2, 2, 1]
+    assert [step.quantity for step in awm.expand_requirements("z")] == [2, 4, 1]
 
 
 def test_awm_json_round_trip(tree, perfect_awm):

@@ -262,8 +262,10 @@ CYCLIC_TREE = json.dumps(
         ("[" * 100_000 + "]" * 100_000, "document nested too deeply"),
         # `$` alone would let a name end in a newline; the whole name must match.
         ('{"log\\n": {"collectable": true}}', "item 'log\\n': name must match [a-z0-9_]+"),
+        # A plain JSON reader would keep the second definition without a word.
+        ('{"log": {"collectable": true}, "log": {"collectable": true, "yield": 3}}', "repeated key 'log'"),
     ],
-    ids=["cycle", "deep", "newline-name"],
+    ids=["cycle", "deep", "newline-name", "repeated-key"],
 )
 def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, message):
     tree = tmp_path / "tree.json"
@@ -309,12 +311,20 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
             {"a\nb": {"collectable": "yes"}},
             "malformed definition for 'a\\nb': collectable must be a boolean, not 'yes'",
         ),
+        (
+            ["task", "planks"],
+            {
+                "log": {"collectable": True, "yield": 4},
+                "planks": {"collectable": False, "recipe": [{"item": "log", "quantity": 1}]},
+            },
+            "item 'log': yield only applies to craftables",
+        ),
         (["task", "a\nb"], None, "goal 'a\\nb' is not a tree item"),
         (["score", "--hypothesis", "perturb:1.5,0"], None, "bad perturb rates '1.5,0'"),
     ],
     ids=[
         "recipe-item", "quantity", "duplicate", "required-tool", "non-map", "malformed",
-        "goal", "perturb-rate",
+        "collectable-yield", "goal", "perturb-rate",
     ],
 )
 def test_bad_input_is_exit_2_with_one_line_of_stderr(tmp_path, capsys, argv, doc, message):

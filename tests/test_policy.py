@@ -86,6 +86,17 @@ def test_acquire_three_cobblestone(tree):
     assert bank.attempts == {"cobblestone": 3}
 
 
+def test_acquire_adds_the_quantity_to_what_is_held(tree):
+    # Every layer asks for how many more: five logs held, two more asked.
+    inv = Inventory({"log": 5, "planks": 3})
+    out = acquire(certain(), tree, "log", "collect", 2, inv, Random(0), retry_cap=10)
+    assert out == (True, 2000, 2)
+    assert inv.count("log") == 7
+    out = acquire(PolicyBank(), tree, "planks", "craft", 4, inv, Random(0), retry_cap=10)
+    assert out == (True, 0, 1)
+    assert inv.count("planks") == 7 and inv.count("log") == 6
+
+
 def test_acquire_hopeless_policy_exhausts_cap(tree):
     bank = PolicyBank(learner=LearnerConfig(p0=0.0, p_max=0.0))
     out = acquire(bank, tree, "log", "collect", 1, Inventory(), Random(0), retry_cap=10)

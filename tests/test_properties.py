@@ -146,11 +146,12 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
     reference: one collect or craft attempt per turn of the loop, with the
     simulator's rules written out for a single attempt. A collect try costs
     one episode and `retry_cap` bounds the collect tries; a craft costs
-    nothing and goes on until the quantity is held or a craft is
+    nothing and goes on until `quantity` more are held or a craft is
     unaffordable."""
     steps = tries = 0
     d = tree.items.get(item)
-    while inventory.count(item) < quantity and (action != "collect" or tries < retry_cap):
+    wanted = inventory.count(item) + quantity
+    while inventory.count(item) < wanted and (action != "collect" or tries < retry_cap):
         tries += 1
         if action == "collect":
             attempts = bank.attempts.get(item, 0)
@@ -176,7 +177,7 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
             for e in d.recipe:
                 inventory.consume(e.item, e.quantity)
             inventory.add(item, d.craft_yield)
-    return Outcome(inventory.count(item) >= quantity, steps, tries)
+    return Outcome(inventory.count(item) >= wanted, steps, tries)
 
 
 def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_cap, learner, attempts, seed):
@@ -197,10 +198,10 @@ def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_c
         (lambda: acquire(bank, tree, item, action, quantity, inv, rng, retry_cap),
          lambda: per_attempt_acquire(ref_bank, tree, item, action, quantity, ref_inv, ref_rng, retry_cap)),
         (lambda: execute_subgoal(bank, tree, item, action, inv, rng),
-         lambda: per_attempt_acquire(ref_bank, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1)),
+         lambda: per_attempt_acquire(ref_bank, tree, item, action, 1, ref_inv, ref_rng, 1)),
         (lambda: attempt_collect(tree, item, inv, fixed.learner, rng) if action == "collect"
          else attempt_craft(tree, item, inv),
-         lambda: per_attempt_acquire(fixed, tree, item, action, ref_inv.count(item) + 1, ref_inv, ref_rng, 1)),
+         lambda: per_attempt_acquire(fixed, tree, item, action, 1, ref_inv, ref_rng, 1)),
     ]
     for batch, reference in calls:
         assert batch() == reference()
@@ -232,7 +233,7 @@ def test_batch_forms_match_the_per_attempt_loop(tree, data):
         for bench, gated in ((CRAFTING_TABLE, d.requires_crafting_table), (FURNACE, d.requires_furnace)):
             if gated and bench not in {e.item for e in d.recipe}:
                 start[bench] = data.draw(st.integers(0, 1))
-    largest = start.get(item, 0) + most * (d.craft_yield if d is not None else 1)
+    largest = most * (d.craft_yield if d is not None else 1)
     p0 = data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
     p_max = data.draw(st.just(p0) | st.floats(p0, 1))
     check_batch_against_per_attempt(
@@ -276,9 +277,8 @@ def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
     for table, furnace, log, stone, planks in itertools.product((0, 1, 2), (0, 1, 2), (0, 1), (0, 2, 9), (0, 3, 7)):
         start = {"crafting_table": table, "furnace": furnace, "log": log, "stone": stone, "planks": planks}
         for item in GATED_TREE.names():
-            for action, extra, retry_cap in itertools.product(("collect", "craft"), (0, 1, 4), (1, 3)):
+            for action, quantity, retry_cap in itertools.product(("collect", "craft"), (1, 2, 4), (1, 3)):
                 seed += 1
-                quantity = max(1, start.get(item, 0) + extra)
                 check_batch_against_per_attempt(
                     GATED_TREE, start, item, action, quantity, retry_cap, learner, {}, seed
                 )
@@ -483,11 +483,13 @@ def test_expand_requirements_feasible(tree, data):
     inv = Inventory()
     rng = Random(0)
     for step in branch:
-        for _ in range(step.repetitions):
-            if step.action == "collect":
-                assert attempt_collect(tree, step.item, inv, LearnerConfig(1.0, 1.0), rng).success
-            else:
-                assert attempt_craft(tree, step.item, inv).success
+        if step.action == "collect":
+            out = attempt_collect(
+                tree, step.item, inv, LearnerConfig(1.0, 1.0), rng, quantity=step.quantity, tries=step.quantity
+            )
+            assert out.success
+        else:
+            assert attempt_craft(tree, step.item, inv, quantity=step.quantity).success
     assert inv.count(target) >= 1
 
 

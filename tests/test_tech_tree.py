@@ -117,6 +117,30 @@ def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, val
         load_tree(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"log": {"collectable": true}, "log": {"collectable": true, "yield": 3}}', "log"),
+        ('{"log": {"collectable": true, "collectable": false}}', "collectable"),
+    ],
+    ids=["item", "field"],
+)
+def test_a_repeated_key_is_a_parse_error(text, key):
+    # json.loads alone keeps the last of the two without a word.
+    with pytest.raises(TreeParseError) as info:
+        load_tree(text)
+    assert str(info.value) == f"repeated key {key!r}"
+
+
+def test_a_collectable_with_a_yield_is_rejected():
+    doc = {"log": {"collectable": True, "yield": 4}}
+    with pytest.raises(TreeValidationError) as info:
+        load_tree(json.dumps(doc))
+    assert str(info.value) == "item 'log': yield only applies to craftables"
+    doc["log"]["yield"] = 1  # the default, stated
+    assert load_tree(json.dumps(doc)).definition("log").craft_yield == 1
+
+
 def test_collectable_with_recipe_rejected():
     doc = {"log": {"collectable": True, "recipe": [{"item": "log", "quantity": 1}]}}
     with pytest.raises(TreeValidationError, match="log"):
