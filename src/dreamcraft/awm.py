@@ -70,6 +70,7 @@ class NodeBelief:
 
 
 _UNKNOWN_BELIEF = NodeBelief()
+_NO_EDGES: frozenset[AwmEdge] = frozenset()
 
 
 class BranchStep(NamedTuple):
@@ -246,6 +247,8 @@ class Awm:
         """Expand the hypothesized prerequisite closure of `target` into an
         ordered branch whose steps carry the units of their item they add.
 
+        One walk over the incoming edges finds the closure (the target and its
+        ancestors) and its parent-child pairs; `topological_order` orders it.
         Quantities are computed bottom-up: a step makes `ceil(need / per_run)`
         runs of `per_run` units (1 for a collect, the believed yield for a
         craft); tool/workbench uses add one non-consumed copy. The branch is
@@ -255,37 +258,54 @@ class Awm:
         branch = self._branches.get(target)
         if branch is not None:
             return branch
-        closure = self.ancestors(target) | {target}  # holds every parent of its nodes
-        order = topological_order(closure, ((e.parent, n) for n in closure for e in self._incoming.get(n, ())))
+        if target not in self._nodes:
+            raise AwmError(f"unknown node '{target}'")
+        incoming = self._incoming
+        closure = {}  # node -> its incoming edges
+        pairs = []
+        stack = [target]
+        while stack:
+            node = stack.pop()
+            if node in closure:
+                continue
+            edges = closure[node] = incoming.get(node, _NO_EDGES)
+            for e in edges:
+                pairs.append((e.parent, node))
+                if e.parent not in closure:
+                    stack.append(e.parent)
+        order = topological_order(closure, pairs)
         if len(order) != len(closure):
-            raise AwmError(f"cycle among {sorted(closure - set(order))}")
+            raise AwmError(f"cycle among {sorted(closure.keys() - set(order))}")
 
-        consumed: dict[str, int] = {n: 0 for n in closure}
-        tool_use: dict[str, bool] = {n: False for n in closure}
+        beliefs = self._beliefs
+        readers = self._readers
+        consumed = dict.fromkeys(closure, 0)
         consumed[target] = 1
-        steps: dict[str, BranchStep] = {}
+        tools: set[str] = set()  # the nodes used as a tool or workbench
+        steps = []
         for node in reversed(order):
-            need = consumed[node] + (1 if tool_use[node] else 0)
-            if self.believed_collectable(node):
-                action, per_run = COLLECT, 1
-            else:
-                action, per_run = CRAFT, self.belief(node).craft_yield
-            runs = -(-need // per_run)
-            steps[node] = BranchStep(node, action, runs * per_run)
-            for e in self._incoming.get(node, ()):
+            edges = closure[node]
+            belief = beliefs.get(node, _UNKNOWN_BELIEF)
+            collect = belief.collectable
+            if collect is None:
+                collect = not any(e.kind == INGREDIENT for e in edges)
+            per_run = 1 if collect else belief.craft_yield
+            runs = -(-(consumed[node] + (node in tools)) // per_run)
+            steps.append(BranchStep(node, COLLECT if collect else CRAFT, runs * per_run))
+            for e in edges:
                 if e.kind == INGREDIENT:
                     consumed[e.parent] += runs * e.quantity
                 else:
-                    tool_use[e.parent] = True
+                    tools.add(e.parent)
+            readers.setdefault(node, set()).add(target)
 
-        branch = self._branches[target] = tuple(steps[n] for n in order)
-        for node in order:
-            self._readers.setdefault(node, set()).add(target)
+        steps.reverse()
+        branch = self._branches[target] = tuple(steps)
         return branch
 
     # -- verification ---------------------------------------------------------
 
-    def verify_node(self, item: str, observed: set[ParentSpec], craft_yield: int = 1) -> None:
+    def verify_node(self, item: str, observed: Iterable[ParentSpec], craft_yield: int = 1) -> None:
         """Replace the item's hypothesized incoming edges and belief with the
         observed ones and mark it verified, writing only what differs from what
         is stored. Observed parents are not added as nodes. Verified edges are
@@ -299,19 +319,25 @@ class Awm:
         # Checked before anything is written: a bad edge or yield writes nothing.
         edges = {AwmEdge(parent, item, kind, quantity) for parent, kind, quantity in observed}
         collectable = not any(e.kind == INGREDIENT for e in edges)
-        belief = NodeBelief(collectable, 1 if collectable else craft_yield)
-        for e in self._incoming.get(item, set()) - edges:
+        if collectable:
+            craft_yield = 1
+        belief = self._beliefs.get(item, _UNKNOWN_BELIEF)
+        changed = belief.collectable != collectable or belief.craft_yield != craft_yield
+        if changed:
+            belief = NodeBelief(collectable, craft_yield)
+        stored = self._incoming.get(item, _NO_EDGES)
+        for e in stored - edges:
             self.discard_edge(e)
-        for e in edges:
-            self.add_edge(e)  # a no-op for an edge already stored
+        for e in edges - stored:
+            self.add_edge(e)
         self._verified[item] = None
         self._frontier.discard(item)
         for e in self._outgoing.get(item, ()):
             self._blocked[e.child] -= 1
             self._update_frontier(e.child)
-        if self.belief(item) != belief:
+        if changed:
             self._drop_branches_through(item)
-        self._beliefs[item] = belief
+            self._beliefs[item] = belief
 
     # -- export ----------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from random import Random
+from typing import NamedTuple
 
 from .awm import Awm, AwmEdge, NodeBelief, remove_cycles
 from .tech_tree import (
@@ -34,8 +35,7 @@ class DocumentSyntaxError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class ParsedEntry:
+class ParsedEntry(NamedTuple):
     item: str
     requires_crafting_table: bool = False
     requires_furnace: bool = False
@@ -401,6 +401,8 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
     nodes = dict.fromkeys(universe)
     edges: list[AwmEdge] = []
     beliefs: dict[str, NodeBelief] = {}
+    # One belief per label, shared: a belief is replaced, never changed in place.
+    labelled = {True: NodeBelief(collectable=True), False: NodeBelief(collectable=False)}
 
     def add(parent: str, child: str, kind: str, quantity: int) -> None:
         nodes[parent] = None
@@ -421,7 +423,7 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
             add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
-        beliefs[e.item] = NodeBelief(collectable=not e.recipe)
+        beliefs[e.item] = labelled[not e.recipe]
     awm = Awm(nodes, edges, beliefs)
     remove_cycles(awm)
     return awm
@@ -434,7 +436,9 @@ def empty_hypothesis(universe: set[str]) -> Awm:
 
 def ground_truth_awm(tree: TechTree) -> Awm:
     """Exact dependency graph of the tree as an unverified hypothesis,
-    including true yields and collectability labels."""
+    including true yields and collectability labels. Items with the same
+    label and yield share one belief."""
+    labels = {key: NodeBelief(*key) for key in {(d.collectable, d.craft_yield) for d in tree.items.values()}}
     return Awm(
         nodes=tree.items,
         edges=(
@@ -442,10 +446,7 @@ def ground_truth_awm(tree: TechTree) -> Awm:
             for item in tree.items
             for parent, kind, qty in tree.ground_truth_parents(item)
         ),
-        beliefs={
-            item: NodeBelief(collectable=d.collectable, craft_yield=d.craft_yield)
-            for item, d in tree.items.items()
-        },
+        beliefs={item: labels[d.collectable, d.craft_yield] for item, d in tree.items.items()},
     )
 
 

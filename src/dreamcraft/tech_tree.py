@@ -20,7 +20,6 @@ import heapq
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from math import exp
 from random import Random
 from typing import Iterable, NamedTuple
@@ -62,14 +61,12 @@ class TreeValidationError(TreeError):
         self.item = item
 
 
-@dataclass(frozen=True)
-class RecipeEntry:
+class RecipeEntry(NamedTuple):
     item: str
     quantity: int
 
 
-@dataclass(frozen=True)
-class ItemDef:
+class ItemDef(NamedTuple):
     """One item: either collectable (empty recipe) or craftable (non-empty)."""
 
     id: str
@@ -123,11 +120,27 @@ class Inventory:
         self._counts.clear()
 
 
-@dataclass
-class TechTree:
-    """Validated, immutable map of item definitions."""
+def _parent_set(d: ItemDef) -> frozenset[ParentSpec]:
+    parents = [(e.item, INGREDIENT, e.quantity) for e in d.recipe]
+    if d.required_tool is not None:
+        parents.append((d.required_tool, TOOL, 1))
+    if d.requires_crafting_table:
+        parents.append((CRAFTING_TABLE, WORKBENCH, 1))
+    if d.requires_furnace:
+        parents.append((FURNACE, WORKBENCH, 1))
+    return frozenset(parents)
 
-    items: dict[str, ItemDef] = field(default_factory=dict)
+
+class TechTree:
+    """Validated, immutable map of item definitions, which are NamedTuples.
+
+    Each item's ground-truth parent set is computed once, when the tree is
+    built, and every reader shares that frozenset.
+    """
+
+    def __init__(self, items: dict[str, ItemDef]):
+        self.items = items
+        self._parents = {name: _parent_set(d) for name, d in items.items()}
 
     def names(self) -> list[str]:
         return sorted(self.items)
@@ -144,18 +157,14 @@ class TechTree:
     def craftables(self) -> list[str]:
         return sorted(i for i, d in self.items.items() if not d.collectable)
 
-    def ground_truth_parents(self, item: str) -> set[ParentSpec]:
+    def ground_truth_parents(self, item: str) -> frozenset[ParentSpec]:
         """Typed dependency edges into `item`: recipe ingredients, the required
-        tool, and workbench gates."""
-        d = self.definition(item)
-        parents: set[ParentSpec] = {(e.item, INGREDIENT, e.quantity) for e in d.recipe}
-        if d.required_tool is not None:
-            parents.add((d.required_tool, TOOL, 1))
-        if d.requires_crafting_table:
-            parents.add((CRAFTING_TABLE, WORKBENCH, 1))
-        if d.requires_furnace:
-            parents.add((FURNACE, WORKBENCH, 1))
-        return parents
+        tool, and workbench gates. The frozenset is computed when the tree is
+        built, and every call returns that same shared object."""
+        try:
+            return self._parents[item]
+        except KeyError:
+            raise TreeError(f"unknown item '{item}'") from None
 
 
 def _validate(items: dict[str, ItemDef]) -> TechTree:
@@ -193,7 +202,7 @@ def _validate(items: dict[str, ItemDef]) -> TechTree:
             raise TreeValidationError(name, "requires_furnace but no furnace item")
 
     tree = TechTree(items)
-    order = topological_order(items, ((p, i) for i in items for p, _, _ in tree.ground_truth_parents(i)))
+    order = topological_order(items, ((p, i) for i, parents in tree._parents.items() for p, _, _ in parents))
     if len(order) != len(items):
         cyclic = sorted(items.keys() - set(order))
         raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
@@ -227,35 +236,93 @@ def topological_order(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
 _KIND_NAMES = {bool: "a boolean", int: "an integer", list: "a list", str: "a string"}
 
 
-def _field(body: dict, key: str, kind: type, default=None):
-    """`body[key]`, or `default` when given and the key is absent, checked to
-    have exactly the type `kind`: no value is coerced, and a boolean is not an
-    integer."""
-    value = body[key] if default is None else body.get(key, default)
-    if type(value) is not kind:
-        raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
-    return value
+def _type_error(key: str, value, kind: type) -> TypeError:
+    """The error for a field whose value does not have exactly the type
+    `kind`: no value is coerced, and a boolean is not an integer."""
+    return TypeError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's pairs as a dict, refusing a key given twice."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        counts = Counter(key for key, _ in pairs)
-        raise ValueError(f"repeated key {next(key for key, n in counts.items() if n > 1)!r}")
-    return obj
+def _item_def(name: str, body: dict) -> ItemDef:
+    """The definition `body` gives. Each field is read with one lookup and
+    one exact-type test, in a fixed order, so the first bad field is the one
+    reported; a required field that is absent raises KeyError."""
+    get = body.get
+    entries = get("recipe", [])
+    if type(entries) is not list:
+        raise _type_error("recipe", entries, list)
+    if not all(type(entry) is dict for entry in entries):
+        raise TypeError(f"recipe must be a list of maps, not {entries!r}")
+    recipe = []
+    for entry in entries:
+        ingredient = entry["item"]
+        if type(ingredient) is not str:
+            raise _type_error("item", ingredient, str)
+        quantity = entry["quantity"]
+        if type(quantity) is not int:
+            raise _type_error("quantity", quantity, int)
+        recipe.append(RecipeEntry(ingredient, quantity))
+    collectable = body["collectable"]
+    if type(collectable) is not bool:
+        raise _type_error("collectable", collectable, bool)
+    tool = get("required_tool")
+    if tool is not None and type(tool) is not str:
+        raise _type_error("required_tool", tool, str)
+    table = get("requires_crafting_table", False)
+    if type(table) is not bool:
+        raise _type_error("requires_crafting_table", table, bool)
+    furnace = get("requires_furnace", False)
+    if type(furnace) is not bool:
+        raise _type_error("requires_furnace", furnace, bool)
+    craft_yield = get("yield", 1)
+    if type(craft_yield) is not int:
+        raise _type_error("yield", craft_yield, int)
+    return ItemDef(name, collectable, tool, table, furnace, tuple(recipe), craft_yield)
+
+
+def _repeated_key_error(raw, repeated: dict, pairs: list[tuple[str, object]]) -> TreeParseError:
+    """The error for the JSON object decoded as `repeated` from `pairs`, which
+    give a key twice. It names the item whose definition holds the object, at
+    any depth, when the document is a map of items and one does."""
+    counts = Counter(key for key, _ in pairs)
+    key = next(key for key, n in counts.items() if n > 1)
+    if isinstance(raw, dict) and raw is not repeated:
+        for name, body in raw.items():
+            stack = [body]
+            while stack:
+                value = stack.pop()
+                if value is repeated:
+                    return TreeParseError(f"malformed definition for {name!r}: repeated key {key!r}")
+                if isinstance(value, dict):
+                    stack.extend(value.values())
+                elif isinstance(value, list):
+                    stack.extend(value)
+    return TreeParseError(f"repeated key {key!r}")
 
 
 def load_tree(text: str) -> TechTree:
-    """Parse and validate a tree-definition document (JSON, item name -> fields)."""
+    """Parse and validate a tree-definition document (JSON, item name -> fields).
+
+    A key given twice in one JSON object is an error: `json.loads` alone
+    keeps the last value without a word.
+    """
+    repeated: list[tuple[dict, list]] = []  # objects that give a key twice, in decoding order
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            repeated.append((obj, pairs))
+        return obj
+
     try:
-        raw = json.loads(text, object_pairs_hook=_unique_keys)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise TreeParseError(exc.msg, exc.lineno, exc.colno) from exc
     except RecursionError as exc:
         raise TreeParseError("document nested too deeply") from exc
-    except ValueError as exc:  # a repeated key, or an integer past the interpreter's digit limit
+    except ValueError as exc:  # an integer past the interpreter's digit limit
         raise TreeParseError(str(exc)) from exc
+    if repeated:
+        raise _repeated_key_error(raw, *repeated[0])
     if not isinstance(raw, dict):
         raise TreeParseError("top level must be a map of item definitions")
 
@@ -264,23 +331,7 @@ def load_tree(text: str) -> TechTree:
         if not isinstance(body, dict):
             raise TreeParseError(f"definition of {name!r} must be a map")
         try:
-            entries = _field(body, "recipe", list, [])
-            if not all(type(entry) is dict for entry in entries):
-                raise TypeError(f"recipe must be a list of maps, not {entries!r}")
-            recipe = tuple(
-                RecipeEntry(_field(entry, "item", str), _field(entry, "quantity", int))
-                for entry in entries
-            )
-            tool = body.get("required_tool")
-            items[name] = ItemDef(
-                id=name,
-                collectable=_field(body, "collectable", bool),
-                required_tool=None if tool is None else _field(body, "required_tool", str),
-                requires_crafting_table=_field(body, "requires_crafting_table", bool, False),
-                requires_furnace=_field(body, "requires_furnace", bool, False),
-                recipe=recipe,
-                craft_yield=_field(body, "yield", int, 1),
-            )
+            items[name] = _item_def(name, body)
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeParseError(f"malformed definition for {name!r}: {exc}") from exc
     return _validate(items)

@@ -4,8 +4,9 @@ from random import Random
 
 import networkx as nx
 
-from dreamcraft.awm import AwmEdge, remove_cycles
+from dreamcraft.awm import AwmEdge, AwmError, BranchStep, remove_cycles
 from dreamcraft.hypotheses import ground_truth_awm
+from dreamcraft.tech_tree import topological_order
 
 
 def success_prob(learner, attempts: int) -> float:
@@ -41,3 +42,56 @@ def perturb_with_distractor(tree, insert_rate, delete_rate, seed, distractor: st
                 awm.discard_edge(incoming[rng.randrange(len(incoming))])
     remove_cycles(awm)
     return awm
+
+
+def parents_of_definition(d) -> set:
+    """An item's typed parents rebuilt from its definition: the reference
+    for `TechTree.ground_truth_parents`."""
+    parents = {(e.item, "ingredient", e.quantity) for e in d.recipe}
+    if d.required_tool is not None:
+        parents.add((d.required_tool, "tool", 1))
+    if d.requires_crafting_table:
+        parents.add(("crafting_table", "workbench", 1))
+    if d.requires_furnace:
+        parents.add(("furnace", "workbench", 1))
+    return parents
+
+
+def check_stored_parents(tree) -> None:
+    """Each item's parent set is a frozenset equal to the one its definition
+    gives, and every call returns that same object."""
+    for item, d in tree.items.items():
+        parents = tree.ground_truth_parents(item)
+        assert type(parents) is frozenset, item
+        assert parents == parents_of_definition(d), item
+        assert tree.ground_truth_parents(item) is parents, item
+
+
+def expand_by_ancestors(awm, target):
+    """Reference for `Awm.expand_requirements`: the closure from `ancestors`,
+    ordered by `topological_order` over every incoming edge of its nodes,
+    then sized bottom-up, each step making whole runs of 1 unit (a collect)
+    or of the believed yield (a craft), with one copy of each tool or
+    workbench."""
+    closure = awm.ancestors(target) | {target}
+    order = topological_order(closure, ((e.parent, n) for n in closure for e in awm.parents_of(n)))
+    if len(order) != len(closure):
+        raise AwmError(f"cycle among {sorted(closure - set(order))}")
+    consumed = dict.fromkeys(closure, 0)
+    consumed[target] = 1
+    tool_use = dict.fromkeys(closure, False)
+    steps = {}
+    for node in reversed(order):
+        need = consumed[node] + (1 if tool_use[node] else 0)
+        if awm.believed_collectable(node):
+            action, per_run = "collect", 1
+        else:
+            action, per_run = "craft", awm.belief(node).craft_yield
+        runs = -(-need // per_run)
+        steps[node] = BranchStep(node, action, runs * per_run)
+        for e in awm.parents_of(node):
+            if e.kind == "ingredient":
+                consumed[e.parent] += runs * e.quantity
+            else:
+                tool_use[e.parent] = True
+    return tuple(steps[n] for n in order)

@@ -264,8 +264,12 @@ CYCLIC_TREE = json.dumps(
         ('{"log\\n": {"collectable": true}}', "item 'log\\n': name must match [a-z0-9_]+"),
         # A plain JSON reader would keep the second definition without a word.
         ('{"log": {"collectable": true}, "log": {"collectable": true, "yield": 3}}', "repeated key 'log'"),
+        (
+            '{"log": {"collectable": true, "collectable": false}}',
+            "malformed definition for 'log': repeated key 'collectable'",
+        ),
     ],
-    ids=["cycle", "deep", "newline-name", "repeated-key"],
+    ids=["cycle", "deep", "newline-name", "repeated-key", "repeated-inner-key"],
 )
 def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, message):
     tree = tmp_path / "tree.json"

@@ -37,7 +37,14 @@ from dreamcraft.tech_tree import (
     make_tree,
     topological_order,
 )
-from support import beliefs_of, is_acyclic, perturb_with_distractor, success_prob
+from support import (
+    beliefs_of,
+    check_stored_parents,
+    expand_by_ancestors,
+    is_acyclic,
+    perturb_with_distractor,
+    success_prob,
+)
 
 
 @st.composite
@@ -472,6 +479,53 @@ def test_index_matches_edge_scans_under_writes(awm, data):
             assert _snapshot(g) == before
         for g in graphs:
             check_branches_against_a_fresh_copy(g)
+
+
+@st.composite
+def expansion_graphs(draw):
+    """Random digraphs, cycles included, with random beliefs. Some hold an
+    edge from the non-node "ghost" or a second edge, of another kind, between
+    the parent and child of an edge."""
+    awm = draw(digraphs() | cyclic_digraphs())
+    nodes = sorted(awm.nodes)
+    edges = set(awm.edges)
+    kinds = ["ingredient", "tool", "workbench"]
+    if draw(st.booleans()):
+        edges.add(AwmEdge("ghost", draw(st.sampled_from(nodes)), draw(st.sampled_from(kinds)), draw(st.integers(1, 3))))
+    if edges and draw(st.booleans()):
+        e = draw(st.sampled_from(sorted(edges)))
+        kind = draw(st.sampled_from([k for k in kinds if k != e.kind]))
+        edges.add(AwmEdge(e.parent, e.child, kind, draw(st.integers(1, 3))))
+    labelled = draw(st.lists(st.sampled_from(nodes), unique=True))
+    beliefs = {n: NodeBelief(draw(st.none() | st.booleans()), draw(st.integers(1, 4))) for n in labelled}
+    return Awm(nodes, edges, beliefs)
+
+
+def _reference_expansion(awm, node):
+    try:
+        return expand_by_ancestors(awm, node)
+    except AwmError as exc:
+        return str(exc)
+
+
+@given(expansion_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_expand_requirements_matches_the_reference(awm, data):
+    # Targets in a random order, so later ones may meet kept branches; the
+    # non-node "ghost" is one of them.
+    for target in data.draw(st.permutations(sorted(awm.nodes) + ["ghost"])):
+        assert _expansion(awm, target) == _reference_expansion(awm, target), target
+
+
+@given(tech_trees(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_verifying_the_stored_parents_keeps_every_kept_branch(tree, data):
+    check_stored_parents(tree)
+    awm = ground_truth_awm(tree)
+    kept = {n: awm.expand_requirements(n) for n in tree.names()}
+    for item in data.draw(st.permutations(tree.names())):
+        awm.verify_node(item, tree.ground_truth_parents(item), craft_yield=tree.definition(item).craft_yield)
+        assert all(awm.expand_requirements(n) is branch for n, branch in kept.items()), item
 
 
 @given(tech_trees(), st.data())

@@ -16,6 +16,7 @@ from dreamcraft.tech_tree import (
     make_tree,
     serialize_tree,
 )
+from support import check_stored_parents
 
 
 def held(tree, inv):
@@ -118,18 +119,28 @@ def test_values_of_the_wrong_json_type_are_rejected_not_coerced(item, field, val
 
 
 @pytest.mark.parametrize(
-    "text, key",
+    "text, message",
     [
-        ('{"log": {"collectable": true}, "log": {"collectable": true, "yield": 3}}', "log"),
-        ('{"log": {"collectable": true, "collectable": false}}', "collectable"),
+        ('{"log": {"collectable": true}, "log": {"collectable": true, "yield": 3}}', "repeated key 'log'"),
+        (
+            '{"log": {"collectable": true, "collectable": false}}',
+            "malformed definition for 'log': repeated key 'collectable'",
+        ),
+        (
+            '{"log": {"collectable": true},'
+            ' "planks": {"collectable": false, "recipe": [{"item": "log", "item": "log", "quantity": 1}]}}',
+            "malformed definition for 'planks': repeated key 'item'",
+        ),
+        ('[{"log": 1, "log": 2}]', "repeated key 'log'"),
     ],
-    ids=["item", "field"],
+    ids=["item", "field", "recipe-entry", "outside-any-item"],
 )
-def test_a_repeated_key_is_a_parse_error(text, key):
-    # json.loads alone keeps the last of the two without a word.
+def test_a_repeated_key_is_a_parse_error(text, message):
+    # json.loads alone keeps the last of the two without a word. Inside an
+    # item the error names the item, as every malformed definition does.
     with pytest.raises(TreeParseError) as info:
         load_tree(text)
-    assert str(info.value) == f"repeated key {key!r}"
+    assert str(info.value) == message
 
 
 def test_a_collectable_with_a_yield_is_rejected():
@@ -155,6 +166,7 @@ def test_ground_truth_parents(tree):
         ("crafting_table", "workbench", 1),
     }
     assert tree.ground_truth_parents("cobblestone") == {("wooden_pickaxe", "tool", 1)}
+    check_stored_parents(tree)
 
 
 def test_collect_tool_gate_fails_for_every_seed(tree):
