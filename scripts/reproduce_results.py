@@ -4,7 +4,7 @@
 Writes CSVs and manifests under the output directory (one subdirectory per
 experiment) and ends with a comparison table: exploration speed with and
 without guidance, task-step ratios, robustness under injected errors, and the
-random-explorer baseline.
+random-explorer baseline against the open-ended runs per environment step.
 """
 import argparse
 import csv
@@ -19,6 +19,7 @@ from dreamcraft.harness import ExperimentSpec, run_experiment
 from dreamcraft.tech_tree import load_tree_file
 
 MAX_ITERATIONS = 900
+STEP_BUDGETS = (50_000, 200_000, 1_000_000)
 
 
 def _seed_count(text: str) -> int:
@@ -42,6 +43,25 @@ def open_ended_line(label: str, summary: Path, n_items: int) -> str:
         verified = ", ".join(capped)
         line += f"; stopped at the {MAX_ITERATIONS}-iteration cap: {len(capped)} (verified {verified} of {n_items})"
     return line
+
+
+def count_within(curve: Path, column: str, budget: int) -> int:
+    """A curve file's `column` at its last iteration within `budget`
+    cumulative environment steps, 0 if its first iteration is past it."""
+    count = 0
+    with curve.open(newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            if int(row["steps"]) > budget:
+                break
+            count = int(row[column])
+    return count
+
+
+def discovery_line(label: str, curves: list[Path], column: str) -> str:
+    """The table line of one configuration: its mean `column` over the seed
+    curves within each of `STEP_BUDGETS` environment steps."""
+    means = [statistics.mean(count_within(c, column, budget) for c in curves) for budget in STEP_BUDGETS]
+    return f"  {label:26s}" + "".join(f"{m:10.1f}" for m in means)
 
 
 def main() -> int:
@@ -96,6 +116,14 @@ def main() -> int:
     run_experiment(spec, out / "baseline")
     for line in (out / "baseline" / "baseline_summary.csv").read_text().splitlines():
         print("  " + line)
+    # The random explorer verifies nothing, so its curve counts the items it
+    # has ever held; an agent's curve counts the items it has verified.
+    print(f"  {'mean items within steps':26s}" + "".join(f"{b:>10,}" for b in STEP_BUDGETS))
+    curves = [out / "baseline" / f"baseline_seed{s}.csv" for s in seeds]
+    print(discovery_line("random, items ever held", curves, "discovered"))
+    for label, _ in sources:
+        curves = [out / f"open_ended_{label}" / f"curves_seed{s}.csv" for s in seeds]
+        print(discovery_line(f"{label}, items verified", curves, "verified"))
 
     print(f"\nall outputs under {out}/")
     return 0

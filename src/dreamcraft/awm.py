@@ -224,7 +224,7 @@ class Awm:
 
     def ancestors(self, item: str) -> set[str]:
         if item not in self._nodes:
-            raise AwmError(f"unknown node '{item}'")
+            raise AwmError(f"unknown node {item!r}")
         seen: set[str] = set()
         stack = [item]
         while stack:
@@ -259,7 +259,7 @@ class Awm:
         if branch is not None:
             return branch
         if target not in self._nodes:
-            raise AwmError(f"unknown node '{target}'")
+            raise AwmError(f"unknown node {target!r}")
         incoming = self._incoming
         closure = {}  # node -> its incoming edges
         pairs = []
@@ -312,9 +312,9 @@ class Awm:
         never changed again; re-verification warns and leaves the graph
         untouched."""
         if item not in self._nodes:
-            raise AwmError(f"unknown node '{item}'")
+            raise AwmError(f"unknown node {item!r}")
         if item in self._verified:
-            warnings.warn(f"node '{item}' is already verified; ignoring", stacklevel=2)
+            warnings.warn(f"node {item!r} is already verified; ignoring", stacklevel=2)
             return
         # Checked before anything is written: a bad edge or yield writes nothing.
         edges = {AwmEdge(parent, item, kind, quantity) for parent, kind, quantity in observed}

@@ -38,17 +38,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="file:PATH | perturb:INSERT,DELETE | empty | truth",
     )
     parser.add_argument("--seeds", type=_parse_seeds, default=d["seeds"], help="count N or comma list")
-    parser.add_argument("--c0", type=int, default=d["c0"], help="frontier visit cap before widening")
     parser.add_argument("--max-iterations", type=int, default=d["max_iterations"])
-    parser.add_argument("--p0", type=float, default=d["p0"], help="initial collect success probability")
-    parser.add_argument(
-        "--pmax", dest="p_max", type=float, default=d["p_max"], help="asymptotic collect success probability"
-    )
-    parser.add_argument("--tau", type=float, default=d["tau"], help="attempts scale of the learning curve")
-    parser.add_argument(
-        "--retry-cap", type=int, default=d["retry_cap"],
-        help="collect tries per branch step, at least 1; crafts are not capped",
-    )
     parser.add_argument("--out", default="results", help="output directory")
 
 

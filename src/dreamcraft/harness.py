@@ -30,7 +30,8 @@ from .hypotheses import (
 from .policy import LearnerConfig
 from .tech_tree import Inventory, TechTree, attempt_collect, attempt_craft, load_tree_file
 
-HYPOTHESIS_KINDS = ("file", "perturb", "empty", "truth")
+# A hypothesis source is `empty`, `truth`, or one of these kinds with ":ARG".
+HYPOTHESIS_KINDS = ("file", "perturb")
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,6 @@ class ExperimentSpec:
     hypothesis: str = "truth"
     goal: str | None = None
     seeds: tuple[int, ...] = (0,)
-    # The run defaults live in AgentConfig and LearnerConfig alone.
-    c0: int = AgentConfig.c0
-    p0: float = LearnerConfig.p0
-    p_max: float = LearnerConfig.p_max
-    tau: float = LearnerConfig.tau
-    retry_cap: int = AgentConfig.retry_cap
     max_iterations: int = AgentConfig.max_iterations
     insert_rates: tuple[float, ...] = ()
     delete_rates: tuple[float, ...] = ()
@@ -54,7 +49,7 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         kind = self.hypothesis.split(":", 1)[0]
-        if kind not in HYPOTHESIS_KINDS:
+        if self.hypothesis not in ("empty", "truth") and kind not in HYPOTHESIS_KINDS:
             raise ValueError(f"unknown hypothesis source {self.hypothesis!r}")
         if self.experiment in ("task", "robustness") and self.goal is None:
             raise ValueError(f"{self.experiment} experiment needs a goal")
@@ -78,8 +73,8 @@ class ExperimentSpec:
             raise ValueError("score builds one hypothesis, so it takes one seed")
         if not self.seeds:
             raise ValueError("at least one seed required")
-        # Every experiment is held to the agent's and the learner's checks, so
-        # no manifest records a spec that one of them would reject.
+        # Every experiment is held to the agent's checks, so no manifest
+        # records a spec that the agent would reject.
         _agent_config(self, self.goal, self.seeds[0])
 
 
@@ -112,9 +107,9 @@ def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
     recipe-dictionary document."""
     kind, _, arg = source.partition(":")
     universe = set(tree.items)
-    if kind == "truth":
+    if source == "truth":
         return ground_truth_awm(tree)
-    if kind == "empty":
+    if source == "empty":
         return empty_hypothesis(universe)
     if kind == "perturb":
         try:
@@ -131,14 +126,7 @@ def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
 
 
 def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentConfig:
-    return AgentConfig(
-        goal=goal,
-        c0=spec.c0,
-        max_iterations=spec.max_iterations,
-        learner=LearnerConfig(p0=spec.p0, p_max=spec.p_max, tau=spec.tau),
-        retry_cap=spec.retry_cap,
-        seed=seed,
-    )
+    return AgentConfig(goal=goal, max_iterations=spec.max_iterations, seed=seed)
 
 
 def _seeds(spec: ExperimentSpec) -> list[int]:
@@ -205,10 +193,14 @@ def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     return _goal_trials(spec, tree, sources)
 
 
+# The random explorer does not learn: every collect try succeeds with the
+# library's p0. Each trial reads this at call time.
+BASELINE_CURVE = LearnerConfig(p_max=LearnerConfig.p0)
+
+
 def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[BaselinePoint]:
     rng = Random(seed)
     inventory = Inventory()
-    fixed = LearnerConfig(p0=spec.p0, p_max=spec.p0)  # no learning: p0 on every try
     collectables = tree.collectables()
     craftables = tree.craftables()
     held: set[str] = set()  # a success adds its item; a craft consumes only items already held
@@ -217,7 +209,7 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     for iteration in range(1, spec.max_iterations + 1):
         if collectables:
             item = collectables[rng.randrange(len(collectables))]
-            out = attempt_collect(tree, item, inventory, fixed, rng)
+            out = attempt_collect(tree, item, inventory, BASELINE_CURVE, rng)
             steps += out.steps
             if out.success:
                 held.add(item)

@@ -149,7 +149,7 @@ class TechTree:
         try:
             return self.items[item]
         except KeyError:
-            raise TreeError(f"unknown item '{item}'") from None
+            raise TreeError(f"unknown item {item!r}") from None
 
     def collectables(self) -> list[str]:
         return sorted(i for i, d in self.items.items() if d.collectable)
@@ -164,7 +164,7 @@ class TechTree:
         try:
             return self._parents[item]
         except KeyError:
-            raise TreeError(f"unknown item '{item}'") from None
+            raise TreeError(f"unknown item {item!r}") from None
 
 
 def _validate(items: dict[str, ItemDef]) -> TechTree:

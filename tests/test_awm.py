@@ -201,6 +201,16 @@ def test_verify_node_is_idempotent(tree, perfect_awm):
     assert perfect_awm.to_json() == snapshot
 
 
+@pytest.mark.parametrize("method", ["ancestors", "expand_requirements", "verify_node"])
+def test_an_unknown_node_is_quoted_on_one_line(perfect_awm, method):
+    call = getattr(perfect_awm, method)
+    args = ((),) if method == "verify_node" else ()
+    with pytest.raises(AwmError, match=r"^unknown node 'a\\nb'$"):
+        call("a\nb", *args)
+    with pytest.raises(AwmError, match=r"^unknown node 'obsidian'$"):
+        call("obsidian", *args)
+
+
 def test_verify_grows_v_by_one(tree, perfect_awm):
     assert len(perfect_awm.verified) == 0
     verify_from_tree(perfect_awm, tree, "log")

@@ -130,30 +130,32 @@ def test_score_rejects_more_than_one_seed(tmp_path, capsys):
     assert not (tmp_path / "accuracy_report.txt").exists()
 
 
-def test_retry_cap_below_one_is_rejected_before_any_output(tmp_path, capsys):
-    out = tmp_path / "out"
-    rc = main(["explore", "--retry-cap", "0", "--max-iterations", "0", "--out", str(out)])
-    assert rc == 2
-    assert "retry_cap" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ["baseline", "--max-iterations", "-1"],
-        ["baseline", "--retry-cap", "0"],
-        ["baseline", "--c0", "0"],
-        ["score", "--p0", "5"],
-        ["baseline", "--tau", "nan"],
-        ["explore", "--tau", "nan"],
-        ["score", "--tau", "inf"],
+        pytest.param(["explore", "--max-iterations", "-1"], id="explore"),
+        pytest.param(["task", "log", "--max-iterations", "-1"], id="task"),
+        pytest.param(["robustness", "--seeds", "3", "--max-iterations", "-1"], id="robustness"),
+        pytest.param(["score", "--max-iterations", "-1"], id="score"),
     ],
 )
 def test_every_experiment_rejects_an_invalid_spec_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The run parameters live in AgentConfig and LearnerConfig alone: the command
+# line has no flag for them, and argparse stops at one with its usage error.
+@pytest.mark.parametrize("flag", ["--c0", "--p0", "--pmax", "--tau", "--retry-cap"])
+def test_a_run_parameter_flag_is_a_usage_error_before_any_output(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["explore", flag, "4", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag} 4" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -164,20 +166,19 @@ COMMON_FLAGS = {
     "tree_path": ("--tree", None, None),  # a copy of the bundled tree, made per run
     "hypothesis": ("--hypothesis", "empty", "empty"),
     "seeds": ("--seeds", "5,", [5]),
-    "c0": ("--c0", "4", 4),
     "max_iterations": ("--max-iterations", "7", 7),
-    "p0": ("--p0", "0.3", 0.3),
-    "p_max": ("--pmax", "0.9", 0.9),
-    "tau": ("--tau", "2.5", 2.5),
-    "retry_cap": ("--retry-cap", "5", 5),
 }
 SET_BY_SUBCOMMAND = {"experiment", "goal", "insert_rates", "delete_rates"}
+WORKLOAD_FIELDS = {
+    "experiment", "tree_path", "hypothesis", "goal", "seeds", "max_iterations", "insert_rates", "delete_rates",
+}
 
 
 def test_common_flags_set_every_spec_field_with_the_spec_defaults(tmp_path):
-    assert {f.name for f in fields(ExperimentSpec)} == set(COMMON_FLAGS) | SET_BY_SUBCOMMAND
+    assert {f.name for f in fields(ExperimentSpec)} == set(COMMON_FLAGS) | SET_BY_SUBCOMMAND == WORKLOAD_FIELDS
     assert main(["score", "--out", str(tmp_path / "defaults")]) == 0
     recorded = json.loads((tmp_path / "defaults" / "manifest.json").read_text())["spec"]
+    assert set(recorded) == WORKLOAD_FIELDS
     expected = ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path()))
     assert recorded == json.loads(json.dumps(asdict(expected)))  # tuples are recorded as lists
 
@@ -325,10 +326,13 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
         ),
         (["task", "a\nb"], None, "goal 'a\\nb' is not a tree item"),
         (["score", "--hypothesis", "perturb:1.5,0"], None, "bad perturb rates '1.5,0'"),
+        # `empty` and `truth` take no argument.
+        (["explore", "--hypothesis", "empty:zzz"], None, "unknown hypothesis source 'empty:zzz'"),
+        (["score", "--hypothesis", "truth:whatever"], None, "unknown hypothesis source 'truth:whatever'"),
     ],
     ids=[
         "recipe-item", "quantity", "duplicate", "required-tool", "non-map", "malformed",
-        "collectable-yield", "goal", "perturb-rate",
+        "collectable-yield", "goal", "perturb-rate", "empty-argument", "truth-argument",
     ],
 )
 def test_bad_input_is_exit_2_with_one_line_of_stderr(tmp_path, capsys, argv, doc, message):

@@ -5,6 +5,7 @@ import statistics
 
 import pytest
 
+from dreamcraft import harness
 from dreamcraft.datafiles import pickaxe16_path
 from dreamcraft.harness import (
     BaselinePoint,
@@ -17,6 +18,7 @@ from dreamcraft.harness import (
     run_robustness,
     run_task,
 )
+from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import ItemDef, RecipeEntry, load_tree_file, make_tree, serialize_tree
 
 
@@ -48,11 +50,13 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="one seed"):
         spec_for("score", seeds=(0, 5))  # score builds the hypothesis of one seed
     spec_for("score", seeds=(5, 5))
-    # The agent's and the learner's checks hold for every experiment.
-    with pytest.raises(ValueError, match="c0"):
-        spec_for("baseline", c0=0)
-    with pytest.raises(ValueError, match="p0"):
-        spec_for("score", p0=5.0)
+    # The agent's checks hold for every experiment.
+    with pytest.raises(ValueError, match="max_iterations"):
+        spec_for("score", max_iterations=-1)
+    # `empty` and `truth` take no argument.
+    for source in ("empty:zzz", "truth:", "truth:whatever"):
+        with pytest.raises(ValueError, match="unknown hypothesis source"):
+            spec_for("score", hypothesis=source)
 
 
 def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
@@ -246,13 +250,17 @@ def expected_baseline_iterations():
     return values[0]
 
 
-def test_baseline_matches_markov_oracle(tmp_path):
+def flat_curve(monkeypatch, p):
+    """Substitute the random explorer's fixed collect probability."""
+    monkeypatch.setattr(harness, "BASELINE_CURVE", LearnerConfig(p0=p, p_max=p))
+
+
+def test_baseline_matches_markov_oracle(tmp_path, monkeypatch):
     tree = tiny_chain()
     path = tmp_path / "chain.json"
     path.write_text(serialize_tree(tree))
-    spec = spec_for(
-        "baseline", tree_path=str(path), seeds=tuple(range(2000)), p0=1.0, p_max=1.0, max_iterations=200
-    )
+    flat_curve(monkeypatch, 1.0)
+    spec = spec_for("baseline", tree_path=str(path), seeds=tuple(range(2000)), max_iterations=200)
     curves = run_baseline_random(spec, tree)
     finishing = [c[-1].iteration for c in curves.values()]
     assert all(c[-1].discovered == 3 for c in curves.values())
@@ -261,14 +269,16 @@ def test_baseline_matches_markov_oracle(tmp_path):
     assert statistics.mean(finishing) == pytest.approx(expected, abs=0.3)
 
 
-def test_baseline_zero_probability_flatlines():
-    spec = spec_for("baseline", seeds=(0,), p0=0.0, max_iterations=25)
+def test_baseline_zero_probability_flatlines(monkeypatch):
+    flat_curve(monkeypatch, 0.0)
+    spec = spec_for("baseline", seeds=(0,), max_iterations=25)
     curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[0]
     assert [p.discovered for p in curve] == [0] * 25
 
 
-def test_baseline_monotone_discovery():
-    spec = spec_for("baseline", seeds=(3,), p0=0.5, max_iterations=150)
+def test_baseline_monotone_discovery(monkeypatch):
+    flat_curve(monkeypatch, 0.5)
+    spec = spec_for("baseline", seeds=(3,), max_iterations=150)
     curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[3]
     found = [p.discovered for p in curve]
     assert found == sorted(found)

@@ -21,6 +21,7 @@ def test_reproduce_script_prints_every_table(tmp_path):
     assert done.returncode == 0, done.stderr
     for table in TABLES:
         assert f"== {table}" in done.stdout
+    assert "random, items ever held" in done.stdout
     assert (tmp_path / "robustness" / "robustness_summary.csv").exists()
 
 
@@ -50,6 +51,18 @@ def test_a_run_stopped_at_the_cap_is_not_counted_as_full_verification(tmp_path):
         "  guided    mean iterations to full verification:     25.0 (2 of 3 runs);"
         " stopped at the 900-iteration cap: 1 (verified 12 of 16)"
     )
+
+
+def test_discovery_counts_each_curve_at_its_last_iteration_within_the_budget(tmp_path):
+    script = load_script(SCRIPT)
+    late = tmp_path / "late.csv"  # its first iteration is already past the first budget
+    late.write_text("iteration,verified,steps\n1,1,60000\n2,2,250000\n", encoding="utf-8")
+    done = tmp_path / "done.csv"  # it ends inside the second budget, so its last count holds
+    done.write_text("iteration,verified,steps\n1,3,40000\n2,4,50000\n3,9,150000\n", encoding="utf-8")
+    assert script.STEP_BUDGETS == (50_000, 200_000, 1_000_000)
+    assert [script.count_within(late, "verified", b) for b in script.STEP_BUDGETS] == [0, 1, 2]
+    assert [script.count_within(done, "verified", b) for b in script.STEP_BUDGETS] == [4, 9, 9]
+    assert script.discovery_line("both", [late, done], "verified") == f"  {'both':26s}       2.0       5.0       5.5"
 
 
 def test_plot_curves_reads_only_the_curves_the_manifest_lists(tmp_path):

@@ -169,6 +169,14 @@ def test_ground_truth_parents(tree):
     check_stored_parents(tree)
 
 
+@pytest.mark.parametrize("lookup", ["definition", "ground_truth_parents"])
+def test_an_unknown_item_is_quoted_on_one_line(tree, lookup):
+    with pytest.raises(TreeError, match=r"^unknown item 'a\\nb'$"):
+        getattr(tree, lookup)("a\nb")
+    with pytest.raises(TreeError, match=r"^unknown item 'obsidian'$"):
+        getattr(tree, lookup)("obsidian")
+
+
 def test_collect_tool_gate_fails_for_every_seed(tree):
     for seed in range(25):
         inv = Inventory()
