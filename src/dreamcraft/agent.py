@@ -6,7 +6,8 @@ subgoals, verify or correct the belief graph from what actually happened).
 is verified, a run without one when every tree item is. A goal must be a tree
 item, so the loop's own condition is the run's one exit.
 
-Runs are fully deterministic given (seed, tree, initial belief graph).
+A run verifies into the belief graph it is given, so a caller builds one graph
+per run, as `harness` does. Runs are deterministic given (seed, tree, graph).
 """
 from __future__ import annotations
 
@@ -176,14 +177,15 @@ def run_with_state(
     config: AgentConfig, tree: TechTree, initial_awm: Awm
 ) -> tuple[list[IterationRecord], AgentState]:
     """Alternate dream and wake until the goal is verified (with a goal), every
-    tree item is verified (without one), or iterations run out.
-    Returns the iteration records and the final agent state."""
+    tree item is verified (without one), or iterations run out. Returns the
+    iteration records and the final agent state, whose graph is `initial_awm`
+    itself: the run verifies into it, so each run needs a graph of its own."""
     missing = set(tree.items) - initial_awm.nodes
     if missing:
         raise ValueError(f"belief graph is missing tree items: {sorted(missing)}")
     if config.goal is not None and config.goal not in tree.items:
         raise ValueError(f"goal {config.goal!r} is not a tree item")
-    state = AgentState.create(tree, initial_awm.copy(), config)
+    state = AgentState.create(tree, initial_awm, config)
     # Open-ended runs end when every item the world contains is verified;
     # hypothesis-only fictional nodes can never be. Every tree item is a node
     # (checked above), so this set cannot change during the run, and it is

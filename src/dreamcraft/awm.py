@@ -87,21 +87,22 @@ class Awm:
     """The belief graph, indexed by node.
 
     Each edge is stored once, in the incoming set of its child; the outgoing
-    sets index the same edges by parent. An edge may name a parent that is not
-    a node, which keeps its child off the frontier for good. The frontier is
-    kept up to date by counting, per child, the incoming edges whose parent is
-    unverified. The constructor indexes its nodes, edges and beliefs in one
-    pass, with nothing verified. After it, only `add_edge`, `discard_edge` and
-    `verify_node` change the graph: `nodes` and `verified` are read-only
-    views, `edges` is a new set on every read and `belief` reads one node.
+    sets index the same edges by parent. The frontier is the unverified nodes
+    whose incoming edges all come from verified parents, and a write tests
+    that rule again on each node whose incoming edges or parents it changed.
+    An edge may name a parent that is not a node, which keeps its child off
+    the frontier for good. The constructor indexes its nodes, edges and
+    beliefs in one pass, with nothing verified. After it, only `add_edge`,
+    `discard_edge` and `verify_node` change the graph: `nodes` and `verified`
+    are read-only views, `edges` is a new set on every read and `belief`
+    reads one node.
 
     `expand_requirements` keeps each target's branch, and its steps name the
     branch's closure: the target and its ancestors. A branch reads only the
     incoming edges and the beliefs of its closure, so a write drops the kept
     branches whose closure holds the edge's child, or the verified item when
     its belief changes; `verify_node` writes only what differs from what is
-    stored, and marking a node verified drops nothing. `copy` clones the
-    index and the beliefs and starts with no kept branches.
+    stored, and marking a node verified drops nothing.
     """
 
     def __init__(
@@ -117,10 +118,7 @@ class Awm:
         for edge in edges:
             self._incoming.setdefault(edge.child, set()).add(edge)
             self._outgoing.setdefault(edge.parent, set()).add(edge)
-        # Incoming edges from unverified parents: nothing is verified yet, so
-        # every stored edge blocks its child, and only edgeless nodes qualify.
-        self._blocked: dict[str, int] = {child: len(incoming) for child, incoming in self._incoming.items()}
-        self._frontier: set[str] = self._nodes.keys() - self._incoming.keys()
+        self._frontier: set[str] = self._nodes.keys() - self._incoming.keys()  # nothing is verified yet
         self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
         self._branches: dict[str, Branch] = {}  # kept expand_requirements results, by target
         self._readers: dict[str, set[str]] = {}  # node -> targets of the kept branches through it
@@ -149,9 +147,7 @@ class Awm:
         incoming.add(edge)
         self._outgoing.setdefault(edge.parent, set()).add(edge)
         self._drop_branches_through(edge.child)
-        if edge.parent not in self._verified:
-            self._blocked[edge.child] = self._blocked.get(edge.child, 0) + 1
-            self._frontier.discard(edge.child)
+        self._update_frontier(edge.child)
 
     def discard_edge(self, edge: AwmEdge) -> None:
         incoming = self._incoming.get(edge.child)
@@ -160,9 +156,7 @@ class Awm:
         incoming.remove(edge)
         self._outgoing[edge.parent].remove(edge)
         self._drop_branches_through(edge.child)
-        if edge.parent not in self._verified:
-            self._blocked[edge.child] -= 1
-            self._update_frontier(edge.child)
+        self._update_frontier(edge.child)
 
     def _drop_branches_through(self, node: str) -> None:
         for target in self._readers.pop(node, ()):
@@ -171,9 +165,12 @@ class Awm:
                     self._readers[step.item].discard(target)
 
     def _update_frontier(self, item: str) -> None:
-        # Called when the item may have just qualified for the frontier.
-        if item in self._nodes and item not in self._verified and not self._blocked.get(item):
+        # The frontier rule, for a node whose edges, parents or state a write changed.
+        verified = self._verified
+        if item in self._nodes and item not in verified and all(e.parent in verified for e in self._incoming[item]):
             self._frontier.add(item)
+        else:
+            self._frontier.discard(item)
 
     # -- basic queries ------------------------------------------------------
 
@@ -196,20 +193,6 @@ class Awm:
         if b is not None and b.collectable is not None:
             return b.collectable
         return not any(e.kind == INGREDIENT for e in self._incoming.get(item, ()))
-
-    def copy(self) -> "Awm":
-        """An independent graph: the index is cloned, not rebuilt."""
-        out = Awm.__new__(Awm)
-        out._nodes = dict(self._nodes)
-        out._verified = dict(self._verified)
-        out._incoming = {child: set(edges) for child, edges in self._incoming.items()}
-        out._outgoing = {parent: set(edges) for parent, edges in self._outgoing.items()}
-        out._blocked = dict(self._blocked)
-        out._frontier = set(self._frontier)
-        out._beliefs = dict(self._beliefs)
-        out._branches = {}
-        out._readers = {}
-        return out
 
     # -- frontier and pruning ------------------------------------------------
 
@@ -333,7 +316,6 @@ class Awm:
         self._verified[item] = None
         self._frontier.discard(item)
         for e in self._outgoing.get(item, ()):
-            self._blocked[e.child] -= 1
             self._update_frontier(e.child)
         if changed:
             self._drop_branches_through(item)

@@ -30,8 +30,15 @@ from .hypotheses import (
 from .policy import LearnerConfig
 from .tech_tree import Inventory, TechTree, attempt_collect, attempt_craft, load_tree_file
 
-# A hypothesis source is `empty`, `truth`, or one of these kinds with ":ARG".
-HYPOTHESIS_KINDS = ("file", "perturb")
+def _source_kind(source: str) -> tuple[str, str]:
+    """The kind and argument of a hypothesis source: `empty`, `truth`,
+    `perturb:I,D` or `file:PATH`, whose path may not be empty."""
+    kind, _, arg = source.partition(":")
+    if source not in ("empty", "truth") and kind not in ("file", "perturb"):
+        raise ValueError(f"unknown hypothesis source {source!r}")
+    if kind == "file" and not arg:
+        raise ValueError(f"hypothesis source {source!r} names no file")
+    return kind, arg
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        kind = self.hypothesis.split(":", 1)[0]
-        if self.hypothesis not in ("empty", "truth") and kind not in HYPOTHESIS_KINDS:
-            raise ValueError(f"unknown hypothesis source {self.hypothesis!r}")
+        _source_kind(self.hypothesis)
         if self.experiment in ("task", "robustness") and self.goal is None:
             raise ValueError(f"{self.experiment} experiment needs a goal")
         if self.experiment == "robustness":
@@ -105,24 +110,19 @@ def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
     """Materialize a hypothesis source string: truth, empty, perturb:I,D
     (seeded per trial, see `perturb_ground_truth`), or file:PATH with a
     recipe-dictionary document."""
-    kind, _, arg = source.partition(":")
-    universe = set(tree.items)
-    if source == "truth":
+    kind, arg = _source_kind(source)
+    if kind == "truth":
         return ground_truth_awm(tree)
-    if source == "empty":
-        return empty_hypothesis(universe)
+    if kind == "empty":
+        return empty_hypothesis(set(tree.items))
     if kind == "perturb":
         try:
             insert_s, delete_s = arg.split(",")
             return perturb_ground_truth(tree, float(insert_s), float(delete_s), seed)
         except ValueError as exc:
             raise ValueError(f"bad perturb rates {arg!r}") from exc
-    if kind == "file":
-        text = Path(arg).read_text(encoding="utf-8")
-        parsed = parse_recipe_dict(text)
-        entries = normalize_aliases(parsed.entries)
-        return build_hypothesized_awm(entries, universe)
-    raise ValueError(f"unknown hypothesis source {source!r}")
+    parsed = parse_recipe_dict(Path(arg).read_text(encoding="utf-8"))  # a file source
+    return build_hypothesized_awm(normalize_aliases(parsed.entries), set(tree.items))
 
 
 def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentConfig:

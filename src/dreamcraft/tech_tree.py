@@ -132,15 +132,53 @@ def _parent_set(d: ItemDef) -> frozenset[ParentSpec]:
 
 
 class TechTree:
-    """Validated, immutable map of item definitions, which are NamedTuples.
+    """Immutable map of item definitions, which are NamedTuples.
 
-    Each item's ground-truth parent set is computed once, when the tree is
-    built, and every reader shares that frozenset.
+    The constructor validates the map: a bad item is a `TreeValidationError`
+    naming it, and an empty map a `TreeError`. Each item's ground-truth parent
+    set is computed once, when the tree is built, and every reader shares
+    that frozenset.
     """
 
     def __init__(self, items: dict[str, ItemDef]):
+        if not items:
+            raise TreeError("tree has no items")
+        for name, d in items.items():
+            if not _NAME_RE.fullmatch(name):
+                raise TreeValidationError(name, "name must match [a-z0-9_]+")
+            if d.collectable and d.recipe:
+                raise TreeValidationError(name, "collectable item has a recipe")
+            if not d.collectable and not d.recipe:
+                raise TreeValidationError(name, "craftable item has an empty recipe")
+            if d.required_tool is not None and not d.collectable:
+                raise TreeValidationError(name, "required_tool only applies to collectables")
+            if d.collectable and (d.requires_crafting_table or d.requires_furnace):
+                raise TreeValidationError(name, "workbench flags only apply to craftables")
+            if d.collectable and d.craft_yield != 1:
+                raise TreeValidationError(name, "yield only applies to craftables")
+            if d.craft_yield < 1:
+                raise TreeValidationError(name, "yield must be positive")
+            seen = set()
+            for e in d.recipe:
+                if e.quantity < 1:
+                    raise TreeValidationError(name, f"non-positive quantity for {e.item!r}")
+                if e.item in seen:
+                    raise TreeValidationError(name, f"duplicate recipe entry {e.item!r}")
+                seen.add(e.item)
+                if e.item not in items:
+                    raise TreeValidationError(name, f"recipe references unknown item {e.item!r}")
+            if d.required_tool is not None and d.required_tool not in items:
+                raise TreeValidationError(name, f"required_tool references unknown item {d.required_tool!r}")
+            if d.requires_crafting_table and CRAFTING_TABLE not in items:
+                raise TreeValidationError(name, "requires_crafting_table but no crafting_table item")
+            if d.requires_furnace and FURNACE not in items:
+                raise TreeValidationError(name, "requires_furnace but no furnace item")
         self.items = items
         self._parents = {name: _parent_set(d) for name, d in items.items()}
+        order = topological_order(items, ((p, i) for i, parents in self._parents.items() for p, _, _ in parents))
+        if len(order) != len(items):
+            cyclic = sorted(items.keys() - set(order))
+            raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
 
     def names(self) -> list[str]:
         return sorted(self.items)
@@ -165,48 +203,6 @@ class TechTree:
             return self._parents[item]
         except KeyError:
             raise TreeError(f"unknown item {item!r}") from None
-
-
-def _validate(items: dict[str, ItemDef]) -> TechTree:
-    if not items:
-        raise TreeError("tree has no items")
-    for name, d in items.items():
-        if not _NAME_RE.fullmatch(name):
-            raise TreeValidationError(name, "name must match [a-z0-9_]+")
-        if d.collectable and d.recipe:
-            raise TreeValidationError(name, "collectable item has a recipe")
-        if not d.collectable and not d.recipe:
-            raise TreeValidationError(name, "craftable item has an empty recipe")
-        if d.required_tool is not None and not d.collectable:
-            raise TreeValidationError(name, "required_tool only applies to collectables")
-        if d.collectable and (d.requires_crafting_table or d.requires_furnace):
-            raise TreeValidationError(name, "workbench flags only apply to craftables")
-        if d.collectable and d.craft_yield != 1:
-            raise TreeValidationError(name, "yield only applies to craftables")
-        if d.craft_yield < 1:
-            raise TreeValidationError(name, "yield must be positive")
-        seen = set()
-        for e in d.recipe:
-            if e.quantity < 1:
-                raise TreeValidationError(name, f"non-positive quantity for {e.item!r}")
-            if e.item in seen:
-                raise TreeValidationError(name, f"duplicate recipe entry {e.item!r}")
-            seen.add(e.item)
-            if e.item not in items:
-                raise TreeValidationError(name, f"recipe references unknown item {e.item!r}")
-        if d.required_tool is not None and d.required_tool not in items:
-            raise TreeValidationError(name, f"required_tool references unknown item {d.required_tool!r}")
-        if d.requires_crafting_table and CRAFTING_TABLE not in items:
-            raise TreeValidationError(name, "requires_crafting_table but no crafting_table item")
-        if d.requires_furnace and FURNACE not in items:
-            raise TreeValidationError(name, "requires_furnace but no furnace item")
-
-    tree = TechTree(items)
-    order = topological_order(items, ((p, i) for i, parents in tree._parents.items() for p, _, _ in parents))
-    if len(order) != len(items):
-        cyclic = sorted(items.keys() - set(order))
-        raise TreeValidationError(cyclic[0], f"dependency cycle involving {cyclic}")
-    return tree
 
 
 def topological_order(nodes: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[str]:
@@ -334,7 +330,7 @@ def load_tree(text: str) -> TechTree:
             items[name] = _item_def(name, body)
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeParseError(f"malformed definition for {name!r}: {exc}") from exc
-    return _validate(items)
+    return TechTree(items)
 
 
 def load_tree_file(path) -> TechTree:
@@ -446,4 +442,4 @@ def attempt_craft(
 
 def make_tree(defs: Iterable[ItemDef]) -> TechTree:
     """Build a validated tree from item definitions (test/scenario helper)."""
-    return _validate({d.id: d for d in defs})
+    return TechTree({d.id: d for d in defs})

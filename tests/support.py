@@ -4,7 +4,7 @@ from random import Random
 
 import networkx as nx
 
-from dreamcraft.awm import AwmEdge, AwmError, BranchStep, remove_cycles
+from dreamcraft.awm import Awm, AwmEdge, AwmError, BranchStep, remove_cycles
 from dreamcraft.hypotheses import ground_truth_awm
 from dreamcraft.tech_tree import topological_order
 
@@ -19,6 +19,12 @@ def beliefs_of(awm) -> dict:
     """Every node's belief, the unknown one included, as the constructor's
     `beliefs` argument."""
     return {n: awm.belief(n) for n in awm.nodes}
+
+
+def rebuilt(awm):
+    """A graph of its own with the nodes, edges and beliefs of `awm`, built
+    by the constructor, so nothing in it is verified and no branch is kept."""
+    return Awm(awm.nodes, awm.edges, beliefs_of(awm))
 
 
 def is_acyclic(awm) -> bool:

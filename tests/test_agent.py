@@ -110,6 +110,13 @@ def test_run_deterministic(tree):
     assert first == second
 
 
+def test_a_run_verifies_into_the_graph_it_is_given(tree):
+    awm = ground_truth_awm(tree)
+    _, state = run_with_state(AgentConfig(goal="planks", max_iterations=50), tree, awm)
+    assert state.awm is awm
+    assert "planks" in awm.verified
+
+
 def test_run_zero_iterations(tree):
     config = AgentConfig(max_iterations=0)
     assert run_with_state(config, tree, ground_truth_awm(tree))[0] == []

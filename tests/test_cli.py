@@ -329,10 +329,14 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
         # `empty` and `truth` take no argument.
         (["explore", "--hypothesis", "empty:zzz"], None, "unknown hypothesis source 'empty:zzz'"),
         (["score", "--hypothesis", "truth:whatever"], None, "unknown hypothesis source 'truth:whatever'"),
+        # A file source names its path.
+        (["score", "--hypothesis", "file"], None, "hypothesis source 'file' names no file"),
+        (["score", "--hypothesis", "file:"], None, "hypothesis source 'file:' names no file"),
     ],
     ids=[
         "recipe-item", "quantity", "duplicate", "required-tool", "non-map", "malformed",
         "collectable-yield", "goal", "perturb-rate", "empty-argument", "truth-argument",
+        "file-without-colon", "file-without-path",
     ],
 )
 def test_bad_input_is_exit_2_with_one_line_of_stderr(tmp_path, capsys, argv, doc, message):

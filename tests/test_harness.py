@@ -116,6 +116,42 @@ def test_build_hypothesis_sources(tree, tmp_path):
         build_hypothesis(tree, "perturb:nope", seed=0)
 
 
+@pytest.mark.parametrize("source", ["file", "file:"])
+def test_a_file_source_without_a_path_is_rejected_by_the_spec_and_by_build_hypothesis(tree, source):
+    message = f"^hypothesis source '{source}' names no file$"
+    with pytest.raises(ValueError, match=message):
+        spec_for("score", hypothesis=source)
+    with pytest.raises(ValueError, match=message):
+        build_hypothesis(tree, source, 0)
+
+
+@pytest.mark.parametrize(
+    "experiment, grid",
+    [("task", {}), ("robustness", dict(insert_rates=(0.0, 0.1), delete_rates=(0.1,)))],
+)
+def test_every_trial_runs_on_a_graph_of_its_own(tree, monkeypatch, experiment, grid):
+    # A run verifies into the graph it is given. The built graphs are kept
+    # alive, so no id can be reused by a later trial's graph.
+    built, ran = [], []
+    build, run = harness.build_hypothesis, harness.run_with_state
+
+    def recording_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def recording_run(config, tree, awm):
+        records, state = run(config, tree, awm)
+        ran.append(id(state.awm))
+        return records, state
+
+    monkeypatch.setattr(harness, "build_hypothesis", recording_build)
+    monkeypatch.setattr(harness, "run_with_state", recording_run)
+    spec = spec_for(experiment, goal="planks", seeds=(0, 1, 2), max_iterations=20, **grid)
+    results = harness.EXPERIMENTS[experiment][0](spec, tree)
+    assert ran == [id(g) for g in built]
+    assert len(set(ran)) == len(results) == len(built)
+
+
 @pytest.mark.parametrize("source", ["perturb:1.5,0", "perturb:x"])
 def test_build_hypothesis_reports_bad_perturb_rates(tree, source):
     with pytest.raises(ValueError, match=f"^bad perturb rates '{source[len('perturb:'):]}'$"):

@@ -43,6 +43,7 @@ from support import (
     expand_by_ancestors,
     is_acyclic,
     perturb_with_distractor,
+    rebuilt,
     success_prob,
 )
 
@@ -294,7 +295,7 @@ def test_batch_forms_match_the_per_attempt_loop_on_every_gate():
 @given(digraphs())
 @settings(max_examples=150, deadline=None)
 def test_remove_cycles_always_acyclic(awm):
-    fixed = awm.copy()
+    fixed = rebuilt(awm)
     remove_cycles(fixed)
     assert is_acyclic(fixed)
     if is_acyclic(awm):
@@ -393,7 +394,7 @@ def cyclic_digraphs(draw):
 @given(digraphs() | cyclic_digraphs())
 @settings(max_examples=300, deadline=None)
 def test_remove_cycles_drops_what_restarting_the_search_drops(awm):
-    expected = awm.copy()
+    expected = rebuilt(awm)
     remove_cycles_by_restarting(expected)
     remove_cycles(awm)
     assert awm.edges == expected.edges
@@ -429,24 +430,23 @@ def _expansion(awm, node):
         return str(exc)
 
 
-def check_branches_against_a_fresh_copy(awm):
+def check_branches_against_a_rebuilt_graph(awm):
     """Every node's branch, kept from before the last write or not, equals
-    the one a fresh copy expands, and the one a graph rebuilt from the nodes,
-    edges and beliefs expands; expanding writes nothing. The rebuilt graph's
-    index, made in one pass by the constructor, equals that of the same graph
-    with its edges replayed write by write."""
+    the one a graph rebuilt from the nodes, edges and beliefs expands;
+    expanding writes nothing. The rebuilt graph's index, made in one pass by
+    the constructor, equals that of the same graph with its edges replayed
+    write by write."""
     before = _snapshot(awm)
-    fresh = awm.copy()
-    rebuilt = Awm(awm.nodes, awm.edges, beliefs_of(awm))
+    one_pass = rebuilt(awm)
     replayed = Awm(awm.nodes, beliefs=beliefs_of(awm))
     for e in awm.edges:
         replayed.add_edge(e)
-    assert _snapshot(rebuilt) == _snapshot(replayed)
+    assert _snapshot(one_pass) == _snapshot(replayed)
     for n in awm.nodes | {e.parent for e in awm.edges}:
-        assert rebuilt.parents_of(n) == replayed.parents_of(n)
-        assert rebuilt.children_of(n) == replayed.children_of(n)
+        assert one_pass.parents_of(n) == replayed.parents_of(n)
+        assert one_pass.children_of(n) == replayed.children_of(n)
     for n in sorted(awm.nodes):
-        assert _expansion(awm, n) == _expansion(fresh, n) == _expansion(rebuilt, n) == _expansion(replayed, n), n
+        assert _expansion(awm, n) == _expansion(one_pass, n) == _expansion(replayed, n), n
     assert _snapshot(awm) == before
 
 
@@ -454,31 +454,15 @@ def check_branches_against_a_fresh_copy(awm):
 @settings(max_examples=300, deadline=None)
 def test_index_matches_edge_scans_under_writes(awm, data):
     # "ghost" is never a node: edges, observed ones included, may name it.
-    # At one step the graph is copied; later writes go to either graph and
-    # must leave the other as it was, beliefs included.
     names = sorted(awm.nodes) + ["ghost"]
     labelled = data.draw(st.lists(st.sampled_from(names[:-1]), unique=True))
     awm = Awm(awm.nodes, awm.edges, {n: NodeBelief(data.draw(st.none() | st.booleans())) for n in labelled})
-    graphs = [awm]
     check_index_against_scans(awm)
-    check_branches_against_a_fresh_copy(awm)
-    steps = data.draw(st.integers(1, 12))
-    copy_at = data.draw(st.integers(0, steps - 1))
-    for step in range(steps):
-        if step == copy_at:
-            clone = awm.copy()
-            check_index_against_scans(clone)
-            check_branches_against_a_fresh_copy(clone)
-            assert _snapshot(clone) == _snapshot(awm)
-            graphs.append(clone)
-        target = data.draw(st.sampled_from(graphs))
-        others = [(g, _snapshot(g)) for g in graphs if g is not target]
-        _random_write(target, names, data)
-        check_index_against_scans(target)
-        for g, before in others:
-            assert _snapshot(g) == before
-        for g in graphs:
-            check_branches_against_a_fresh_copy(g)
+    check_branches_against_a_rebuilt_graph(awm)
+    for _ in range(data.draw(st.integers(1, 12))):
+        _random_write(awm, names, data)
+        check_index_against_scans(awm)
+        check_branches_against_a_rebuilt_graph(awm)
 
 
 @st.composite
@@ -583,7 +567,7 @@ def test_run_deterministic_on_random_worlds(tree, seed):
 
 def reference_dream(state, config):
     """`agent.dream` as a scan of the visit counts over the candidates,
-    expanding the sampled target in a fresh copy, which keeps no branch."""
+    expanding the sampled target in a rebuilt graph, which keeps no branch."""
     awm = state.awm
     frontier = awm.frontier()
     selectable = frontier if config.goal is None else awm.prune_to_goal(frontier, config.goal)
@@ -593,13 +577,14 @@ def reference_dream(state, config):
         raise AwmError("degenerate belief graph: no frontier and nothing verified")
     ordered = sorted(pool)
     target = ordered[state.rng.randrange(len(ordered))]
-    return DreamSample(awm.copy().expand_requirements(target), not eligible)
+    return DreamSample(rebuilt(awm).expand_requirements(target), not eligible)
 
 
 def check_run_against_the_reference_dream(config, tree, awm):
     """The run's records equal those of a run whose dream is the reference,
-    and the exhausted set is the nodes visited more than c0 times."""
-    records, state = run_with_state(config, tree, awm)
+    and the exhausted set is the nodes visited more than c0 times. Each run
+    verifies into a graph of its own."""
+    records, state = run_with_state(config, tree, rebuilt(awm))
     assert state.exhausted == {n for n, count in state.counts.items() if count > config.c0}
     with mock.patch.object(agent, "dream", reference_dream):
         assert run_with_state(config, tree, awm)[0] == records

@@ -7,6 +7,9 @@ import pytest
 from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
+    ItemDef,
+    RecipeEntry,
+    TechTree,
     TreeError,
     TreeParseError,
     TreeValidationError,
@@ -41,6 +44,20 @@ def test_a_tree_with_no_items_is_rejected():
         load_tree("{}")
     with pytest.raises(TreeError, match="tree has no items"):
         make_tree([])
+
+
+def test_the_constructor_validates_as_load_tree_and_make_tree_do():
+    defs = [
+        ItemDef("a", False, recipe=(RecipeEntry("b", 1),)),
+        ItemDef("b", False, recipe=(RecipeEntry("a", 1),)),
+    ]
+    with pytest.raises(TreeValidationError) as built:
+        make_tree(defs)
+    with pytest.raises(TreeValidationError) as direct:
+        TechTree({d.id: d for d in defs})
+    assert str(direct.value) == str(built.value) == "item 'a': dependency cycle involving ['a', 'b']"
+    with pytest.raises(TreeError, match="^tree has no items$"):
+        TechTree({})
 
 
 @pytest.mark.parametrize("name", ["log\n", "\nlog", "Log", "log planks", ""])
