@@ -90,16 +90,23 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     """Pick the next branch: a (pruned) frontier node visited at most c0
     times while any remains, otherwise widen to the whole frontier plus the
     verified set for undirected exploration; `sample_branch` rejects a graph
-    with neither."""
+    with neither. The graph keeps its frontier in name order, so filtering it
+    keeps that order; only the fallback pool is sorted."""
     awm = state.awm
     frontier = awm.frontier()
     selectable = frontier
     if config.goal is not None:
         selectable = awm.prune_to_goal(frontier, config.goal)
-    eligible = selectable - state.exhausted
+    # Few selectable nodes are exhausted (on the bench's synth400-explore
+    # workload, 13 of 1350 dreams meet one), so removing them from a copy is
+    # cheaper than testing every node.
+    eligible = selectable.copy()
+    for n in state.exhausted.intersection(selectable):
+        eligible.remove(n)
     if eligible:
         return DreamSample(sample_branch(awm, eligible, state.rng), False)
-    return DreamSample(sample_branch(awm, frontier | awm.verified, state.rng), True)
+    # The frontier holds no verified node, so the two parts are disjoint.
+    return DreamSample(sample_branch(awm, sorted([*frontier, *awm.verified]), state.rng), True)
 
 
 def _verify_from_world(state: AgentState, item: str) -> None:
@@ -111,14 +118,18 @@ def _verify_from_world(state: AgentState, item: str) -> None:
 
 def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     """One undirected exploration pass: try each unverified item once, in
-    lexicographic order, stopping at the first success.
+    the name order the graph keeps its nodes in, stopping at the first
+    success.
 
     The believed action goes first; after a failed collect a free craft attempt
     with whatever is in the inventory follows, which is how mislabeled
     craft-only items eventually get discovered and corrected.
     """
     awm = state.awm
-    for item in sorted(awm.nodes - awm.verified):
+    verified = awm.verified
+    for item in awm.nodes:
+        if item in verified:
+            continue
         visit(state, config, item)
         for action in (COLLECT, CRAFT) if awm.believed_collectable(item) else (CRAFT,):
             out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)

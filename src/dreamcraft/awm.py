@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections.abc import Iterable, KeysView
+from bisect import bisect_left
+from collections.abc import Iterable, KeysView, Sequence
 from dataclasses import asdict, dataclass
 from random import Random
 from typing import NamedTuple
@@ -97,6 +98,11 @@ class Awm:
     are read-only views, `edges` is a new set on every read and `belief`
     reads one node.
 
+    The graph keeps name order: the nodes never change after the constructor
+    sorts them, and the frontier is a sorted list that a write updates by
+    bisection. So `nodes`, `frontier` and `prune_to_goal` yield names in
+    order, and no reader sorts them again.
+
     `expand_requirements` keeps each target's branch, and its steps name the
     branch's closure: the target and its ancestors. A branch reads only the
     incoming edges and the beliefs of its closure, so a write drops the kept
@@ -111,14 +117,14 @@ class Awm:
         edges: Iterable[AwmEdge] = (),
         beliefs: dict[str, NodeBelief] | None = None,
     ):
-        self._nodes: dict[str, None] = dict.fromkeys(nodes)
+        self._nodes: dict[str, None] = dict.fromkeys(sorted(nodes))
         self._verified: dict[str, None] = {}
         self._incoming: dict[str, set[AwmEdge]] = {}
         self._outgoing: dict[str, set[AwmEdge]] = {}
         for edge in edges:
             self._incoming.setdefault(edge.child, set()).add(edge)
             self._outgoing.setdefault(edge.parent, set()).add(edge)
-        self._frontier: set[str] = self._nodes.keys() - self._incoming.keys()  # nothing is verified yet
+        self._frontier: list[str] = [n for n in self._nodes if n not in self._incoming]  # nothing is verified yet
         self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
         self._branches: dict[str, Branch] = {}  # kept expand_requirements results, by target
         self._readers: dict[str, set[str]] = {}  # node -> targets of the kept branches through it
@@ -166,11 +172,15 @@ class Awm:
 
     def _update_frontier(self, item: str) -> None:
         # The frontier rule, for a node whose edges, parents or state a write changed.
+        frontier = self._frontier
+        i = bisect_left(frontier, item)
+        present = i < len(frontier) and frontier[i] == item
         verified = self._verified
         if item in self._nodes and item not in verified and all(e.parent in verified for e in self._incoming[item]):
-            self._frontier.add(item)
-        else:
-            self._frontier.discard(item)
+            if not present:
+                frontier.insert(i, item)
+        elif present:
+            del frontier[i]
 
     # -- basic queries ------------------------------------------------------
 
@@ -196,10 +206,11 @@ class Awm:
 
     # -- frontier and pruning ------------------------------------------------
 
-    def frontier(self) -> set[str]:
+    def frontier(self) -> list[str]:
         """Unverified nodes whose hypothesized parents (all kinds) are all
-        verified; parentless unverified nodes qualify."""
-        return set(self._frontier)
+        verified, in name order; parentless unverified nodes qualify. The list
+        is a copy."""
+        return self._frontier.copy()
 
     def frontier_size(self) -> int:
         """The size of the frontier, without copying it."""
@@ -217,12 +228,13 @@ class Awm:
                     stack.append(e.parent)
         return seen
 
-    def prune_to_goal(self, frontier: set[str], goal: str) -> set[str]:
-        """Keep only frontier nodes on the hypothesized path to the goal; if no
-        frontier node lies on such a path, return the frontier unchanged."""
+    def prune_to_goal(self, frontier: list[str], goal: str) -> list[str]:
+        """Keep only frontier nodes on the hypothesized path to the goal, in
+        the frontier's (name) order; if no frontier node lies on such a path,
+        return a copy of the frontier."""
         on_path = self.ancestors(goal) | {goal}
-        pruned = frontier & on_path
-        return pruned if pruned else set(frontier)
+        pruned = [n for n in frontier if n in on_path]
+        return pruned or frontier.copy()
 
     # -- branch expansion -----------------------------------------------------
 
@@ -299,22 +311,25 @@ class Awm:
         if item in self._verified:
             warnings.warn(f"node {item!r} is already verified; ignoring", stacklevel=2)
             return
-        # Checked before anything is written: a bad edge or yield writes nothing.
-        edges = {AwmEdge(parent, item, kind, quantity) for parent, kind, quantity in observed}
-        collectable = not any(e.kind == INGREDIENT for e in edges)
+        # An edge equals its tuple, so observed parents compare with the stored
+        # edges as tuples; only an added edge is built, and so checked, before
+        # anything is written: a bad edge or yield writes nothing.
+        edges = {(parent, item, kind, quantity) for parent, kind, quantity in observed}
+        stored = self._incoming.get(item, _NO_EDGES)
+        added = [AwmEdge(*e) for e in edges - stored]
+        collectable = not any(kind == INGREDIENT for _, _, kind, _ in edges)
         if collectable:
             craft_yield = 1
         belief = self._beliefs.get(item, _UNKNOWN_BELIEF)
         changed = belief.collectable != collectable or belief.craft_yield != craft_yield
         if changed:
             belief = NodeBelief(collectable, craft_yield)
-        stored = self._incoming.get(item, _NO_EDGES)
         for e in stored - edges:
             self.discard_edge(e)
-        for e in edges - stored:
+        for e in added:
             self.add_edge(e)
         self._verified[item] = None
-        self._frontier.discard(item)
+        self._update_frontier(item)
         for e in self._outgoing.get(item, ()):
             self._update_frontier(e.child)
         if changed:
@@ -325,27 +340,26 @@ class Awm:
 
     def to_json(self) -> str:
         doc = {
-            "nodes": sorted(self.nodes),
+            "nodes": list(self.nodes),
             "edges": [
                 {"parent": e.parent, "child": e.child, "kind": e.kind, "quantity": e.quantity}
                 for e in sorted(self.edges)
             ],
             "verified": sorted(self.verified),
-            "beliefs": {n: asdict(self.belief(n)) for n in sorted(self.nodes)},
+            "beliefs": {n: asdict(self.belief(n)) for n in self.nodes},
         }
         return json.dumps(doc, indent=2) + "\n"
 
 
-def sample_branch(awm: Awm, candidates: set[str], rng: Random) -> Branch:
-    """Pick a target uniformly from the candidates (one draw over the sorted
-    set) and expand its prerequisite closure. The dream phase's widest pool is
-    the frontier plus the verified set, so no candidates means a graph with
+def sample_branch(awm: Awm, candidates: Sequence[str], rng: Random) -> Branch:
+    """Pick a target uniformly from the candidates, which are distinct and
+    in name order as the graph keeps them, with one draw of an index, and
+    expand its prerequisite closure. The dream phase's widest pool is the
+    frontier plus the verified set, so no candidates means a graph with
     neither."""
     if not candidates:
         raise AwmError("degenerate belief graph: no frontier and nothing verified")
-    ordered = sorted(candidates)
-    target = ordered[rng.randrange(len(ordered))]
-    return awm.expand_requirements(target)
+    return awm.expand_requirements(candidates[rng.randrange(len(candidates))])
 
 
 def _workbench_or_tool_nodes(awm: Awm) -> set[str]:
@@ -380,7 +394,7 @@ def remove_cycles(awm: Awm) -> None:
             awm.discard_edge(e)
 
     finished: set[str] = set()
-    for root in sorted(awm.nodes):
+    for root in awm.nodes:
         if root in finished:
             continue
         path = [root]  # the nodes being searched; path_edges[i] runs path[i] -> path[i + 1]

@@ -457,17 +457,18 @@ def check_rate(rate: float) -> None:
 
 
 def perturb_ground_truth(tree: TechTree, insert_rate: float, delete_rate: float, seed: int = 0) -> Awm:
-    """Inject edge errors into the exact graph: per item, with insert_rate add
-    an ingredient edge from the distractor, the tree's first parentless item
-    by name, and with delete_rate drop one uniformly chosen incoming edge.
-    Both rates are checked first. Deterministic under the seed. No edge enters
-    the distractor, so no inserted edge can close a cycle."""
+    """Inject edge errors into the exact graph: per item, in the graph's name
+    order, with insert_rate add an ingredient edge from the distractor, the
+    tree's first parentless item by name, and with delete_rate drop one
+    uniformly chosen incoming edge. Both rates are checked first.
+    Deterministic under the seed. No edge enters the distractor, so no
+    inserted edge can close a cycle."""
     check_rate(insert_rate)
     check_rate(delete_rate)
     distractor = min(i for i in tree.items if not tree.ground_truth_parents(i))
     awm = ground_truth_awm(tree)
     rng = Random(seed)
-    for item in sorted(awm.nodes):
+    for item in awm.nodes:
         if item != distractor and rng.random() < insert_rate:
             awm.add_edge(AwmEdge(distractor, item, INGREDIENT, 1))
         if rng.random() < delete_rate:

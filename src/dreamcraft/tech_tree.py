@@ -108,6 +108,8 @@ class Inventory:
         self._counts[item] += n
 
     def consume(self, item: str, n: int) -> None:
+        if n < 0:
+            raise ValueError("cannot consume a negative amount")
         have = self._counts.get(item, 0)
         if n > have:
             raise ValueError(f"cannot consume {n} {item}, only {have} held")
@@ -134,13 +136,15 @@ def _parent_set(d: ItemDef) -> frozenset[ParentSpec]:
 class TechTree:
     """Immutable map of item definitions, which are NamedTuples.
 
-    The constructor validates the map: a bad item is a `TreeValidationError`
-    naming it, and an empty map a `TreeError`. Each item's ground-truth parent
-    set is computed once, when the tree is built, and every reader shares
-    that frozenset.
+    The constructor validates a copy of the map, which the tree keeps, so a
+    later change to the caller's dict does not reach it: a bad item is a
+    `TreeValidationError` naming it, and an empty map a `TreeError`. Each
+    item's ground-truth parent set is computed once, when the tree is built,
+    and every reader shares that frozenset.
     """
 
     def __init__(self, items: dict[str, ItemDef]):
+        items = dict(items)
         if not items:
             raise TreeError("tree has no items")
         for name, d in items.items():

@@ -36,13 +36,14 @@ def verify_from_tree(awm, tree, item):
 
 
 def test_frontier_matches_oracle(tree, perfect_awm):
-    assert perfect_awm.frontier() == truth_frontier(tree, set())
-    assert perfect_awm.frontier() == {"log", "sand", "dirt", "flower", "seeds"}
+    # The frontier comes in name order.
+    assert perfect_awm.frontier() == sorted(truth_frontier(tree, set()))
+    assert perfect_awm.frontier() == ["dirt", "flower", "log", "sand", "seeds"]
 
     verify_from_tree(perfect_awm, tree, "log")
-    expected = {"sand", "dirt", "flower", "seeds", "planks"}
+    expected = ["dirt", "flower", "planks", "sand", "seeds"]
     assert perfect_awm.frontier() == expected
-    assert perfect_awm.frontier() == truth_frontier(tree, {"log"})
+    assert perfect_awm.frontier() == sorted(truth_frontier(tree, {"log"}))
     assert perfect_awm.frontier_size() == len(expected)
     perfect_awm.frontier().clear()  # a copy: the graph's frontier is not handed out
     assert perfect_awm.frontier_size() == len(expected)
@@ -53,15 +54,15 @@ def test_frontier_empty_when_all_verified(tree, perfect_awm):
                  "crafting_table", "wooden_pickaxe", "cobblestone", "boat", "door",
                  "ladder", "stone_pickaxe", "furnace", "glass"]:
         verify_from_tree(perfect_awm, tree, item)
-    assert perfect_awm.frontier() == set()
+    assert perfect_awm.frontier() == []
     assert perfect_awm.frontier_size() == 0
 
 
 def test_prune_to_goal_matches_networkx(tree, perfect_awm):
     frontier = perfect_awm.frontier()
     pruned = perfect_awm.prune_to_goal(frontier, "stone_pickaxe")
-    oracle = frontier & (nx.ancestors(truth_graph(tree), "stone_pickaxe") | {"stone_pickaxe"})
-    assert pruned == oracle == {"log"}
+    oracle = set(frontier) & (nx.ancestors(truth_graph(tree), "stone_pickaxe") | {"stone_pickaxe"})
+    assert pruned == sorted(oracle) == ["log"]
 
 
 def test_prune_to_goal_excludes_dead_ends(tree, perfect_awm):
@@ -69,15 +70,16 @@ def test_prune_to_goal_excludes_dead_ends(tree, perfect_awm):
     verify_from_tree(perfect_awm, tree, "planks")
     frontier = perfect_awm.frontier()
     assert "boat" in frontier  # dead end reachable from planks
-    assert perfect_awm.prune_to_goal(frontier, "wooden_pickaxe") == {"stick", "crafting_table"}
+    assert perfect_awm.prune_to_goal(frontier, "wooden_pickaxe") == ["crafting_table", "stick"]
 
 
 def test_prune_without_path_returns_frontier_unchanged():
     awm = Awm(nodes={"a", "b", "goal"}, edges={AwmEdge("b", "goal", "ingredient", 1)})
     frontier = awm.frontier()  # a and b are parentless, goal is not frontier? b is.
-    pruned = awm.prune_to_goal({"a"}, "goal")
-    assert pruned == {"a"}  # 'a' has no path to goal, so the set comes back unchanged
-    assert frontier == {"a", "b"}
+    given = ["a"]
+    pruned = awm.prune_to_goal(given, "goal")
+    assert pruned == ["a"] and pruned is not given  # 'a' has no path to goal: a copy comes back
+    assert frontier == ["a", "b"]
 
 
 def test_expand_requirements_wooden_pickaxe(perfect_awm):
@@ -133,7 +135,7 @@ def test_expand_with_overstated_quantity_still_feasible(tree, perfect_awm):
 def test_sample_branch_verified_yields(tree, perfect_awm):
     verify_from_tree(perfect_awm, tree, "log")
     verify_from_tree(perfect_awm, tree, "planks")
-    branch = sample_branch(perfect_awm, {"stick"}, Random(0))
+    branch = sample_branch(perfect_awm, ["stick"], Random(0))
     assert [(s.item, s.action, s.quantity) for s in branch] == [
         ("log", "collect", 1),
         ("planks", "craft", 4),
@@ -165,13 +167,13 @@ def test_verified_yield_learned_from_scratch(tree):
 
 
 def test_sample_branch_deterministic(perfect_awm):
-    picks = {sample_branch(perfect_awm, {"log", "sand"}, Random(7))[-1].item for _ in range(5)}
+    picks = {sample_branch(perfect_awm, ["log", "sand"], Random(7))[-1].item for _ in range(5)}
     assert len(picks) == 1
 
 
 def test_sample_branch_rejects_empty(perfect_awm):
     with pytest.raises(ValueError):
-        sample_branch(perfect_awm, set(), Random(0))
+        sample_branch(perfect_awm, [], Random(0))
 
 
 def test_verify_node_corrects_glass_error(tree):

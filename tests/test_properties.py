@@ -303,15 +303,17 @@ def test_remove_cycles_always_acyclic(awm):
 
 
 def check_index_against_scans(awm):
-    """Every indexed query equals a brute-force scan over `awm.edges`."""
+    """Every indexed query equals a brute-force scan over `awm.edges`, and
+    the nodes and the frontier come in name order."""
     edges = awm.edges
     verified = set(awm.verified)
     assert verified <= set(awm.nodes)
-    assert awm.frontier() == {
+    assert list(awm.nodes) == sorted(awm.nodes)
+    assert awm.frontier() == sorted(
         n
         for n in awm.nodes
         if n not in verified and all(e.parent in verified for e in edges if e.child == n)
-    }
+    )
     for n in awm.nodes:
         assert awm.parents_of(n) == sorted(e for e in edges if e.child == n)
         assert awm.children_of(n) == sorted(e for e in edges if e.parent == n)
@@ -567,12 +569,16 @@ def test_run_deterministic_on_random_worlds(tree, seed):
 
 def reference_dream(state, config):
     """`agent.dream` as a scan of the visit counts over the candidates,
-    expanding the sampled target in a rebuilt graph, which keeps no branch."""
+    expanding the sampled target in a rebuilt graph, which keeps no branch.
+    Its pools are sets, pruned by `ancestors` and sorted here, so it does not
+    rest on the order the graph keeps."""
     awm = state.awm
-    frontier = awm.frontier()
-    selectable = frontier if config.goal is None else awm.prune_to_goal(frontier, config.goal)
+    frontier = set(awm.frontier())
+    selectable = frontier
+    if config.goal is not None:
+        selectable = frontier & (awm.ancestors(config.goal) | {config.goal}) or frontier
     eligible = {n for n in selectable if state.counts.get(n, 0) <= config.c0}
-    pool = eligible or frontier | awm.verified
+    pool = eligible or frontier | set(awm.verified)
     if not pool:
         raise AwmError("degenerate belief graph: no frontier and nothing verified")
     ordered = sorted(pool)

@@ -254,3 +254,20 @@ def test_inventory_never_negative():
     with pytest.raises(ValueError):
         Inventory({"log": -1})
 
+
+def test_inventory_rejects_a_negative_amount():
+    inv = Inventory({"log": 2})
+    with pytest.raises(ValueError, match="negative"):
+        inv.consume("log", -3)
+    with pytest.raises(ValueError, match="negative"):
+        inv.add("log", -3)
+    assert inv.count("log") == 2
+
+
+def test_the_tree_keeps_its_own_copy_of_the_items():
+    items = {"log": ItemDef("log", True)}
+    tree = TechTree(items)
+    items["planks"] = ItemDef("planks", False, recipe=(RecipeEntry("nope", 1),))
+    assert list(tree.items) == ["log"]
+    with pytest.raises(TreeError, match="unknown item 'planks'"):
+        tree.definition("planks")
