@@ -63,8 +63,10 @@ class AgentState:
 
 def visit(state: AgentState, config: AgentConfig, item: str) -> None:
     """Count one visit to the item; past c0 visits it is exhausted."""
-    state.counts[item] += 1
-    if state.counts[item] > config.c0:
+    counts = state.counts
+    n = counts.get(item, 0) + 1  # no `Counter.__missing__` call for a first visit
+    counts[item] = n
+    if n > config.c0:
         state.exhausted.add(item)
 
 
@@ -127,12 +129,13 @@ def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     """
     awm = state.awm
     verified = awm.verified
+    bank, tree, inventory, rng = state.bank, state.tree, state.inventory, state.rng
     for item in awm.nodes:
         if item in verified:
             continue
         visit(state, config, item)
         for action in (COLLECT, CRAFT) if awm.believed_collectable(item) else (CRAFT,):
-            out = execute_subgoal(state.bank, state.tree, item, action, state.inventory, state.rng)
+            out = execute_subgoal(bank, tree, item, action, inventory, rng)
             state.total_env_steps += out.steps
             if out.success:
                 _verify_from_world(state, item)
@@ -152,6 +155,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
         state.inventory.clear()
 
     awm = state.awm
+    verified = awm.verified
     steps_before = state.total_env_steps
     target = branch[-1].item
     newly: str | None = None
@@ -164,7 +168,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
                 visit(state, config, target)  # a sampled attempt even when unreached
             break
     else:
-        if target not in awm.verified:
+        if target not in verified:
             _verify_from_world(state, target)
             newly = target
         else:
@@ -178,7 +182,7 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
         newly_verified=newly,
         env_steps=state.total_env_steps - steps_before,
         cumulative_env_steps=state.total_env_steps,
-        verified_count=len(awm.verified),
+        verified_count=len(verified),
         frontier_size=awm.frontier_size(),
         graph_size=len(awm.nodes),
     )
@@ -203,7 +207,8 @@ def run_with_state(
     # verified before the whole graph can be: the loop condition is the only exit.
     finish = set(tree.items) if config.goal is None else {config.goal}
     records: list[IterationRecord] = []
-    while state.iteration_index < config.max_iterations and not finish <= state.awm.verified:
+    verified = initial_awm.verified  # a live view: each verification shows in it
+    while state.iteration_index < config.max_iterations and not finish <= verified:
         sampled = dream(state, config)
         records.append(wake(state, config, sampled.branch, fallback=sampled.fallback))
     return records, state

@@ -202,7 +202,10 @@ class Awm:
         b = self._beliefs.get(item)
         if b is not None and b.collectable is not None:
             return b.collectable
-        return not any(e.kind == INGREDIENT for e in self._incoming.get(item, ()))
+        for e in self._incoming.get(item, ()):
+            if e.kind == INGREDIENT:
+                return False
+        return True
 
     # -- frontier and pruning ------------------------------------------------
 

@@ -88,15 +88,18 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 
 _LEXEME = r"""
-      "[^"\\\n]*(?:\\.[^"\\\n]*)*"  # string: a backslash escapes any character
-    | [{}\[\],:=]                   # punctuation
-    | -?\d+                         # integer
-    | [^\W\d]\w*                    # name
+      "[^"\\\n]*+(?:\\.[^"\\\n]*+)*+"  # string: a backslash escapes any character
+    | [{}\[\],:=]                      # punctuation
+    | -?\d++                           # integer
+    | [^\W\d]\w*+                      # name
 """
-_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"  # whitespace and comments
+_GAP = r"[ \t\r\n]*+(?:\#[^\n]*+[ \t\r\n]*+)*+"  # whitespace and comments
 # One match per token: the gap before it, then its lexeme. A character that
 # starts no token takes the rest of the text as its lexeme, and the end of the
-# text is the empty lexeme.
+# text is the empty lexeme. Every repeat is possessive (`*+`, `++`), so the
+# engine keeps no state to backtrack into: no match ever needs a repeat to give
+# characters back, since a string's runs stop at the quote or backslash that
+# must follow them, and after the gap `.+` or `\Z` always matches.
 _TOKEN = re.compile(_GAP + r"(" + _LEXEME + r"| .+ | \Z)", re.S | re.X)
 _WHOLE_LEXEME = re.compile(_LEXEME, re.S | re.X)
 _NAME_START = re.compile(r"[^\W\d]")

@@ -94,9 +94,8 @@ def acquire(
     """Repeat the subgoal until `quantity` more of the item are in the
     inventory or, for a collect, the retry cap is exhausted; failure is an
     outcome, not an exception. A failed craft ends the call, since crafting
-    is deterministic given the inventory and retrying cannot help."""
-    if quantity < 1:
-        raise ValueError("quantity must be positive")
+    is deterministic given the inventory and retrying cannot help. The
+    simulator rejects a `quantity` below 1."""
     if retry_cap < 1:
         raise ValueError("retry_cap must be positive")
     return execute_subgoal(bank, tree, item, action, inventory, rng, quantity, retry_cap)

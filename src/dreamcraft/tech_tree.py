@@ -13,6 +13,12 @@ so every craft the inventory affords happens in one step.
 
 Steps are environment steps: each collect try costs one full episode of
 `COLLECT_STEPS`, whether or not it succeeds, and crafting is instant.
+
+Most calls make one try, so most results are one of four fixed values: a
+single collect try that succeeds or fails, a craft step that makes nothing,
+and a craft step whose one craft is all that was needed. Those four are
+module constants, and every call that produces one returns the shared
+object; an `Outcome` is an immutable tuple, so sharing it is safe.
 """
 from __future__ import annotations
 
@@ -80,11 +86,18 @@ class ItemDef(NamedTuple):
 
 class Outcome(NamedTuple):
     """What a collect or craft call did: whether it added the quantity asked
-    for, the environment steps charged, and the attempts made."""
+    for, the environment steps charged, and the attempts made. The four
+    fixed single-try results below are shared, not built per call."""
 
     success: bool
     steps: int
     tries: int
+
+
+_COLLECTED = Outcome(True, COLLECT_STEPS, 1)  # a single collect try that succeeds
+_NOT_COLLECTED = Outcome(False, COLLECT_STEPS, 1)  # a single collect try that fails
+_CRAFTED = Outcome(True, 0, 1)  # one craft, and it was all that was needed
+_NOT_CRAFTED = Outcome(False, 0, 1)  # no craft the inventory affords
 
 
 class Inventory:
@@ -382,10 +395,14 @@ def attempt_collect(
     draws once from `rng`. Tool gating is ground truth: without the required
     tool, and for an item that is unknown or not collectable, every attempt
     fails with no draw. Each attempt is charged `COLLECT_STEPS` either way.
+    A `quantity` below 1 is a `ValueError`, raised before anything is drawn
+    or written.
     """
+    if quantity < 1:
+        raise ValueError("quantity must be positive")
     d = tree.items.get(item)
     if d is None or not d.collectable or (d.required_tool is not None and not inventory.count(d.required_tool)):
-        return Outcome(False, tries * COLLECT_STEPS, tries)
+        return _NOT_COLLECTED if tries == 1 else Outcome(False, tries * COLLECT_STEPS, tries)
     p0 = learner.p0
     span = learner.p_max - p0
     tau = learner.tau
@@ -400,6 +417,8 @@ def attempt_collect(
                 break
     if made:
         inventory.add(item, made)
+    if done == 1:
+        return _COLLECTED if made == quantity else _NOT_COLLECTED
     return Outcome(made == quantity, done * COLLECT_STEPS, done)
 
 
@@ -419,8 +438,11 @@ def attempt_craft(
     crafts needed and the crafts each ingredient's stock affords, and 0
     without a required workbench or for an item that is unknown or not
     craftable. When k falls short, one more failing try is charged, since
-    retrying cannot help. Crafts charge no environment steps.
+    retrying cannot help. Crafts charge no environment steps. A `quantity`
+    below 1 is a `ValueError`, raised before anything is written.
     """
+    if quantity < 1:
+        raise ValueError("quantity must be positive")
     counts = inventory._counts
     d = tree.items.get(item)
     made = 0
@@ -440,8 +462,8 @@ def attempt_craft(
                 inventory.consume(e.item, made * e.quantity)
             inventory.add(item, made * d.craft_yield)
         if made == needed:
-            return Outcome(True, 0, made)
-    return Outcome(False, 0, made + 1)
+            return _CRAFTED if made == 1 else Outcome(True, 0, made)
+    return Outcome(False, 0, made + 1) if made else _NOT_CRAFTED
 
 
 def make_tree(defs: Iterable[ItemDef]) -> TechTree:

@@ -1,4 +1,5 @@
 """Test-side references that more than one suite uses."""
+import re
 from math import exp
 from random import Random
 
@@ -101,3 +102,25 @@ def expand_by_ancestors(awm, target):
             else:
                 tool_use[e.parent] = True
     return tuple(steps[n] for n in order)
+
+
+# The recipe tokenizer's pattern with plain backtracking repeats, as it was
+# written before its repeats became possessive: the reference for
+# `hypotheses._TOKEN` and `hypotheses._WHOLE_LEXEME`.
+_BACKTRACKING_LEXEME = r"""
+      "[^"\\\n]*(?:\\.[^"\\\n]*)*"
+    | [{}\[\],:=]
+    | -?\d+
+    | [^\W\d]\w*
+"""
+_BACKTRACKING_GAP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*"
+BACKTRACKING = (  # the token pattern and the whole-lexeme pattern
+    re.compile(_BACKTRACKING_GAP + r"(" + _BACKTRACKING_LEXEME + r"| .+ | \Z)", re.S | re.X),
+    re.compile(_BACKTRACKING_LEXEME, re.S | re.X),
+)
+
+
+def tokens(token, whole_lexeme, text: str) -> list:
+    """Each match of `token` in `text`: its span, its lexeme, and whether
+    `whole_lexeme` accepts that lexeme whole."""
+    return [(m.span(), m[1], bool(whole_lexeme.fullmatch(m[1]))) for m in token.finditer(text)]

@@ -10,6 +10,7 @@ from dreamcraft.datafiles import pickaxe16_path
 from dreamcraft.harness import (
     BaselinePoint,
     ExperimentSpec,
+    TaskResult,
     build_hypothesis,
     emit_results,
     run_baseline_random,
@@ -339,6 +340,17 @@ def test_emit_rerun_byte_identical(tmp_path):
     assert [p.name for p in first] == [p.name for p in second]
     for left, right in zip(first, second):
         assert left.read_bytes() == right.read_bytes(), left.name
+
+
+def test_goal_summary_stdev_has_the_digits_of_every_supported_python(tmp_path):
+    """`statistics.stdev([1000, 1000, 2000])` ends in ...257 on Python 3.10
+    and in ...258 on 3.11 and later; the CSV bytes are those of 3.11+."""
+    spec = spec_for("task", goal="planks", seeds=(0, 1, 2))
+    results = [TaskResult("truth", seed, 1, steps, 1, 1) for seed, steps in enumerate((1000, 1000, 2000))]
+    emit_results(spec, results, tmp_path)
+    with (tmp_path / "task_summary.csv").open(newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["stdev_steps"] == "577.3502691896258"
 
 
 def test_robustness_files_read_back_with_a_csv_reader(tmp_path):

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import networkx as nx
 from hypothesis import given, settings
 
-from dreamcraft import agent
+from dreamcraft import agent, hypotheses
 from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
@@ -38,6 +38,7 @@ from dreamcraft.tech_tree import (
     topological_order,
 )
 from support import (
+    BACKTRACKING,
     beliefs_of,
     check_stored_parents,
     expand_by_ancestors,
@@ -45,6 +46,7 @@ from support import (
     perturb_with_distractor,
     rebuilt,
     success_prob,
+    tokens,
 )
 
 
@@ -696,6 +698,22 @@ def test_parse_returns_a_result_or_a_syntax_error(text):
     else:
         assert isinstance(result, ParseResult)
         assert all(1 <= s.line <= text.count("\n") + 1 for s in result.skipped)
+
+
+# The document pieces, the other gap characters, a comment and a string
+# holding an escaped newline.
+TOKEN_PIECES = [*DOCUMENT_PIECES, "\t", "\r", "# c\n", '"x\\\n']
+
+
+@given(st.lists(st.sampled_from(TOKEN_PIECES) | st.text(max_size=3), max_size=40).map("".join) | st.text())
+@settings(max_examples=400, deadline=None)
+def test_possessive_tokenizer_finds_the_tokens_of_the_backtracking_one(text):
+    assert tokens(hypotheses._TOKEN, hypotheses._WHOLE_LEXEME, text) == tokens(*BACKTRACKING, text)
+
+
+def test_possessive_tokenizer_finds_the_tokens_of_the_backtracking_one_in_the_fixture():
+    text = llm_fixture_path().read_text(encoding="utf-8")
+    assert tokens(hypotheses._TOKEN, hypotheses._WHOLE_LEXEME, text) == tokens(*BACKTRACKING, text)
 
 
 # Node names of mixed length, so that name order is not insertion order.

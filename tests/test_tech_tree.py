@@ -8,6 +8,7 @@ from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
     ItemDef,
+    Outcome,
     RecipeEntry,
     TechTree,
     TreeError,
@@ -245,6 +246,49 @@ def test_workbench_not_consumed_by_glass(tree):
     assert attempt_craft(tree, "glass", inv).success
     assert inv.count("furnace") == 1
     assert inv.count("glass") == 1
+
+
+@pytest.mark.parametrize("quantity", [0, -2])
+def test_a_non_positive_quantity_raises_before_anything_is_written(tree, quantity):
+    inv = Inventory({"log": 1, "wooden_pickaxe": 1})
+    rng = Random(0)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="^quantity must be positive$"):
+        attempt_collect(tree, "log", inv, LearnerConfig(1.0, 1.0), rng, quantity=quantity, tries=5)
+    with pytest.raises(ValueError, match="^quantity must be positive$"):
+        attempt_collect(tree, "obsidian", inv, LearnerConfig(1.0, 1.0), rng, quantity=quantity)
+    with pytest.raises(ValueError, match="^quantity must be positive$"):
+        attempt_craft(tree, "planks", inv, quantity=quantity)
+    assert held(tree, inv) == {"log": 1, "wooden_pickaxe": 1}
+    assert rng.getstate() == before
+
+
+def test_single_try_outcomes_are_shared_and_others_are_built(tree):
+    """The four fixed single-try results are the same object on every call;
+    every result, shared or built, equals the `Outcome` of its values."""
+    always, never = LearnerConfig(1.0, 1.0), LearnerConfig(0.0, 0.0)
+
+    def collect(item, learner, **kw):
+        return lambda: attempt_collect(tree, item, Inventory(), learner, Random(0), **kw)
+
+    def craft(item, counts, **kw):
+        return lambda: attempt_craft(tree, item, Inventory(counts), **kw)
+
+    cases = [  # (call, its result, whether it is one of the shared four)
+        (collect("log", always), Outcome(True, 1000, 1), True),
+        (collect("log", never), Outcome(False, 1000, 1), True),
+        (collect("cobblestone", always), Outcome(False, 1000, 1), True),  # no tool, no draw
+        (craft("stick", {"planks": 2}), Outcome(True, 0, 1), True),
+        (craft("stick", {}), Outcome(False, 0, 1), True),
+        (collect("log", always, quantity=2, tries=3), Outcome(True, 2000, 2), False),
+        (collect("cobblestone", always, tries=3), Outcome(False, 3000, 3), False),
+        (craft("planks", {"log": 2}, quantity=5), Outcome(True, 0, 2), False),
+        (craft("planks", {"log": 1}, quantity=5), Outcome(False, 0, 2), False),
+    ]
+    for call, result, shared in cases:
+        first, second = call(), call()
+        assert type(first) is Outcome and first == second == result
+        assert first is second or not shared, result
 
 
 def test_inventory_never_negative():
