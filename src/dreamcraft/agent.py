@@ -17,8 +17,8 @@ from random import Random
 from typing import NamedTuple
 
 from .awm import Awm, Branch, sample_branch
-from .policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
-from .tech_tree import COLLECT, CRAFT, Inventory, TechTree
+from .policy import acquire, execute_subgoal
+from .tech_tree import COLLECT, CRAFT, Inventory, LearnerConfig, TechTree
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class AgentState:
     awm: Awm
     counts: Counter = field(default_factory=Counter)  # visits; written by `visit` alone
     exhausted: set[str] = field(default_factory=set)  # the nodes visited more than c0 times
-    bank: PolicyBank = field(default_factory=PolicyBank)
+    attempts: dict[str, int] = field(default_factory=dict)  # collect tries per item: its policy's whole state
     inventory: Inventory = field(default_factory=Inventory)
     rng: Random = field(default_factory=Random)
     total_env_steps: int = 0
@@ -53,12 +53,7 @@ class AgentState:
 
     @classmethod
     def create(cls, tree: TechTree, awm: Awm, config: AgentConfig) -> "AgentState":
-        return cls(
-            tree=tree,
-            awm=awm,
-            bank=PolicyBank(learner=config.learner),
-            rng=Random(config.seed),
-        )
+        return cls(tree=tree, awm=awm, rng=Random(config.seed))
 
 
 def visit(state: AgentState, config: AgentConfig, item: str) -> None:
@@ -95,20 +90,18 @@ def dream(state: AgentState, config: AgentConfig) -> DreamSample:
     with neither. The graph keeps its frontier in name order, so filtering it
     keeps that order; only the fallback pool is sorted."""
     awm = state.awm
-    frontier = awm.frontier()
-    selectable = frontier
+    eligible = awm.frontier()  # a copy, and so is what `prune_to_goal` returns
     if config.goal is not None:
-        selectable = awm.prune_to_goal(frontier, config.goal)
+        eligible = awm.prune_to_goal(eligible, config.goal)
     # Few selectable nodes are exhausted (on the bench's synth400-explore
-    # workload, 13 of 1350 dreams meet one), so removing them from a copy is
+    # workload, 13 of 1350 dreams meet one), so removing them in place is
     # cheaper than testing every node.
-    eligible = selectable.copy()
-    for n in state.exhausted.intersection(selectable):
+    for n in state.exhausted.intersection(eligible):
         eligible.remove(n)
     if eligible:
         return DreamSample(sample_branch(awm, eligible, state.rng), False)
     # The frontier holds no verified node, so the two parts are disjoint.
-    return DreamSample(sample_branch(awm, sorted([*frontier, *awm.verified]), state.rng), True)
+    return DreamSample(sample_branch(awm, sorted([*awm.frontier(), *awm.verified]), state.rng), True)
 
 
 def _verify_from_world(state: AgentState, item: str) -> None:
@@ -129,15 +122,12 @@ def _exploration_sweep(state: AgentState, config: AgentConfig) -> str | None:
     """
     awm = state.awm
     verified = awm.verified
-    bank, tree, inventory, rng = state.bank, state.tree, state.inventory, state.rng
     for item in awm.nodes:
         if item in verified:
             continue
         visit(state, config, item)
         for action in (COLLECT, CRAFT) if awm.believed_collectable(item) else (CRAFT,):
-            out = execute_subgoal(bank, tree, item, action, inventory, rng)
-            state.total_env_steps += out.steps
-            if out.success:
+            if execute_subgoal(state, config, item, action).success:
                 _verify_from_world(state, item)
                 return item
     return None
@@ -160,9 +150,8 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
     target = branch[-1].item
     newly: str | None = None
     for item, action, quantity in branch:
-        out = acquire(state.bank, state.tree, item, action, quantity, state.inventory, state.rng, config.retry_cap)
+        out = acquire(state, config, item, action, quantity)
         visit(state, config, item)
-        state.total_env_steps += out.steps
         if not out.success:
             if item != target:  # the target is the last step
                 visit(state, config, target)  # a sampled attempt even when unreached

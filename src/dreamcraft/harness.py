@@ -27,8 +27,7 @@ from .hypotheses import (
     perturb_ground_truth,
     score_hypothesis,
 )
-from .policy import LearnerConfig
-from .tech_tree import Inventory, TechTree, attempt_collect, attempt_craft, load_tree_file
+from .tech_tree import Inventory, LearnerConfig, TechTree, attempt_collect, attempt_craft, load_tree_file
 
 def _source_kind(source: str) -> tuple[str, str]:
     """The kind and argument of a hypothesis source: `empty`, `truth`,
@@ -166,7 +165,7 @@ def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, 
                     success=int(goal in state.awm.verified),
                     env_steps_to_goal=state.total_env_steps,
                     iterations=len(records),
-                    policies_created=len(state.bank.attempts),
+                    policies_created=len(state.attempts),
                 )
             )
     return results

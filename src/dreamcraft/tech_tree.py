@@ -26,7 +26,8 @@ import heapq
 import json
 import re
 from collections import Counter
-from math import exp
+from dataclasses import dataclass
+from math import exp, isfinite
 from random import Random
 from typing import Iterable, NamedTuple
 
@@ -374,11 +375,30 @@ def serialize_tree(tree: TechTree) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+@dataclass(frozen=True)
+class LearnerConfig:
+    """Success curve p(k) = p0 + (p_max - p0) * (1 - exp(-k / tau)).
+
+    These checks are the curve's only ones: with `0 <= p0 <= p_max <= 1` and a
+    finite positive `tau`, every p(k) is within [0, 1] in floating point, since
+    rounding is monotone and `p0 + (p_max - p0)` rounds to at most 1."""
+
+    p0: float = 0.2
+    p_max: float = 0.95
+    tau: float = 3.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.p0 <= self.p_max <= 1.0:
+            raise ValueError("need 0 <= p0 <= p_max <= 1")
+        if not (isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
+
+
 def attempt_collect(
     tree: TechTree,
     item: str,
     inventory: Inventory,
-    learner,
+    learner: LearnerConfig,
     rng: Random,
     *,
     quantity: int = 1,
@@ -388,8 +408,8 @@ def attempt_collect(
     """Collect attempts until `quantity` more of the item are in the inventory
     or `tries` attempts are spent; the defaults make one attempt.
 
-    `learner` is a `policy.LearnerConfig`, whose checks keep every value of
-    the curve between 0 and 1. The attempt made after k earlier ones succeeds
+    `learner` is a `LearnerConfig`, whose checks keep every value of the
+    curve between 0 and 1. The attempt made after k earlier ones succeeds
     with probability `p0 + (p_max - p0) * (1 - exp(-k / tau))`, with k counted
     from `practice`; with `p_max == p0` it is `p0` every time. Each attempt
     draws once from `rng`. Tool gating is ground truth: without the required

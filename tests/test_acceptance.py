@@ -24,10 +24,10 @@ from dreamcraft.hypotheses import (
     parse_recipe_dict,
     score_hypothesis,
 )
-from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
     ItemDef,
+    LearnerConfig,
     RecipeEntry,
     attempt_craft,
     load_tree,

@@ -13,8 +13,7 @@ from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief
 from dreamcraft.datafiles import llm_fixture_path
 from dreamcraft.harness import build_hypothesis
 from dreamcraft.hypotheses import empty_hypothesis, ground_truth_awm
-from dreamcraft.policy import LearnerConfig
-from dreamcraft.tech_tree import COLLECT_STEPS, ItemDef, RecipeEntry, make_tree
+from dreamcraft.tech_tree import COLLECT_STEPS, ItemDef, LearnerConfig, RecipeEntry, make_tree
 from support import beliefs_of
 
 
@@ -268,7 +267,7 @@ def test_guided_policies_stay_on_goal_path(tree):
     config = AgentConfig(goal="stone_pickaxe", seed=2, max_iterations=300)
     records, state = run_with_state(config, tree, awm)
     assert not any(r.fallback for r in records)
-    assert set(state.bank.attempts) == {"log", "cobblestone"}
+    assert set(state.attempts) == {"log", "cobblestone"}
 
 
 def test_policy_scope_before_first_fallback(tree):
@@ -291,7 +290,7 @@ def test_policy_scope_before_first_fallback(tree):
     )
     _, state = run_with_state(truncated, tree, broken())
     goal_path = broken().ancestors("stone_pickaxe") | {"stone_pickaxe"}
-    assert set(state.bank.attempts) <= goal_path
+    assert set(state.attempts) <= goal_path
 
 
 def test_verified_edges_always_ground_truth(tree):
@@ -307,7 +306,7 @@ def test_step_accounting_conserved(tree):
     config = AgentConfig(seed=9, c0=4, max_iterations=200)
     records, state = run_with_state(config, tree, empty_hypothesis(set(tree.items)))
     assert state.total_env_steps == sum(r.env_steps for r in records)
-    assert state.total_env_steps == sum(state.bank.attempts.values()) * COLLECT_STEPS
+    assert state.total_env_steps == sum(state.attempts.values()) * COLLECT_STEPS
     cumulative = [r.cumulative_env_steps for r in records]
     assert cumulative == sorted(cumulative)
 

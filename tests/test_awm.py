@@ -5,8 +5,7 @@ import networkx as nx
 import pytest
 
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles, sample_branch
-from dreamcraft.policy import LearnerConfig
-from dreamcraft.tech_tree import Inventory, attempt_collect, attempt_craft
+from dreamcraft.tech_tree import Inventory, LearnerConfig, attempt_collect, attempt_craft
 from support import beliefs_of, is_acyclic, rebuilt
 
 

@@ -19,8 +19,7 @@ from dreamcraft.harness import (
     run_robustness,
     run_task,
 )
-from dreamcraft.policy import LearnerConfig
-from dreamcraft.tech_tree import ItemDef, RecipeEntry, load_tree_file, make_tree, serialize_tree
+from dreamcraft.tech_tree import ItemDef, LearnerConfig, RecipeEntry, load_tree_file, make_tree, serialize_tree
 
 
 def spec_for(experiment, **kw):

@@ -8,7 +8,7 @@ import networkx as nx
 from hypothesis import given, settings
 
 from dreamcraft import agent, hypotheses
-from dreamcraft.agent import AgentConfig, DreamSample, run_with_state
+from dreamcraft.agent import AgentConfig, AgentState, DreamSample, run_with_state
 from dreamcraft.awm import Awm, AwmEdge, AwmError, NodeBelief, remove_cycles
 from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import build_hypothesis
@@ -22,13 +22,14 @@ from dreamcraft.hypotheses import (
     perturb_ground_truth,
     serialize_recipe_dict,
 )
-from dreamcraft.policy import LearnerConfig, PolicyBank, acquire, execute_subgoal
+from dreamcraft.policy import acquire, execute_subgoal
 from dreamcraft.tech_tree import (
     CRAFTING_TABLE,
     FURNACE,
     Inventory,
     ItemDef,
     COLLECT_STEPS,
+    LearnerConfig,
     Outcome,
     RecipeEntry,
     attempt_collect,
@@ -151,25 +152,27 @@ def test_collect_gating_and_charge(tree, seed):
     assert not out.success and out.steps == 1000
 
 
-def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retry_cap):
+def per_attempt_acquire(state, config, item, action, quantity, retry_cap):
     """The per-attempt executor that the batch forms replace, kept as their
     reference: one collect or craft attempt per turn of the loop, with the
     simulator's rules written out for a single attempt. A collect try costs
     one episode and `retry_cap` bounds the collect tries; a craft costs
     nothing and goes on until `quantity` more are held or a craft is
-    unaffordable."""
+    unaffordable. The steps are charged to the state, and each collect try
+    is counted in its attempts."""
+    tree, inventory, rng = state.tree, state.inventory, state.rng
     steps = tries = 0
     d = tree.items.get(item)
     wanted = inventory.count(item) + quantity
     while inventory.count(item) < wanted and (action != "collect" or tries < retry_cap):
         tries += 1
         if action == "collect":
-            attempts = bank.attempts.get(item, 0)
-            bank.attempts[item] = attempts + 1
+            attempts = state.attempts.get(item, 0)
+            state.attempts[item] = attempts + 1
             steps += COLLECT_STEPS
             if d is None or not d.collectable:
                 continue
-            p = success_prob(bank.learner, attempts)
+            p = success_prob(config.learner, attempts)
             assert 0.0 <= p <= 1.0
             if d.required_tool is not None and inventory.count(d.required_tool) < 1:
                 continue
@@ -187,6 +190,7 @@ def per_attempt_acquire(bank, tree, item, action, quantity, inventory, rng, retr
             for e in d.recipe:
                 inventory.consume(e.item, e.quantity)
             inventory.add(item, d.craft_yield)
+    state.total_env_steps += steps
     return Outcome(inventory.count(item) >= wanted, steps, tries)
 
 
@@ -197,27 +201,33 @@ def check_batch_against_per_attempt(tree, start, item, action, quantity, retry_c
     with the batch forms and with the per-attempt reference; the outcomes and
     every piece of state must agree."""
     names = tree.names() + ["unobtainium"]
+    config = AgentConfig(learner=learner, retry_cap=retry_cap)
+    graph = empty_hypothesis(set(tree.items))  # no executor reads it
 
     def world():
-        return PolicyBank(learner, dict(attempts)), Inventory(start), Random(seed)
+        return AgentState(tree, graph, attempts=dict(attempts), inventory=Inventory(start), rng=Random(seed))
 
-    bank, inv, rng = world()
-    ref_bank, ref_inv, ref_rng = world()
-    fixed = PolicyBank(LearnerConfig(p0=learner.p0, p_max=learner.p0))
+    state, ref = world(), world()
+    inv, rng = state.inventory, state.rng
+    # The raw simulator call charges and counts nothing, so its reference
+    # runs on the same inventory and draws but a state of its own.
+    fixed = AgentConfig(learner=LearnerConfig(p0=learner.p0, p_max=learner.p0))
+    fixed_ref = AgentState(tree, graph, inventory=ref.inventory, rng=ref.rng)
     calls = [
-        (lambda: acquire(bank, tree, item, action, quantity, inv, rng, retry_cap),
-         lambda: per_attempt_acquire(ref_bank, tree, item, action, quantity, ref_inv, ref_rng, retry_cap)),
-        (lambda: execute_subgoal(bank, tree, item, action, inv, rng),
-         lambda: per_attempt_acquire(ref_bank, tree, item, action, 1, ref_inv, ref_rng, 1)),
+        (lambda: acquire(state, config, item, action, quantity),
+         lambda: per_attempt_acquire(ref, config, item, action, quantity, retry_cap)),
+        (lambda: execute_subgoal(state, config, item, action),
+         lambda: per_attempt_acquire(ref, config, item, action, 1, 1)),
         (lambda: attempt_collect(tree, item, inv, fixed.learner, rng) if action == "collect"
          else attempt_craft(tree, item, inv),
-         lambda: per_attempt_acquire(fixed, tree, item, action, 1, ref_inv, ref_rng, 1)),
+         lambda: per_attempt_acquire(fixed_ref, fixed, item, action, 1, 1)),
     ]
     for batch, reference in calls:
         assert batch() == reference()
-        assert {n: inv.count(n) for n in names} == {n: ref_inv.count(n) for n in names}
-        assert bank.attempts == ref_bank.attempts
-        assert rng.getstate() == ref_rng.getstate()
+        assert {n: inv.count(n) for n in names} == {n: ref.inventory.count(n) for n in names}
+        assert state.attempts == ref.attempts
+        assert state.total_env_steps == ref.total_env_steps
+        assert rng.getstate() == ref.rng.getstate()
 
 
 @given(tech_trees(), st.data())

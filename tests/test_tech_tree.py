@@ -4,10 +4,10 @@ from random import Random
 
 import pytest
 
-from dreamcraft.policy import LearnerConfig
 from dreamcraft.tech_tree import (
     Inventory,
     ItemDef,
+    LearnerConfig,
     Outcome,
     RecipeEntry,
     TechTree,
