@@ -163,17 +163,19 @@ def wake(state: AgentState, config: AgentConfig, branch: Branch, fallback: bool 
         else:
             newly = _exploration_sweep(state, config)
 
+    # Positional, in field order: a NamedTuple built from keywords costs more.
+    total = state.total_env_steps
     return IterationRecord(
-        iteration=state.iteration_index,
-        target=target,
-        fallback=fallback,
-        success=out.success,  # the last step made: a failure ends the branch
-        newly_verified=newly,
-        env_steps=state.total_env_steps - steps_before,
-        cumulative_env_steps=state.total_env_steps,
-        verified_count=len(verified),
-        frontier_size=awm.frontier_size(),
-        graph_size=len(awm.nodes),
+        state.iteration_index,
+        target,
+        fallback,
+        out.success,  # the last step made: a failure ends the branch
+        newly,
+        total - steps_before,
+        total,
+        len(verified),
+        awm.frontier_size(),
+        len(awm.nodes),
     )
 
 

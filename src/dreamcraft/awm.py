@@ -7,7 +7,9 @@ hypothesized or verified. Frontier computation, goal-path pruning, branch
 expansion, and verification-time correction live here. A target's expanded
 branch is kept until a write changes an edge into, or the belief of, a node of
 its closure (the target and its ancestors), so the dream phase expands a
-branch again only when the branch itself may have changed.
+branch again only when the branch itself may have changed. A goal's path set
+is kept until any edge write, so pruning walks the ancestors again only after
+an edge changed.
 """
 from __future__ import annotations
 
@@ -109,6 +111,9 @@ class Awm:
     branches whose closure holds the edge's child, or the verified item when
     its belief changes; `verify_node` writes only what differs from what is
     stored, and marking a node verified drops nothing.
+
+    `prune_to_goal` keeps each goal's path set (the goal and its ancestors).
+    A path set reads only edges, so any edge write drops every kept one.
     """
 
     def __init__(
@@ -128,6 +133,7 @@ class Awm:
         self._beliefs: dict[str, NodeBelief] = dict(beliefs or {})
         self._branches: dict[str, Branch] = {}  # kept expand_requirements results, by target
         self._readers: dict[str, set[str]] = {}  # node -> targets of the kept branches through it
+        self._paths: dict[str, set[str]] = {}  # kept prune_to_goal path sets, by goal
 
     # -- read-only state ------------------------------------------------------
 
@@ -152,6 +158,7 @@ class Awm:
             return
         incoming.add(edge)
         self._outgoing.setdefault(edge.parent, set()).add(edge)
+        self._paths.clear()
         self._drop_branches_through(edge.child)
         self._update_frontier(edge.child)
 
@@ -161,6 +168,7 @@ class Awm:
             return
         incoming.remove(edge)
         self._outgoing[edge.parent].remove(edge)
+        self._paths.clear()
         self._drop_branches_through(edge.child)
         self._update_frontier(edge.child)
 
@@ -234,8 +242,11 @@ class Awm:
     def prune_to_goal(self, frontier: list[str], goal: str) -> list[str]:
         """Keep only frontier nodes on the hypothesized path to the goal, in
         the frontier's (name) order; if no frontier node lies on such a path,
-        return a copy of the frontier."""
-        on_path = self.ancestors(goal) | {goal}
+        return a copy of the frontier. The goal's path set is kept until an
+        edge write."""
+        on_path = self._paths.get(goal)
+        if on_path is None:
+            on_path = self._paths[goal] = self.ancestors(goal) | {goal}
         pruned = [n for n in frontier if n in on_path]
         return pruned or frontier.copy()
 

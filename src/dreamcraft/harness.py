@@ -1,7 +1,8 @@
 """Experiment runner: open-ended growth curves, goal-directed task efficiency,
 robustness sweeps over injected hypothesis errors, and the no-model random
-explorer baseline. Trials run one after another in ascending seed order, and
-each experiment emits deterministic CSV files plus a run manifest.
+explorer baseline. Trials run one after another in ascending seed order, an
+experiment reads each recipe document once, and each experiment emits
+deterministic CSV files plus a run manifest.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from . import __version__
 from .agent import AgentConfig, IterationRecord, run_with_state
 from .awm import Awm
 from .hypotheses import (
+    ParsedEntry,
     build_hypothesized_awm,
     check_rate,
     empty_hypothesis,
@@ -105,10 +107,16 @@ class BaselinePoint(NamedTuple):
     steps: int
 
 
-def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
+def build_hypothesis(
+    tree: TechTree, source: str, seed: int, documents: dict[str, list[ParsedEntry]] | None = None
+) -> Awm:
     """Materialize a hypothesis source string: truth, empty, perturb:I,D
     (seeded per trial, see `perturb_ground_truth`), or file:PATH with a
-    recipe-dictionary document."""
+    recipe-dictionary document. Every call builds a graph of its own.
+
+    `documents` keeps each file source's normalized entries by path: a runner
+    passes one dict to all its trials, so an experiment reads, parses and
+    normalizes each document once. The entries are never changed."""
     kind, arg = _source_kind(source)
     if kind == "truth":
         return ground_truth_awm(tree)
@@ -120,8 +128,13 @@ def build_hypothesis(tree: TechTree, source: str, seed: int) -> Awm:
             return perturb_ground_truth(tree, float(insert_s), float(delete_s), seed)
         except ValueError as exc:
             raise ValueError(f"bad perturb rates {arg!r}") from exc
-    parsed = parse_recipe_dict(Path(arg).read_text(encoding="utf-8"))  # a file source
-    return build_hypothesized_awm(normalize_aliases(parsed.entries), set(tree.items))
+    if documents is None:
+        documents = {}
+    entries = documents.get(arg)
+    if entries is None:
+        parsed = parse_recipe_dict(Path(arg).read_text(encoding="utf-8"))
+        entries = documents[arg] = normalize_aliases(parsed.entries)
+    return build_hypothesized_awm(entries, set(tree.items))
 
 
 def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentConfig:
@@ -143,8 +156,9 @@ def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[Curve
     """Per-seed open-ended exploration curves (verified / frontier / graph
     sizes and cumulative steps per iteration)."""
     curves = {}
+    documents: dict[str, list[ParsedEntry]] = {}
     for seed in _seeds(spec):
-        awm = build_hypothesis(tree, spec.hypothesis, seed)
+        awm = build_hypothesis(tree, spec.hypothesis, seed, documents)
         records, _ = run_with_state(_agent_config(spec, None, seed), tree, awm)
         curves[seed] = _curve(records)
     return curves
@@ -154,9 +168,10 @@ def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, 
     """One goal-directed trial per (hypothesis source, row label) and seed."""
     goal = spec.goal
     results = []
+    documents: dict[str, list[ParsedEntry]] = {}
     for source, label in sources:
         for seed in _seeds(spec):
-            awm = build_hypothesis(tree, source, seed)
+            awm = build_hypothesis(tree, source, seed, documents)
             records, state = run_with_state(_agent_config(spec, goal, seed), tree, awm)
             results.append(
                 TaskResult(

@@ -105,7 +105,7 @@ class Inventory:
     """Multiset of item counts; counts can never go negative."""
 
     def __init__(self, counts: dict[str, int] | None = None):
-        self._counts: Counter[str] = Counter()
+        self._counts: dict[str, int] = {}  # a plain dict: no `Counter.__missing__` call on a first add
         if counts:
             for item, n in counts.items():
                 if n < 0:
@@ -119,7 +119,8 @@ class Inventory:
     def add(self, item: str, n: int = 1) -> None:
         if n < 0:
             raise ValueError("cannot add a negative amount")
-        self._counts[item] += n
+        counts = self._counts
+        counts[item] = counts.get(item, 0) + n
 
     def consume(self, item: str, n: int) -> None:
         if n < 0:
@@ -128,7 +129,7 @@ class Inventory:
         if n > have:
             raise ValueError(f"cannot consume {n} {item}, only {have} held")
         if n == have:
-            del self._counts[item]
+            self._counts.pop(item, None)  # consuming 0 of an item not held is a no-op
         else:
             self._counts[item] = have - n
 

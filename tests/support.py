@@ -74,6 +74,14 @@ def check_stored_parents(tree) -> None:
         assert tree.ground_truth_parents(item) is parents, item
 
 
+def prune_by_ancestors(awm, frontier, goal):
+    """Reference for `Awm.prune_to_goal`: the frontier nodes on the goal's
+    path, from a fresh `ancestors` walk, or a copy of the whole frontier when
+    none is."""
+    on_path = awm.ancestors(goal) | {goal}
+    return [n for n in frontier if n in on_path] or list(frontier)
+
+
 def expand_by_ancestors(awm, target):
     """Reference for `Awm.expand_requirements`: the closure from `ancestors`,
     ordered by `topological_order` over every incoming edge of its nodes,

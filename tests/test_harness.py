@@ -6,7 +6,7 @@ import statistics
 import pytest
 
 from dreamcraft import harness
-from dreamcraft.datafiles import pickaxe16_path
+from dreamcraft.datafiles import llm_fixture_path, pickaxe16_path
 from dreamcraft.harness import (
     BaselinePoint,
     ExperimentSpec,
@@ -127,13 +127,19 @@ def test_a_file_source_without_a_path_is_rejected_by_the_spec_and_by_build_hypot
 
 @pytest.mark.parametrize(
     "experiment, grid",
-    [("task", {}), ("robustness", dict(insert_rates=(0.0, 0.1), delete_rates=(0.1,)))],
+    [
+        ("task", {}),
+        ("robustness", dict(insert_rates=(0.0, 0.1), delete_rates=(0.1,))),
+        ("task", dict(hypothesis=f"file:{llm_fixture_path()}")),
+        ("open_ended", dict(hypothesis=f"file:{llm_fixture_path()}")),
+    ],
 )
 def test_every_trial_runs_on_a_graph_of_its_own(tree, monkeypatch, experiment, grid):
     # A run verifies into the graph it is given. The built graphs are kept
-    # alive, so no id can be reused by a later trial's graph.
-    built, ran = [], []
-    build, run = harness.build_hypothesis, harness.run_with_state
+    # alive, so no id can be reused by a later trial's graph. An experiment
+    # parses a recipe document once, however many trials it builds from it.
+    built, ran, parsed = [], [], []
+    build, run, parse = harness.build_hypothesis, harness.run_with_state, harness.parse_recipe_dict
 
     def recording_build(*args):
         built.append(build(*args))
@@ -146,10 +152,12 @@ def test_every_trial_runs_on_a_graph_of_its_own(tree, monkeypatch, experiment, g
 
     monkeypatch.setattr(harness, "build_hypothesis", recording_build)
     monkeypatch.setattr(harness, "run_with_state", recording_run)
+    monkeypatch.setattr(harness, "parse_recipe_dict", lambda text: parsed.append(text) or parse(text))
     spec = spec_for(experiment, goal="planks", seeds=(0, 1, 2), max_iterations=20, **grid)
     results = harness.EXPERIMENTS[experiment][0](spec, tree)
     assert ran == [id(g) for g in built]
     assert len(set(ran)) == len(results) == len(built)
+    assert len(parsed) == spec.hypothesis.startswith("file:")
 
 
 @pytest.mark.parametrize("source", ["perturb:1.5,0", "perturb:x"])

@@ -45,6 +45,7 @@ from support import (
     expand_by_ancestors,
     is_acyclic,
     perturb_with_distractor,
+    prune_by_ancestors,
     rebuilt,
     success_prob,
     tokens,
@@ -316,17 +317,22 @@ def test_remove_cycles_always_acyclic(awm):
 
 def check_index_against_scans(awm):
     """Every indexed query equals a brute-force scan over `awm.edges`, and
-    the nodes and the frontier come in name order."""
+    the nodes and the frontier come in name order. Each node's goal pruning
+    equals the reference from a fresh `ancestors` walk; run before every
+    write, this keeps every goal's path set, so a set the write left stale
+    shows at the next check."""
     edges = awm.edges
     verified = set(awm.verified)
     assert verified <= set(awm.nodes)
     assert list(awm.nodes) == sorted(awm.nodes)
-    assert awm.frontier() == sorted(
+    frontier = awm.frontier()
+    assert frontier == sorted(
         n
         for n in awm.nodes
         if n not in verified and all(e.parent in verified for e in edges if e.child == n)
     )
     for n in awm.nodes:
+        assert awm.prune_to_goal(frontier, n) == prune_by_ancestors(awm, frontier, n), n
         assert awm.parents_of(n) == sorted(e for e in edges if e.child == n)
         assert awm.children_of(n) == sorted(e for e in edges if e.parent == n)
         closure = {e.parent for e in edges if e.child == n}

@@ -308,6 +308,19 @@ def test_inventory_rejects_a_negative_amount():
     assert inv.count("log") == 2
 
 
+def test_inventory_zero_amounts_change_nothing():
+    inv = Inventory()
+    inv.consume("log", 0)  # nothing held: still no error
+    inv.add("log", 0)
+    assert inv.count("log") == 0
+    inv.consume("log", 0)
+    assert inv.count("log") == 0
+    inv.add("log", 2)
+    inv.consume("log", 2)
+    inv.consume("log", 0)
+    assert inv.count("log") == 0
+
+
 def test_the_tree_keeps_its_own_copy_of_the_items():
     items = {"log": ItemDef("log", True)}
     tree = TechTree(items)
