@@ -376,12 +376,6 @@ def sample_branch(awm: Awm, candidates: Sequence[str], rng: Random) -> Branch:
     return awm.expand_requirements(candidates[rng.randrange(len(candidates))])
 
 
-def _workbench_or_tool_nodes(awm: Awm) -> set[str]:
-    special = {CRAFTING_TABLE, FURNACE} & awm.nodes
-    special |= {e.parent for e in awm.edges if e.kind == TOOL}
-    return special
-
-
 def remove_cycles(awm: Awm) -> None:
     """Break circular dependencies in a hypothesized graph, in place.
 
@@ -392,16 +386,20 @@ def remove_cycles(awm: Awm) -> None:
     drops the cycle's last edge, returns to that edge's parent and goes on with
     the parent's next child. A node the search has finished reaches no cycle,
     and dropping edges cannot create one, so it is not searched again: the
-    search drops the same edges as one restarted after every drop. Acyclic
-    graphs are left as they are.
+    search drops the same edges as one restarted after every drop. A node with
+    no outgoing edge would finish at once, so the search never enters one.
+    Acyclic graphs are left as they are.
     """
-    for node in sorted(_workbench_or_tool_nodes(awm)):
-        own_recipe = awm.ingredient_parents(node)
-        for e in awm.children_of(node):
-            if e.child in own_recipe:
-                awm.discard_edge(e)
-
+    outgoing = awm._outgoing  # emptied, never removed, by a discard
     edges = awm.edges
+    special = {CRAFTING_TABLE, FURNACE} & awm.nodes | {e.parent for e in edges if e.kind == TOOL}
+    for node in sorted(special):  # a drop can change a later node's recipe, not this node's
+        if outgoing.get(node):
+            own_recipe = awm.ingredient_parents(node)
+            for e in [e for e in outgoing[node] if e.child in own_recipe]:
+                awm.discard_edge(e)
+                edges.remove(e)
+
     pairs = {(e.parent, e.child) for e in edges}
     for e in edges:
         if (e.child, e.parent) in pairs:
@@ -409,12 +407,12 @@ def remove_cycles(awm: Awm) -> None:
 
     finished: set[str] = set()
     for root in awm.nodes:
-        if root in finished:
+        if root in finished or not outgoing.get(root):
             continue
         path = [root]  # the nodes being searched; path_edges[i] runs path[i] -> path[i + 1]
         depth = {root: 0}
         path_edges: list[AwmEdge] = []
-        pending = [iter(awm.children_of(root))]  # each path node's unsearched edges
+        pending = [iter(sorted(outgoing[root]))]  # each path node's unsearched edges
         while pending:
             for e in pending[-1]:
                 if e.child in depth:
@@ -425,11 +423,11 @@ def remove_cycles(awm: Awm) -> None:
                         del depth[node]
                     del path[keep:], pending[keep:], path_edges[keep - 1:]
                     break
-                if e.child not in finished:
+                if e.child not in finished and outgoing.get(e.child):
                     depth[e.child] = len(path)
                     path.append(e.child)
                     path_edges.append(e)
-                    pending.append(iter(awm.children_of(e.child)))
+                    pending.append(iter(sorted(outgoing[e.child])))
                     break
             else:
                 node = path.pop()

@@ -84,7 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_parse(args) -> int:
     tree = load_tree_file(args.tree)
     if args.input == "-":
-        text = sys.stdin.read()
+        # Decoded as a path is read, whatever the locale: UTF-8, with universal newlines.
+        text = sys.stdin.buffer.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     else:
         text = Path(args.input).read_text(encoding="utf-8")
 
@@ -98,7 +99,7 @@ def _cmd_parse(args) -> int:
         sys.stdout.write(payload)
     else:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(payload, encoding="utf-8")
+        Path(args.out).write_text(payload, encoding="utf-8", newline="\n")
         print(f"wrote {args.out} ({len(entries)} entries, {len(result.skipped)} skipped)")
     return 0
 

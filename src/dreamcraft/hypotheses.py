@@ -159,7 +159,8 @@ def _colon_error(tokens: list[str], index: int) -> _EntryError:
 
 def _value(tokens: list[str], i: int):
     """The value whose first token is tokens[i], and the index after it. The
-    end of the document, the empty lexeme, is never passed."""
+    value is a dict, list, str, int, bool or None, and nothing else; the end
+    of the document, the empty lexeme, is an unexpected token."""
     tok = tokens[i]
     if tok[:1] == '"':
         return _string_value(tok), i + 1
@@ -172,7 +173,8 @@ def _value(tokens: list[str], i: int):
             if tokens[i + 1] != ":":
                 raise _colon_error(tokens, i + 1)
             value, i = _value(tokens, i + 2)
-            mapping[_string_value(key)] = value
+            key = key[1:-1]  # decoded here, as `_string_value` would, for the many keys
+            mapping[_ESCAPE.sub(r"\1", key) if "\\" in key else key] = value
             if tokens[i] == ",":
                 i += 1
             elif tokens[i] != "}":
@@ -237,33 +239,51 @@ def _coerce_quantity(raw) -> int:
     return qty
 
 
+def _coerce_flag(flag: str, raw) -> bool:
+    """A workbench flag that is not a bare boolean: True or False quoted like
+    a quantity, or an error."""
+    if type(raw) is str and raw.strip() in ("True", "False"):
+        return raw.strip() == "True"
+    raise ValueError(f"{flag} must be True or False, not {raw!r}")
+
+
 def _entry_from_body(key: str, body) -> ParsedEntry:
-    if not isinstance(body, dict):
+    """The entry a body from `_value` gives. The checks fire in a fixed order,
+    so the first fault is the one reported; since `_value` builds no
+    subclasses, each type is tested exactly."""
+    if type(body) is not dict:
         raise ValueError("entry body is not a map")
-    if "recipe" not in body:
-        raise ValueError("missing recipe key")
-    raw_recipe = body["recipe"]
-    if not isinstance(raw_recipe, list):
+    try:
+        raw_recipe = body["recipe"]
+    except KeyError:
+        raise ValueError("missing recipe key") from None
+    if type(raw_recipe) is not list:
         raise ValueError("recipe is not a list")
     recipe = []
     for element in raw_recipe:
-        if not isinstance(element, dict) or "item" not in element or "quantity" not in element:
+        if type(element) is not dict:
             raise ValueError("recipe entries need item and quantity")
-        ingredient = element["item"]
-        if not isinstance(ingredient, str) or not ingredient:
+        try:
+            ingredient = element["item"]
+            quantity = element["quantity"]
+        except KeyError:
+            raise ValueError("recipe entries need item and quantity") from None
+        if type(ingredient) is not str or not ingredient:
             raise ValueError("recipe item must be a non-empty string")
-        recipe.append((ingredient, _coerce_quantity(element["quantity"])))
+        if type(quantity) is not int or quantity < 1:  # the plain case needs no coercion
+            quantity = _coerce_quantity(quantity)
+        recipe.append((ingredient, quantity))
     tool = body.get("required_tool")
-    if tool is not None and not isinstance(tool, str):
+    if tool is not None and type(tool) is not str:
         raise ValueError("required_tool must be a string or None")
-    # A workbench flag is True or False, bare or quoted like a quantity; absent means False.
-    flags = {flag: body.get(flag, False) for flag in ("requires_crafting_table", "requires_furnace")}
-    for flag, raw in flags.items():
-        if isinstance(raw, str) and raw.strip() in ("True", "False"):
-            flags[flag] = raw.strip() == "True"
-        elif not isinstance(raw, bool):
-            raise ValueError(f"{flag} must be True or False, not {raw!r}")
-    return ParsedEntry(item=key, required_tool=tool, recipe=tuple(recipe), **flags)
+    # An absent flag is False.
+    table = body.get("requires_crafting_table", False)
+    if type(table) is not bool:
+        table = _coerce_flag("requires_crafting_table", table)
+    furnace = body.get("requires_furnace", False)
+    if type(furnace) is not bool:
+        furnace = _coerce_flag("requires_furnace", furnace)
+    return ParsedEntry(key, table, furnace, tool, tuple(recipe))
 
 
 def parse_recipe_dict(text: str) -> ParseResult:
@@ -362,26 +382,29 @@ def normalize_aliases(entries: list[ParsedEntry]) -> list[ParsedEntry]:
     suffixes = [(pattern[1:], target) for pattern, target in DEFAULT_ALIASES.items() if pattern.startswith("*")]
     any_suffix = tuple(suffix for suffix, _ in suffixes)
     resolved: dict[str, str] = {}  # each distinct name is looked up once
+    known = resolved.get
 
     def alias(name: str) -> str:
-        if name not in resolved:
-            canon = name.strip().lower().replace(" ", "_")
-            if canon in DEFAULT_ALIASES:
-                canon = DEFAULT_ALIASES[canon]
-            elif canon.endswith(any_suffix):  # the first matching pattern wins
-                canon = next(target for suffix, target in suffixes if canon.endswith(suffix))
-            resolved[name] = canon
-        return resolved[name]
+        """The canonical name of a name not yet in `resolved`."""
+        canon = name.strip().lower().replace(" ", "_")
+        if canon in DEFAULT_ALIASES:
+            canon = DEFAULT_ALIASES[canon]
+        elif canon.endswith(any_suffix):  # the first matching pattern wins
+            canon = next(target for suffix, target in suffixes if canon.endswith(suffix))
+        resolved[name] = canon
+        return canon
 
     out: list[ParsedEntry] = []
     seen: set[str] = set()
+    # A name that resolved to "" is looked up again: `alias` gives "" again.
     for e in entries:
-        item = alias(e.item)
+        item = known(e.item) or alias(e.item)
         if item in seen:
             continue
         seen.add(item)
-        tool = alias(e.required_tool) if e.required_tool else None
-        recipe = tuple((alias(i), q) for i, q in e.recipe)
+        tool = e.required_tool
+        tool = (known(tool) or alias(tool)) if tool else None
+        recipe = tuple([(known(i) or alias(i), q) for i, q in e.recipe])
         if item != e.item or tool != e.required_tool or recipe != e.recipe:
             e = ParsedEntry(item, e.requires_crafting_table, e.requires_furnace, tool, recipe)
         out.append(e)  # an entry whose names do not change is kept as it is
@@ -401,32 +424,32 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
     once from the collected nodes, edges and beliefs, then cycle removal is
     applied, and everything starts unverified.
     """
-    nodes = dict.fromkeys(universe)
+    nodes = set(universe)  # the graph sorts its nodes, so their order here is free
     edges: list[AwmEdge] = []
+    append = edges.append
     beliefs: dict[str, NodeBelief] = {}
     # One belief per label, shared: a belief is replaced, never changed in place.
     labelled = {True: NodeBelief(collectable=True), False: NodeBelief(collectable=False)}
 
-    def add(parent: str, child: str, kind: str, quantity: int) -> None:
-        nodes[parent] = None
-        edges.append(AwmEdge(parent, child, kind, quantity))
-
-    for e in entries:
-        nodes[e.item] = None
+    for item, table, furnace, tool, recipe in entries:
+        nodes.add(item)
         merged: dict[str, int] = {}
-        for ingredient, qty in e.recipe:
-            if ingredient == e.item:
-                continue  # self references carry no information
-            merged[ingredient] = merged.get(ingredient, 0) + qty
+        for ingredient, qty in recipe:
+            if ingredient != item:  # self references carry no information
+                merged[ingredient] = merged.get(ingredient, 0) + qty
         for ingredient, qty in merged.items():
-            add(ingredient, e.item, INGREDIENT, qty)
-        if e.required_tool and e.required_tool != e.item:
-            add(e.required_tool, e.item, TOOL, 1)
-        if e.requires_crafting_table and e.item != CRAFTING_TABLE:
-            add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
-        if e.requires_furnace and e.item != FURNACE:
-            add(FURNACE, e.item, WORKBENCH, 1)
-        beliefs[e.item] = labelled[not e.recipe]
+            append(AwmEdge(ingredient, item, INGREDIENT, qty))
+        nodes.update(merged)
+        if tool and tool != item:
+            nodes.add(tool)
+            append(AwmEdge(tool, item, TOOL, 1))
+        if table and item != CRAFTING_TABLE:
+            nodes.add(CRAFTING_TABLE)
+            append(AwmEdge(CRAFTING_TABLE, item, WORKBENCH, 1))
+        if furnace and item != FURNACE:
+            nodes.add(FURNACE)
+            append(AwmEdge(FURNACE, item, WORKBENCH, 1))
+        beliefs[item] = labelled[not recipe]
     awm = Awm(nodes, edges, beliefs)
     remove_cycles(awm)
     return awm

@@ -257,10 +257,24 @@ def _type_error(key: str, value, kind: type) -> TypeError:
     return TypeError(f"{key} must be {_KIND_NAMES[kind]}, not {value!r}")
 
 
+_ITEM_FIELDS = frozenset(
+    ("collectable", "required_tool", "requires_crafting_table", "requires_furnace", "recipe", "yield")
+)
+_RECIPE_FIELDS = frozenset(("item", "quantity"))
+
+
+def _unknown_field(fields: dict, known: frozenset[str]) -> ValueError:
+    key = next(key for key in fields if key not in known)
+    return ValueError(f"unknown field {key!r}")
+
+
 def _item_def(name: str, body: dict) -> ItemDef:
-    """The definition `body` gives. Each field is read with one lookup and
-    one exact-type test, in a fixed order, so the first bad field is the one
-    reported; a required field that is absent raises KeyError."""
+    """The definition `body` gives. A field the format does not define is
+    an error, found by one subset test per map. Each field is read with one
+    lookup and one exact-type test, in a fixed order, so the first bad field
+    is the one reported; a required field that is absent raises KeyError."""
+    if not _ITEM_FIELDS.issuperset(body):
+        raise _unknown_field(body, _ITEM_FIELDS)
     get = body.get
     entries = get("recipe", [])
     if type(entries) is not list:
@@ -269,6 +283,8 @@ def _item_def(name: str, body: dict) -> ItemDef:
         raise TypeError(f"recipe must be a list of maps, not {entries!r}")
     recipe = []
     for entry in entries:
+        if not _RECIPE_FIELDS.issuperset(entry):
+            raise _unknown_field(entry, _RECIPE_FIELDS)
         ingredient = entry["item"]
         if type(ingredient) is not str:
             raise _type_error("item", ingredient, str)

@@ -1,13 +1,27 @@
-"""Test-side references that more than one suite uses."""
+"""Test-side references that the suites compare the library against, and
+the helpers they share."""
 import re
 from math import exp
 from random import Random
+from unittest import mock
 
 import networkx as nx
 
-from dreamcraft.awm import Awm, AwmEdge, AwmError, BranchStep, remove_cycles
-from dreamcraft.hypotheses import ground_truth_awm
-from dreamcraft.tech_tree import topological_order
+from dreamcraft import hypotheses
+from dreamcraft.awm import Awm, AwmEdge, AwmError, BranchStep, NodeBelief, remove_cycles
+from dreamcraft.hypotheses import (
+    _LITERALS,
+    _NAME_START,
+    DEFAULT_ALIASES,
+    ParsedEntry,
+    _coerce_quantity,
+    _colon_error,
+    _EntryError,
+    _int,
+    _string_value,
+    ground_truth_awm,
+)
+from dreamcraft.tech_tree import CRAFTING_TABLE, FURNACE, INGREDIENT, TOOL, WORKBENCH, topological_order
 
 
 def success_prob(learner, attempts: int) -> float:
@@ -132,3 +146,147 @@ def tokens(token, whole_lexeme, text: str) -> list:
     """Each match of `token` in `text`: its span, its lexeme, and whether
     `whole_lexeme` accepts that lexeme whole."""
     return [(m.span(), m[1], bool(whole_lexeme.fullmatch(m[1]))) for m in token.finditer(text)]
+
+
+# The recipe document stages as they were written before their per-entry work
+# was cut: the references for `hypotheses._value`, `hypotheses._entry_from_body`,
+# `normalize_aliases` and `build_hypothesized_awm`.
+
+
+def value_reference(tokens: list[str], i: int):
+    tok = tokens[i]
+    if tok[:1] == '"':
+        return _string_value(tok), i + 1
+    if tok == "{":
+        mapping = {}
+        i += 1
+        while (key := tokens[i]) != "}":
+            if key[:1] != '"':
+                raise _EntryError("expected double-quoted key", i)
+            if tokens[i + 1] != ":":
+                raise _colon_error(tokens, i + 1)
+            value, i = value_reference(tokens, i + 2)
+            mapping[_string_value(key)] = value
+            if tokens[i] == ",":
+                i += 1
+            elif tokens[i] != "}":
+                raise _EntryError("expected ',' or '}'", i)
+        return mapping, i + 1
+    if tok == "[":
+        values = []
+        i += 1
+        while tokens[i] != "]":
+            value, i = value_reference(tokens, i)
+            values.append(value)
+            if tokens[i] == ",":
+                i += 1
+            elif tokens[i] != "]":
+                raise _EntryError("expected ',' or ']'", i)
+        return values, i + 1
+    if tok in _LITERALS:
+        return _LITERALS[tok], i + 1
+    if tok[:1] == "-" or tok[:1].isdecimal():
+        try:
+            return _int(tok), i + 1
+        except ValueError as exc:
+            raise _EntryError(str(exc), i) from None
+    if _NAME_START.match(tok):
+        raise _EntryError(f"unexpected name {tok!r}", i)
+    raise _EntryError(f"unexpected token {tok!r}", i)
+
+
+def entry_from_body_reference(key: str, body) -> ParsedEntry:
+    if not isinstance(body, dict):
+        raise ValueError("entry body is not a map")
+    if "recipe" not in body:
+        raise ValueError("missing recipe key")
+    raw_recipe = body["recipe"]
+    if not isinstance(raw_recipe, list):
+        raise ValueError("recipe is not a list")
+    recipe = []
+    for element in raw_recipe:
+        if not isinstance(element, dict) or "item" not in element or "quantity" not in element:
+            raise ValueError("recipe entries need item and quantity")
+        ingredient = element["item"]
+        if not isinstance(ingredient, str) or not ingredient:
+            raise ValueError("recipe item must be a non-empty string")
+        recipe.append((ingredient, _coerce_quantity(element["quantity"])))
+    tool = body.get("required_tool")
+    if tool is not None and not isinstance(tool, str):
+        raise ValueError("required_tool must be a string or None")
+    flags = {flag: body.get(flag, False) for flag in ("requires_crafting_table", "requires_furnace")}
+    for flag, raw in flags.items():
+        if isinstance(raw, str) and raw.strip() in ("True", "False"):
+            flags[flag] = raw.strip() == "True"
+        elif not isinstance(raw, bool):
+            raise ValueError(f"{flag} must be True or False, not {raw!r}")
+    return ParsedEntry(item=key, required_tool=tool, recipe=tuple(recipe), **flags)
+
+
+def parse_reference(text: str):
+    """`parse_recipe_dict` with the reference value descent and schema check."""
+    with mock.patch.object(hypotheses, "_value", value_reference), mock.patch.object(
+        hypotheses, "_entry_from_body", entry_from_body_reference
+    ):
+        return hypotheses.parse_recipe_dict(text)
+
+
+def normalize_aliases_reference(entries: list[ParsedEntry]) -> list[ParsedEntry]:
+    suffixes = [(pattern[1:], target) for pattern, target in DEFAULT_ALIASES.items() if pattern.startswith("*")]
+    any_suffix = tuple(suffix for suffix, _ in suffixes)
+    resolved: dict[str, str] = {}
+
+    def alias(name: str) -> str:
+        if name not in resolved:
+            canon = name.strip().lower().replace(" ", "_")
+            if canon in DEFAULT_ALIASES:
+                canon = DEFAULT_ALIASES[canon]
+            elif canon.endswith(any_suffix):
+                canon = next(target for suffix, target in suffixes if canon.endswith(suffix))
+            resolved[name] = canon
+        return resolved[name]
+
+    out: list[ParsedEntry] = []
+    seen: set[str] = set()
+    for e in entries:
+        item = alias(e.item)
+        if item in seen:
+            continue
+        seen.add(item)
+        tool = alias(e.required_tool) if e.required_tool else None
+        recipe = tuple((alias(i), q) for i, q in e.recipe)
+        if item != e.item or tool != e.required_tool or recipe != e.recipe:
+            e = ParsedEntry(item, e.requires_crafting_table, e.requires_furnace, tool, recipe)
+        out.append(e)
+    return out
+
+
+def build_hypothesized_awm_reference(entries: list[ParsedEntry], universe: set[str]) -> Awm:
+    nodes = dict.fromkeys(universe)
+    edges: list[AwmEdge] = []
+    beliefs: dict[str, NodeBelief] = {}
+    labelled = {True: NodeBelief(collectable=True), False: NodeBelief(collectable=False)}
+
+    def add(parent: str, child: str, kind: str, quantity: int) -> None:
+        nodes[parent] = None
+        edges.append(AwmEdge(parent, child, kind, quantity))
+
+    for e in entries:
+        nodes[e.item] = None
+        merged: dict[str, int] = {}
+        for ingredient, qty in e.recipe:
+            if ingredient == e.item:
+                continue
+            merged[ingredient] = merged.get(ingredient, 0) + qty
+        for ingredient, qty in merged.items():
+            add(ingredient, e.item, INGREDIENT, qty)
+        if e.required_tool and e.required_tool != e.item:
+            add(e.required_tool, e.item, TOOL, 1)
+        if e.requires_crafting_table and e.item != CRAFTING_TABLE:
+            add(CRAFTING_TABLE, e.item, WORKBENCH, 1)
+        if e.requires_furnace and e.item != FURNACE:
+            add(FURNACE, e.item, WORKBENCH, 1)
+        beliefs[e.item] = labelled[not e.recipe]
+    awm = Awm(nodes, edges, beliefs)
+    remove_cycles(awm)
+    return awm

@@ -324,6 +324,11 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
             },
             "item 'log': yield only applies to craftables",
         ),
+        (
+            ["explore"],
+            {"a\nb": {"collectable": True, "yeild": 4}},
+            "malformed definition for 'a\\nb': unknown field 'yeild'",
+        ),
         (["task", "a\nb"], None, "goal 'a\\nb' is not a tree item"),
         (["score", "--hypothesis", "perturb:1.5,0"], None, "bad perturb rates '1.5,0'"),
         # `empty` and `truth` take no argument.
@@ -335,7 +340,7 @@ def test_a_cyclic_or_deeply_nested_tree_is_exit_2(tmp_path, capsys, text, messag
     ],
     ids=[
         "recipe-item", "quantity", "duplicate", "required-tool", "non-map", "malformed",
-        "collectable-yield", "goal", "perturb-rate", "empty-argument", "truth-argument",
+        "collectable-yield", "unknown-field", "goal", "perturb-rate", "empty-argument", "truth-argument",
         "file-without-colon", "file-without-path",
     ],
 )
@@ -369,15 +374,39 @@ def test_invalid_hypothesis_is_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def stdin_of(data: bytes, encoding: str = "utf-8") -> io.TextIOWrapper:
+    """A standard input holding `data`, decoded by default with `encoding`
+    and, as on POSIX, with no newline translation."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding, newline="\n")
+
+
 def test_parse_reads_the_document_from_stdin(monkeypatch, capsys):
     assert main(["parse", str(llm_fixture_path())]) == 0
     from_path = capsys.readouterr()
-    monkeypatch.setattr("sys.stdin", io.StringIO(llm_fixture_path().read_text(encoding="utf-8")))
+    monkeypatch.setattr("sys.stdin", stdin_of(llm_fixture_path().read_bytes()))
     assert main(["parse", "-"]) == 0
     from_stdin = capsys.readouterr()
     assert json.loads(from_stdin.out) == json.loads(from_path.out)
     assert from_stdin.err == from_path.err
     assert "skipped entry 'torch'" in from_stdin.err
+
+
+def test_parse_reads_stdin_as_a_path_is_read_whatever_the_locale(tmp_path, monkeypatch, capsys):
+    # Non-ASCII names, CRLF line ends and a lone CR before a skipped entry:
+    # a path is read as UTF-8 with universal newlines, and so is stdin, even
+    # when the locale would decode it as Latin-1.
+    data = '{"café": {"recipe": [{"item": "crème", "quantity": 2}]},\r\n\r "bad": 5}\r\n'.encode()
+    document = tmp_path / "doc.txt"
+    document.write_bytes(data)
+    assert main(["parse", str(document), "--out", str(tmp_path / "path.json")]) == 0
+    from_path = capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", stdin_of(data, encoding="latin-1"))
+    assert main(["parse", "-", "--out", str(tmp_path / "stdin.json")]) == 0
+    assert capsys.readouterr().err == from_path == "skipped entry 'bad' (line 3): entry body is not a map\n"
+    written = (tmp_path / "stdin.json").read_bytes()
+    assert written == (tmp_path / "path.json").read_bytes()
+    assert b"\r" not in written
+    assert {"parent": "crème", "child": "café", "kind": "ingredient", "quantity": 2} in json.loads(written)["edges"]
 
 
 def test_parse_missing_input_is_exit_2_before_any_output(tmp_path, capsys):

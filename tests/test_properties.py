@@ -5,6 +5,7 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 
 from dreamcraft import agent, hypotheses
@@ -16,8 +17,10 @@ from dreamcraft.hypotheses import (
     DocumentSyntaxError,
     ParsedEntry,
     ParseResult,
+    build_hypothesized_awm,
     empty_hypothesis,
     ground_truth_awm,
+    normalize_aliases,
     parse_recipe_dict,
     perturb_ground_truth,
     serialize_recipe_dict,
@@ -41,9 +44,12 @@ from dreamcraft.tech_tree import (
 from support import (
     BACKTRACKING,
     beliefs_of,
+    build_hypothesized_awm_reference,
     check_stored_parents,
     expand_by_ancestors,
     is_acyclic,
+    normalize_aliases_reference,
+    parse_reference,
     perturb_with_distractor,
     prune_by_ancestors,
     rebuilt,
@@ -730,6 +736,131 @@ def test_possessive_tokenizer_finds_the_tokens_of_the_backtracking_one(text):
 def test_possessive_tokenizer_finds_the_tokens_of_the_backtracking_one_in_the_fixture():
     text = llm_fixture_path().read_text(encoding="utf-8")
     assert tokens(hypotheses._TOKEN, hypotheses._WHOLE_LEXEME, text) == tokens(*BACKTRACKING, text)
+
+
+# Lexemes for generated recipe documents: the canonical ones of each field
+# (DOC_*) and ones the schema check rejects (BAD_*). Names hit the aliases,
+# the two workbenches and escapes; keys may be escaped too.
+DOC_NAMES = [
+    '"log"', '"stick"', '"planks"', '"Oak Planks"', '"wood"', '"x_plank"', '"cane"', '"crafting_table"',
+    '"furnace"', '"st\\ick"', '"a\\"b"', '" "',
+]
+DEEP = "[" * 3000 + "]" * 3000  # past the interpreter's recursion limit
+DOC_TOOLS = DOC_NAMES + ["None"] * len(DOC_NAMES)
+DOC_QUANTITIES = ["1", "2", "3", '"4"', '" 5 "']
+DOC_FLAGS = ["True", "False", "False", '"True"', '" False "']
+BAD_ITEMS = ['""', "5", "None"]
+BAD_TOOLS = ["7", "[]"]
+BAD_QUANTITIES = [
+    "0", "-2", "True", "False", "None", '"-1"', '"x"', "[1]", "{}",
+    "9" * 5000, '"' + "9" * 5000 + '"',  # past the limit on integer digits, bare and quoted
+]
+BAD_FLAGS = ['"yes"', "None", "1", "[]"]
+BAD_BODIES = ['"log"', "5", "None", "[]", "{}", DEEP]  # for an entry body or a recipe
+
+
+ONE_IN_EIGHT = st.sampled_from([False] * 7 + [True])  # integers(0, 7) == 0 comes up far more often
+
+
+def _lexeme(draw, canonical: list[str], rejected: list[str]) -> str:
+    """Mostly a canonical lexeme, one time in eight a rejected one."""
+    return draw(st.sampled_from(rejected if draw(ONE_IN_EIGHT) else canonical))
+
+
+def _map(draw, pairs: list[tuple[str, str]]) -> str:
+    """A map of the pairs in any order, sometimes with a key left out or one
+    given twice. Escaping a letter keeps a key: `\\c` reads as `c`."""
+    if draw(ONE_IN_EIGHT):
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    pairs = draw(st.permutations(pairs))
+    if pairs and draw(ONE_IN_EIGHT):
+        pairs = [*pairs, draw(st.sampled_from(pairs))]
+    keys = [draw(st.sampled_from([f'"{k}"', f'"{k[0]}\\{k[1:]}"'])) for k, _ in pairs]
+    return "{" + ", ".join(f"{key}: {v}" for key, (_, v) in zip(keys, pairs)) + "}"
+
+
+@st.composite
+def recipe_documents(draw):
+    """Recipe documents whose entries are mostly canonical, with broken ones
+    among them, and which are sometimes cut short."""
+    entries = []
+    for _ in range(draw(st.integers(0, 6))):
+        elements = [
+            _map(draw, [
+                ("item", _lexeme(draw, DOC_NAMES, BAD_ITEMS)),
+                ("quantity", _lexeme(draw, DOC_QUANTITIES, BAD_QUANTITIES)),
+            ])
+            for _ in range(draw(st.integers(0, 3)))
+        ]
+        recipe = "[" + ", ".join(elements) + (draw(st.sampled_from(["", ","])) if elements else "") + "]"
+        body = _map(draw, [
+            ("requires_crafting_table", _lexeme(draw, DOC_FLAGS, BAD_FLAGS)),
+            ("requires_furnace", _lexeme(draw, DOC_FLAGS, BAD_FLAGS)),
+            ("required_tool", _lexeme(draw, DOC_TOOLS, BAD_TOOLS)),
+            ("recipe", _lexeme(draw, [recipe], BAD_BODIES)),
+        ])
+        entries.append(f"{draw(st.sampled_from(DOC_NAMES))}: {_lexeme(draw, [body], BAD_BODIES)}")
+    text = draw(st.sampled_from(["", "item_info = "])) + "{\n" + ",\n".join(entries) + "\n}\n"
+    if draw(ONE_IN_EIGHT):
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        result = parse(text)
+    except DocumentSyntaxError as exc:
+        return str(exc)
+    return result.entries, result.skips
+
+
+def check_document_stages(text: str, universe: set[str]) -> None:
+    """Parsing, alias normalization and graph building give what the
+    references give: the same entries and skips or the same syntax error,
+    the same normalized entries, and the same graph."""
+    outcome = _parse_outcome(parse_recipe_dict, text)
+    assert outcome == _parse_outcome(parse_reference, text)
+    if isinstance(outcome, str):
+        return
+    entries = normalize_aliases(outcome[0])
+    assert entries == normalize_aliases_reference(outcome[0])
+    expected = build_hypothesized_awm_reference(entries, universe)
+    assert build_hypothesized_awm(entries, universe).to_json() == expected.to_json()
+
+
+DOC_UNIVERSE = {"log", "planks", "stick", "crafting_table"}
+
+
+@given(recipe_documents())
+@settings(max_examples=300, deadline=None)
+def test_document_stages_match_the_references(text):
+    check_document_stages(text, DOC_UNIVERSE)
+
+
+# One entry in which one field at a time takes each canonical and each rejected lexeme.
+ONE_ENTRY = (
+    '{{"planks": {{"requires_crafting_table": {table}, "requires_furnace": {furnace}, '
+    '"required_tool": {tool}, "recipe": [{{"item": {item}, "quantity": {quantity}}}]}}}}'
+)
+ONE_ENTRY_FIELDS = {
+    "table": ("True", DOC_FLAGS + BAD_FLAGS),
+    "furnace": ("False", DOC_FLAGS + BAD_FLAGS),
+    "tool": ('"stick"', DOC_TOOLS + BAD_TOOLS),
+    "item": ('"log"', DOC_NAMES + BAD_ITEMS),
+    "quantity": ("1", DOC_QUANTITIES + BAD_QUANTITIES),
+}
+
+
+@pytest.mark.parametrize("field", ONE_ENTRY_FIELDS)
+def test_document_stages_match_the_references_on_each_lexeme(field):
+    canonical = {name: lexeme for name, (lexeme, _) in ONE_ENTRY_FIELDS.items()}
+    for lexeme in ONE_ENTRY_FIELDS[field][1]:
+        check_document_stages(ONE_ENTRY.format_map({**canonical, field: lexeme}), DOC_UNIVERSE)
+
+
+def test_document_stages_match_the_references_on_the_bundled_document():
+    text = llm_fixture_path().read_text(encoding="utf-8")
+    check_document_stages(text, set(load_tree_file(pickaxe16_path()).items))
 
 
 # Node names of mixed length, so that name order is not insertion order.

@@ -161,6 +161,32 @@ def test_a_repeated_key_is_a_parse_error(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "planks, message",
+    [
+        (
+            # Misspelt fields would otherwise load as yield 1 with no table.
+            {
+                "collectable": False,
+                "yeild": 4,
+                "requires_crafting_tabel": True,
+                "recipe": [{"item": "log", "quantity": 1, "qty": 5}],
+            },
+            "malformed definition for 'planks': unknown field 'yeild'",
+        ),
+        (
+            {"collectable": False, "recipe": [{"item": "log", "quantity": 1, "qty": 5}]},
+            "malformed definition for 'planks': unknown field 'qty'",
+        ),
+    ],
+    ids=["item", "recipe-entry"],
+)
+def test_an_unknown_field_is_a_parse_error(planks, message):
+    with pytest.raises(TreeParseError) as info:
+        load_tree(json.dumps({"log": {"collectable": True}, "planks": planks}))
+    assert str(info.value) == message
+
+
 def test_a_collectable_with_a_yield_is_rejected():
     doc = {"log": {"collectable": True, "yield": 4}}
     with pytest.raises(TreeValidationError) as info:
