@@ -11,7 +11,6 @@ per run, as `harness` does. Runs are deterministic given (seed, tree, graph).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from random import Random
 from typing import NamedTuple
@@ -43,7 +42,7 @@ class AgentConfig:
 class AgentState:
     tree: TechTree
     awm: Awm
-    counts: Counter = field(default_factory=Counter)  # visits; written by `visit` alone
+    counts: dict[str, int] = field(default_factory=dict)  # visits; written by `visit` alone
     exhausted: set[str] = field(default_factory=set)  # the nodes visited more than c0 times
     attempts: dict[str, int] = field(default_factory=dict)  # collect tries per item: its policy's whole state
     inventory: Inventory = field(default_factory=Inventory)
@@ -59,7 +58,7 @@ class AgentState:
 def visit(state: AgentState, config: AgentConfig, item: str) -> None:
     """Count one visit to the item; past c0 visits it is exhausted."""
     counts = state.counts
-    n = counts.get(item, 0) + 1  # no `Counter.__missing__` call for a first visit
+    n = counts.get(item, 0) + 1
     counts[item] = n
     if n > config.c0:
         state.exhausted.add(item)

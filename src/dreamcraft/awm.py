@@ -4,19 +4,16 @@ subgoals.
 Nodes are items; edges point from a prerequisite (parent) to the item that
 needs it (child) and are typed ingredient/tool/workbench. Each node is either
 hypothesized or verified. Frontier computation, goal-path pruning, branch
-expansion, and verification-time correction live here. A target's expanded
-branch is kept until a write changes an edge into, or the belief of, a node of
-its closure (the target and its ancestors), so the dream phase expands a
-branch again only when the branch itself may have changed. A goal's path set
-is kept until any edge write, so pruning walks the ancestors again only after
-an edge changed.
+expansion, and verification-time correction live here. Expanded branches and
+goal path sets are kept between reads, and one write routine, `Awm._write`,
+drops those a write may change.
 """
 from __future__ import annotations
 
 import json
 import warnings
 from bisect import bisect_left
-from collections.abc import Iterable, KeysView, Sequence
+from collections.abc import Collection, Iterable, KeysView, Sequence
 from dataclasses import asdict, dataclass
 from random import Random
 from typing import NamedTuple
@@ -91,29 +88,21 @@ class Awm:
 
     Each edge is stored once, in the incoming set of its child; the outgoing
     sets index the same edges by parent. The frontier is the unverified nodes
-    whose incoming edges all come from verified parents, and a write tests
-    that rule again on each node whose incoming edges or parents it changed.
-    An edge may name a parent that is not a node, which keeps its child off
-    the frontier for good. The constructor indexes its nodes, edges and
-    beliefs in one pass, with nothing verified. After it, only `add_edge`,
-    `discard_edge` and `verify_node` change the graph: `nodes` and `verified`
-    are read-only views, `edges` is a new set on every read and `belief`
-    reads one node.
+    whose incoming edges all come from verified parents. An edge may name a
+    parent that is not a node, which keeps its child off the frontier for
+    good. The constructor indexes its nodes, edges and beliefs in one pass,
+    with nothing verified. After it, only `add_edge`, `discard_edge` and
+    `verify_node` change the graph, each through `_write`: `nodes` and
+    `verified` are read-only views, `edges` is a new set on every read and
+    `belief` reads one node.
 
     The graph keeps name order: the nodes never change after the constructor
     sorts them, and the frontier is a sorted list that a write updates by
     bisection. So `nodes`, `frontier` and `prune_to_goal` yield names in
     order, and no reader sorts them again.
 
-    `expand_requirements` keeps each target's branch, and its steps name the
-    branch's closure: the target and its ancestors. A branch reads only the
-    incoming edges and the beliefs of its closure, so a write drops the kept
-    branches whose closure holds the edge's child, or the verified item when
-    its belief changes; `verify_node` writes only what differs from what is
-    stored, and marking a node verified drops nothing.
-
-    `prune_to_goal` keeps each goal's path set (the goal and its ancestors).
-    A path set reads only edges, so any edge write drops every kept one.
+    `expand_requirements` keeps each target's branch and `prune_to_goal` each
+    goal's path set, until `_write` drops them.
     """
 
     def __init__(
@@ -153,30 +142,48 @@ class Awm:
 
     def add_edge(self, edge: AwmEdge) -> None:
         """Store the edge; its endpoints are not added as nodes."""
-        incoming = self._incoming.setdefault(edge.child, set())
-        if edge in incoming:
-            return
-        incoming.add(edge)
-        self._outgoing.setdefault(edge.parent, set()).add(edge)
-        self._paths.clear()
-        self._drop_branches_through(edge.child)
-        self._update_frontier(edge.child)
+        if edge not in self._incoming.get(edge.child, _NO_EDGES):
+            self._write(edge.child, added=(edge,))
 
     def discard_edge(self, edge: AwmEdge) -> None:
-        incoming = self._incoming.get(edge.child)
-        if incoming is None or edge not in incoming:
-            return
-        incoming.remove(edge)
-        self._outgoing[edge.parent].remove(edge)
-        self._paths.clear()
-        self._drop_branches_through(edge.child)
-        self._update_frontier(edge.child)
+        if edge in self._incoming.get(edge.child, _NO_EDGES):
+            self._write(edge.child, removed=(edge,))
 
-    def _drop_branches_through(self, node: str) -> None:
-        for target in self._readers.pop(node, ()):
-            for step in self._branches.pop(target):
-                if step.item != node:
-                    self._readers[step.item].discard(target)
+    def _write(
+        self,
+        node: str,
+        added: Collection[AwmEdge] = (),
+        removed: Collection[AwmEdge] = (),
+        belief: NodeBelief | None = None,
+    ) -> None:
+        """The one write after the constructor: add new incoming edges to the
+        node, remove stored ones and store a new belief (None keeps it).
+
+        A goal's path set (the goal and its ancestors) reads only edges, so an
+        edge write drops every kept one. A target's branch reads only the
+        incoming edges and the beliefs of its closure (the target and its
+        ancestors, the items of its steps), so an edge or belief write drops
+        the kept branches through the node, and a write of nothing drops
+        nothing. The frontier rule is then tested on the node again; a caller
+        that changes the node's verified state re-tests its children too."""
+        if added or removed:
+            incoming = self._incoming.setdefault(node, set())
+            outgoing = self._outgoing
+            for e in removed:
+                incoming.remove(e)
+                outgoing[e.parent].remove(e)
+            for e in added:
+                incoming.add(e)
+                outgoing.setdefault(e.parent, set()).add(e)
+            self._paths.clear()
+        if belief is not None:
+            self._beliefs[node] = belief
+        if added or removed or belief is not None:
+            for target in self._readers.pop(node, ()):
+                for step in self._branches.pop(target):
+                    if step.item != node:
+                        self._readers[step.item].discard(target)
+        self._update_frontier(node)
 
     def _update_frontier(self, item: str) -> None:
         # The frontier rule, for a node whose edges, parents or state a write changed.
@@ -242,8 +249,8 @@ class Awm:
     def prune_to_goal(self, frontier: list[str], goal: str) -> list[str]:
         """Keep only frontier nodes on the hypothesized path to the goal, in
         the frontier's (name) order; if no frontier node lies on such a path,
-        return a copy of the frontier. The goal's path set is kept until an
-        edge write."""
+        return a copy of the frontier. The goal's path set is kept until
+        `_write` drops it."""
         on_path = self._paths.get(goal)
         if on_path is None:
             on_path = self._paths[goal] = self.ancestors(goal) | {goal}
@@ -261,8 +268,7 @@ class Awm:
         Quantities are computed bottom-up: a step makes `ceil(need / per_run)`
         runs of `per_run` units (1 for a collect, the believed yield for a
         craft); tool/workbench uses add one non-consumed copy. The branch is
-        kept until a write changes an incoming edge or the belief of one of
-        its steps' items.
+        kept until `_write` drops it.
         """
         branch = self._branches.get(target)
         if branch is not None:
@@ -287,21 +293,18 @@ class Awm:
             raise AwmError(f"cycle among {sorted(closure.keys() - set(order))}")
 
         beliefs = self._beliefs
+        believed_collectable = self.believed_collectable
         readers = self._readers
         consumed = dict.fromkeys(closure, 0)
         consumed[target] = 1
         tools: set[str] = set()  # the nodes used as a tool or workbench
         steps = []
         for node in reversed(order):
-            edges = closure[node]
-            belief = beliefs.get(node, _UNKNOWN_BELIEF)
-            collect = belief.collectable
-            if collect is None:
-                collect = not any(e.kind == INGREDIENT for e in edges)
-            per_run = 1 if collect else belief.craft_yield
+            collect = believed_collectable(node)
+            per_run = 1 if collect else beliefs.get(node, _UNKNOWN_BELIEF).craft_yield
             runs = -(-(consumed[node] + (node in tools)) // per_run)
             steps.append(BranchStep(node, COLLECT if collect else CRAFT, runs * per_run))
-            for e in edges:
+            for e in closure[node]:
                 if e.kind == INGREDIENT:
                     consumed[e.parent] += runs * e.quantity
                 else:
@@ -316,39 +319,31 @@ class Awm:
 
     def verify_node(self, item: str, observed: Iterable[ParentSpec], craft_yield: int = 1) -> None:
         """Replace the item's hypothesized incoming edges and belief with the
-        observed ones and mark it verified, writing only what differs from what
-        is stored. Observed parents are not added as nodes. Verified edges are
-        never changed again; re-verification warns and leaves the graph
-        untouched."""
+        observed ones and mark it verified, in one `_write` of what differs
+        from what is stored. Observed parents are not added as nodes.
+        Verified edges are never changed again; re-verification warns and
+        leaves the graph untouched."""
         if item not in self._nodes:
             raise AwmError(f"unknown node {item!r}")
         if item in self._verified:
             warnings.warn(f"node {item!r} is already verified; ignoring", stacklevel=2)
             return
         # An edge equals its tuple, so observed parents compare with the stored
-        # edges as tuples; only an added edge is built, and so checked, before
-        # anything is written: a bad edge or yield writes nothing.
+        # edges as tuples. The added edges and the new belief are built, and so
+        # checked, before anything is written: a bad edge or yield writes nothing.
         edges = {(parent, item, kind, quantity) for parent, kind, quantity in observed}
         stored = self._incoming.get(item, _NO_EDGES)
         added = [AwmEdge(*e) for e in edges - stored]
         collectable = not any(kind == INGREDIENT for _, _, kind, _ in edges)
         if collectable:
             craft_yield = 1
-        belief = self._beliefs.get(item, _UNKNOWN_BELIEF)
-        changed = belief.collectable != collectable or belief.craft_yield != craft_yield
-        if changed:
-            belief = NodeBelief(collectable, craft_yield)
-        for e in stored - edges:
-            self.discard_edge(e)
-        for e in added:
-            self.add_edge(e)
+        held = self.belief(item)
+        changed = held.collectable != collectable or held.craft_yield != craft_yield
+        belief = NodeBelief(collectable, craft_yield) if changed else None
         self._verified[item] = None
-        self._update_frontier(item)
+        self._write(item, added, stored - edges, belief)
         for e in self._outgoing.get(item, ()):
             self._update_frontier(e.child)
-        if changed:
-            self._drop_branches_through(item)
-            self._beliefs[item] = belief
 
     # -- export ----------------------------------------------------------------
 

@@ -31,15 +31,25 @@ from .hypotheses import (
 )
 from .tech_tree import Inventory, LearnerConfig, TechTree, attempt_collect, attempt_craft, load_tree_file
 
-def _source_kind(source: str) -> tuple[str, str]:
-    """The kind and argument of a hypothesis source: `empty`, `truth`,
-    `perturb:I,D` or `file:PATH`, whose path may not be empty."""
+def _source_kind(source: str) -> tuple[str, str, tuple[float, float]]:
+    """The kind, argument and rates of a hypothesis source: `empty`, `truth`,
+    `perturb:I,D`, whose two rates must pass `check_rate`, or `file:PATH`,
+    whose path may not be empty. The rates are (0, 0) unless it perturbs."""
     kind, _, arg = source.partition(":")
     if source not in ("empty", "truth") and kind not in ("file", "perturb"):
         raise ValueError(f"unknown hypothesis source {source!r}")
     if kind == "file" and not arg:
         raise ValueError(f"hypothesis source {source!r} names no file")
-    return kind, arg
+    rates = (0.0, 0.0)
+    if kind == "perturb":
+        try:
+            insert_s, delete_s = arg.split(",")
+            rates = float(insert_s), float(delete_s)
+            for rate in rates:
+                check_rate(rate)
+        except ValueError as exc:
+            raise ValueError(f"bad perturb rates {arg!r}") from exc
+    return kind, arg, rates
 
 
 @dataclass(frozen=True)
@@ -117,17 +127,13 @@ def build_hypothesis(
     `documents` keeps each file source's normalized entries by path: a runner
     passes one dict to all its trials, so an experiment reads, parses and
     normalizes each document once. The entries are never changed."""
-    kind, arg = _source_kind(source)
+    kind, arg, rates = _source_kind(source)
     if kind == "truth":
         return ground_truth_awm(tree)
     if kind == "empty":
         return empty_hypothesis(set(tree.items))
     if kind == "perturb":
-        try:
-            insert_s, delete_s = arg.split(",")
-            return perturb_ground_truth(tree, float(insert_s), float(delete_s), seed)
-        except ValueError as exc:
-            raise ValueError(f"bad perturb rates {arg!r}") from exc
+        return perturb_ground_truth(tree, *rates, seed)
     if documents is None:
         documents = {}
     entries = documents.get(arg)

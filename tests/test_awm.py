@@ -387,6 +387,29 @@ def test_verifying_a_new_yield_alone_drops_the_kept_branch():
     assert [step.quantity for step in awm.expand_requirements("z")] == [2, 4, 1]
 
 
+def test_a_redundant_write_keeps_every_kept_branch_and_path_set(tree, perfect_awm, monkeypatch):
+    """Re-adding a stored edge and discarding an absent one write nothing, so
+    every kept branch stays the same object and the goal's kept path set is
+    read again without a new ancestor walk."""
+    kept = {n: perfect_awm.expand_requirements(n) for n in tree.names()}
+    frontier = perfect_awm.frontier()
+    pruned = perfect_awm.prune_to_goal(frontier, "stone_pickaxe")
+    walks = []
+    monkeypatch.setattr(perfect_awm, "ancestors", walks.append)
+    edges = perfect_awm.edges
+    stored = perfect_awm.parents_of("stone_pickaxe")[0]
+    absent = AwmEdge("log", "stone_pickaxe", "ingredient", 99)
+    assert absent not in edges
+    perfect_awm.add_edge(stored)
+    perfect_awm.add_edge(AwmEdge(*stored))  # an equal edge, built again
+    perfect_awm.discard_edge(absent)
+    perfect_awm.discard_edge(AwmEdge("nowhere", "elsewhere", "tool"))  # its child has no incoming edges
+    assert perfect_awm.edges == edges
+    assert all(perfect_awm.expand_requirements(n) is branch for n, branch in kept.items())
+    assert perfect_awm.prune_to_goal(frontier, "stone_pickaxe") == pruned
+    assert walks == []
+
+
 def test_awm_json_round_trip(tree, perfect_awm):
     """The exported JSON parses back to the graph's nodes, edges, verified
     set and beliefs."""

@@ -57,6 +57,12 @@ def test_spec_validation():
     for source in ("empty:zzz", "truth:", "truth:whatever"):
         with pytest.raises(ValueError, match="unknown hypothesis source"):
             spec_for("score", hypothesis=source)
+    # A perturb source's two rates are parsed and checked with the spec,
+    # before any trial loads its tree.
+    for rates in ("x", "0.1", "1.5,0"):
+        with pytest.raises(ValueError, match=f"^bad perturb rates '{re.escape(rates)}'$"):
+            spec_for("score", hypothesis=f"perturb:{rates}")
+    spec_for("score", hypothesis="perturb:0.2,0.2")
 
 
 def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
