@@ -1,7 +1,7 @@
 """Experiment runner: open-ended growth curves, goal-directed task efficiency,
 robustness sweeps over injected hypothesis errors, and the no-model random
-explorer baseline. Trials run one after another in ascending seed order, an
-experiment reads each recipe document once, and each experiment emits
+explorer baseline. Agent trials run through one loop in ascending seed order,
+an experiment reads each recipe document once, and each experiment emits
 deterministic CSV files plus a run manifest.
 """
 from __future__ import annotations
@@ -30,6 +30,11 @@ from .hypotheses import (
     score_hypothesis,
 )
 from .tech_tree import Inventory, LearnerConfig, TechTree, attempt_collect, attempt_craft, load_tree_file
+
+def _rate_label(rate: float) -> str:
+    """A grid rate in its row label: `g` precision, with `-0` written `0`."""
+    return f"{rate + 0.0:g}"
+
 
 def _source_kind(source: str) -> tuple[str, str, tuple[float, float]]:
     """The kind, argument and rates of a hypothesis source: `empty`, `truth`,
@@ -67,21 +72,26 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         _source_kind(self.hypothesis)
-        if self.experiment in ("task", "robustness") and self.goal is None:
-            raise ValueError(f"{self.experiment} experiment needs a goal")
+        # A spec holds no field its experiment never reads, so a manifest records none.
+        if (self.goal is None) == (self.experiment in ("task", "robustness")):
+            raise ValueError(f"{self.experiment} experiment {'needs a' if self.goal is None else 'takes no'} goal")
         if self.experiment == "robustness":
+            if self.hypothesis != "truth":
+                raise ValueError("robustness perturbs the ground truth, so its hypothesis is truth")
             if not self.insert_rates or not self.delete_rates:
                 raise ValueError("robustness needs a rate grid")
             if len(set(self.seeds)) < 3:
                 raise ValueError("robustness needs at least three seeds per cell")
+        elif self.insert_rates or self.delete_rates:
+            raise ValueError(f"{self.experiment} experiment takes no rate grid")
         # Every rate is held to `check_rate` here, before any cell runs.
-        # A grid cell's row is labelled with its rates at `g` precision, so two
-        # distinct rates must not print alike; a rate listed twice runs once.
+        # A grid cell's row is labelled with `_rate_label`, so two distinct
+        # rates must not print alike; a rate listed twice runs once.
         for name, rates in (("insert", self.insert_rates), ("delete", self.delete_rates)):
             labels: dict[str, float] = {}
             for rate in rates:
                 check_rate(rate)
-                label = f"{rate:g}"
+                label = _rate_label(rate)
                 if label in labels and labels[label] != rate:
                     raise ValueError(f"{name} rates {labels[label]!r} and {rate!r} share the label {label}")
                 labels[label] = rate
@@ -91,7 +101,7 @@ class ExperimentSpec:
             raise ValueError("at least one seed required")
         # Every experiment is held to the agent's checks, so no manifest
         # records a spec that the agent would reject.
-        _agent_config(self, self.goal, self.seeds[0])
+        _agent_config(self, self.seeds[0])
 
 
 class CurvePoint(NamedTuple):
@@ -109,6 +119,18 @@ class TaskResult(NamedTuple):
     env_steps_to_goal: int
     iterations: int
     policies_created: int
+
+
+class GoalSummary(NamedTuple):
+    hypothesis: str
+    n_seeds: int
+    success_rate: float
+    mean_steps: float
+    stdev_steps: float
+    min_steps: int
+    max_steps: int
+    mean_policies: float
+    steps_ratio_empty_over_this: float
 
 
 class BaselinePoint(NamedTuple):
@@ -143,12 +165,24 @@ def build_hypothesis(
     return build_hypothesized_awm(entries, set(tree.items))
 
 
-def _agent_config(spec: ExperimentSpec, goal: str | None, seed: int) -> AgentConfig:
-    return AgentConfig(goal=goal, max_iterations=spec.max_iterations, seed=seed)
+def _agent_config(spec: ExperimentSpec, seed: int) -> AgentConfig:
+    return AgentConfig(goal=spec.goal, max_iterations=spec.max_iterations, seed=seed)
 
 
 def _seeds(spec: ExperimentSpec) -> list[int]:
     return sorted(set(spec.seeds))
+
+
+def _trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]]):
+    """Run one trial per (hypothesis source, row label) and distinct seed, in
+    ascending seed order, and yield its label, seed, records and final state.
+    The trials share one `documents` dict, so each document is read once."""
+    documents: dict[str, list[ParsedEntry]] = {}
+    for source, label in sources:
+        for seed in _seeds(spec):
+            awm = build_hypothesis(tree, source, seed, documents)
+            records, state = run_with_state(_agent_config(spec, seed), tree, awm)
+            yield label, seed, records, state
 
 
 def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
@@ -161,35 +195,23 @@ def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
 def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[CurvePoint]]:
     """Per-seed open-ended exploration curves (verified / frontier / graph
     sizes and cumulative steps per iteration)."""
-    curves = {}
-    documents: dict[str, list[ParsedEntry]] = {}
-    for seed in _seeds(spec):
-        awm = build_hypothesis(tree, spec.hypothesis, seed, documents)
-        records, _ = run_with_state(_agent_config(spec, None, seed), tree, awm)
-        curves[seed] = _curve(records)
-    return curves
+    sources = [(spec.hypothesis, spec.hypothesis)]
+    return {seed: _curve(records) for _, seed, records, _ in _trials(spec, tree, sources)}
 
 
 def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]]) -> list[TaskResult]:
     """One goal-directed trial per (hypothesis source, row label) and seed."""
-    goal = spec.goal
-    results = []
-    documents: dict[str, list[ParsedEntry]] = {}
-    for source, label in sources:
-        for seed in _seeds(spec):
-            awm = build_hypothesis(tree, source, seed, documents)
-            records, state = run_with_state(_agent_config(spec, goal, seed), tree, awm)
-            results.append(
-                TaskResult(
-                    hypothesis=label,
-                    seed=seed,
-                    success=int(goal in state.awm.verified),
-                    env_steps_to_goal=state.total_env_steps,
-                    iterations=len(records),
-                    policies_created=len(state.attempts),
-                )
-            )
-    return results
+    return [
+        TaskResult(
+            hypothesis=label,
+            seed=seed,
+            success=int(spec.goal in state.awm.verified),
+            env_steps_to_goal=state.total_env_steps,
+            iterations=len(records),
+            policies_created=len(state.attempts),
+        )
+        for label, seed, records, state in _trials(spec, tree, sources)
+    ]
 
 
 def run_task(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
@@ -205,7 +227,7 @@ def run_robustness(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
     """Grid of goal-directed runs over perturbed ground truth, with
     empty-hypothesis and ground-truth reference rows on the same seeds."""
     sources = [
-        (f"perturb:{insert_rate},{delete_rate}", f"perturb:{insert_rate:g},{delete_rate:g}")
+        (f"perturb:{insert_rate},{delete_rate}", f"perturb:{_rate_label(insert_rate)},{_rate_label(delete_rate)}")
         for insert_rate in dict.fromkeys(spec.insert_rates)
         for delete_rate in dict.fromkeys(spec.delete_rates)
     ]
@@ -288,53 +310,31 @@ def _curve_writer(point: type, stem: str, summary: str, summary_header: list[str
     return write
 
 
-def _steps_stats(group: list[TaskResult]) -> tuple:
-    steps = [r.env_steps_to_goal for r in group]
-    mean = statistics.mean(steps)
-    stdev = statistics.stdev(steps) if len(steps) > 1 else 0.0
-    return mean, stdev, min(steps), max(steps)
-
-
 def _write_goal_results(spec: ExperimentSpec, results: list[TaskResult], out: Path) -> list[Path]:
     results_path = _write_csv(out / f"{spec.experiment}_results.csv", TaskResult._fields, results)
 
     groups: dict[str, list[TaskResult]] = {}
     for r in results:
         groups.setdefault(r.hypothesis, []).append(r)
-    empty_mean = _steps_stats(groups["empty"])[0] if "empty" in groups else None
+    steps = {label: [r.env_steps_to_goal for r in group] for label, group in groups.items()}
+    empty_mean = statistics.mean(steps["empty"]) if "empty" in steps else None
     summary_rows = []
-    for label in sorted(groups):
-        group = groups[label]
-        mean, stdev, lo, hi = _steps_stats(group)
-        ratio = empty_mean / mean if empty_mean and mean else 0.0
+    for label, group in sorted(groups.items()):
+        mean = statistics.mean(steps[label])
         summary_rows.append(
-            (
-                label,
-                len(group),
-                statistics.mean(float(r.success) for r in group),
-                mean,
-                stdev,
-                lo,
-                hi,
-                statistics.mean(r.policies_created for r in group),
-                ratio,
+            GoalSummary(
+                hypothesis=label,
+                n_seeds=len(group),
+                success_rate=statistics.mean(float(r.success) for r in group),
+                mean_steps=mean,
+                stdev_steps=statistics.stdev(steps[label]) if len(group) > 1 else 0.0,
+                min_steps=min(steps[label]),
+                max_steps=max(steps[label]),
+                mean_policies=statistics.mean(r.policies_created for r in group),
+                steps_ratio_empty_over_this=empty_mean / mean if empty_mean and mean else 0.0,
             )
         )
-    summary_path = _write_csv(
-        out / f"{spec.experiment}_summary.csv",
-        [
-            "hypothesis",
-            "n_seeds",
-            "success_rate",
-            "mean_steps",
-            "stdev_steps",
-            "min_steps",
-            "max_steps",
-            "mean_policies",
-            "steps_ratio_empty_over_this",
-        ],
-        summary_rows,
-    )
+    summary_path = _write_csv(out / f"{spec.experiment}_summary.csv", GoalSummary._fields, summary_rows)
     return [results_path, summary_path]
 
 

@@ -107,6 +107,39 @@ def test_distinct_rates_that_share_a_grid_label_are_a_spec_error():
     spec_for("robustness", insert_rates=(0.1, 0.1, 1e-7), delete_rates=(0.0, -0.0, 1e-6), **base)
 
 
+GRID = dict(insert_rates=(0.1,), delete_rates=(0.1,))
+ROBUSTNESS = dict(GRID, goal="log", seeds=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "experiment, fields, message",
+    [
+        ("open_ended", dict(goal="log"), "open_ended experiment takes no goal"),
+        ("baseline", dict(goal="log"), "baseline experiment takes no goal"),
+        ("score", dict(goal="log"), "score experiment takes no goal"),
+        ("task", dict(goal="log", insert_rates=(0.1,)), "task experiment takes no rate grid"),
+        ("open_ended", dict(delete_rates=(0.1,)), "open_ended experiment takes no rate grid"),
+        ("score", GRID, "score experiment takes no rate grid"),
+        ("robustness", dict(ROBUSTNESS, hypothesis="empty"), "its hypothesis is truth"),
+        ("robustness", dict(ROBUSTNESS, hypothesis="perturb:0.1,0.1"), "its hypothesis is truth"),
+        ("robustness", dict(ROBUSTNESS, hypothesis="file:/nonexistent"), "its hypothesis is truth"),
+    ],
+)
+def test_a_spec_field_the_experiment_never_reads_is_a_spec_error(experiment, fields, message):
+    # Otherwise the manifest would record a value that nothing used.
+    with pytest.raises(ValueError, match=message):
+        spec_for(experiment, **fields)
+
+
+def test_a_rate_written_minus_zero_is_labelled_zero(tree):
+    grid = spec_for(
+        "robustness", goal="log", seeds=(0, 1, 2), insert_rates=(-0.0, 0.0), delete_rates=(0.1,), max_iterations=5
+    )
+    assert [(r.hypothesis, r.seed) for r in run_robustness(grid, tree)] == [
+        (label, seed) for label in ("perturb:0,0.1", "empty", "truth") for seed in (0, 1, 2)
+    ]
+
+
 def test_build_hypothesis_sources(tree, tmp_path):
     truth = build_hypothesis(tree, "truth", seed=0)
     assert len(truth.edges) > 0
@@ -134,9 +167,9 @@ def test_a_file_source_without_a_path_is_rejected_by_the_spec_and_by_build_hypot
 @pytest.mark.parametrize(
     "experiment, grid",
     [
-        ("task", {}),
-        ("robustness", dict(insert_rates=(0.0, 0.1), delete_rates=(0.1,))),
-        ("task", dict(hypothesis=f"file:{llm_fixture_path()}")),
+        ("task", dict(goal="planks")),
+        ("robustness", dict(goal="planks", insert_rates=(0.0, 0.1), delete_rates=(0.1,))),
+        ("task", dict(goal="planks", hypothesis=f"file:{llm_fixture_path()}")),
         ("open_ended", dict(hypothesis=f"file:{llm_fixture_path()}")),
     ],
 )
@@ -159,7 +192,7 @@ def test_every_trial_runs_on_a_graph_of_its_own(tree, monkeypatch, experiment, g
     monkeypatch.setattr(harness, "build_hypothesis", recording_build)
     monkeypatch.setattr(harness, "run_with_state", recording_run)
     monkeypatch.setattr(harness, "parse_recipe_dict", lambda text: parsed.append(text) or parse(text))
-    spec = spec_for(experiment, goal="planks", seeds=(0, 1, 2), max_iterations=20, **grid)
+    spec = spec_for(experiment, seeds=(0, 1, 2), max_iterations=20, **grid)
     results = harness.EXPERIMENTS[experiment][0](spec, tree)
     assert ran == [id(g) for g in built]
     assert len(set(ran)) == len(results) == len(built)
