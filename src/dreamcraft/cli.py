@@ -29,14 +29,17 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, hypothesis: bool = True) -> None:
+    """The spec flags. `robustness` always perturbs the ground truth and
+    `baseline` builds no belief graph, so they take no `--hypothesis`."""
     d = _SPEC_DEFAULTS
     parser.add_argument("--tree", dest="tree_path", default=str(pickaxe16_path()), help="tree definition file")
-    parser.add_argument(
-        "--hypothesis",
-        default=d["hypothesis"],
-        help="file:PATH | perturb:INSERT,DELETE | empty | truth",
-    )
+    if hypothesis:
+        parser.add_argument(
+            "--hypothesis",
+            default=d["hypothesis"],
+            help="file:PATH | perturb:INSERT,DELETE | empty | truth",
+        )
     parser.add_argument("--seeds", type=_parse_seeds, default=d["seeds"], help="count N or comma list")
     parser.add_argument("--max-iterations", type=int, default=d["max_iterations"])
     parser.add_argument("--out", default="results", help="output directory")
@@ -66,10 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", default="stone_pickaxe")
     p.add_argument("--insert-rates", type=_parse_rates, default=(0.0, 0.2))
     p.add_argument("--delete-rates", type=_parse_rates, default=(0.0, 0.2))
-    _add_common(p)
+    _add_common(p, hypothesis=False)
 
     p = sub.add_parser("baseline", help="random-explorer discovery curves (no belief graph)")
-    _add_common(p)
+    _add_common(p, hypothesis=False)
 
     p = sub.add_parser("score", help="score a hypothesis against the ground truth")
     _add_common(p)

@@ -1,8 +1,11 @@
 """Experiment runner: open-ended growth curves, goal-directed task efficiency,
 robustness sweeps over injected hypothesis errors, and the no-model random
 explorer baseline. Agent trials run through one loop in ascending seed order,
-an experiment reads each recipe document once, and each experiment emits
-deterministic CSV files plus a run manifest.
+and an experiment reads each recipe document once. The curve runners yield
+(seed, curve) pairs in ascending seed order, and the writer puts each curve
+on disk as it arrives, so it holds one trial's curve, not every seed's.
+Each experiment emits deterministic CSV files and then `manifest.json`,
+written last, so a manifest marks a complete run.
 """
 from __future__ import annotations
 
@@ -13,10 +16,10 @@ import statistics
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import __version__
-from .agent import AgentConfig, IterationRecord, run_with_state
+from .agent import AgentConfig, AgentState, IterationRecord, run_with_state
 from .awm import Awm
 from .hypotheses import (
     ParsedEntry,
@@ -112,6 +115,19 @@ class CurvePoint(NamedTuple):
     steps: int
 
 
+class CurveSummary(NamedTuple):
+    """A `summary.csv` row: an open-ended curve's seed and last point."""
+
+    seed: int
+    iterations: int
+    final_verified: int
+    final_steps: int
+
+    @classmethod
+    def of(cls, seed: int, last: CurvePoint) -> CurveSummary:
+        return cls(seed, last.iteration, last.verified, last.steps)
+
+
 class TaskResult(NamedTuple):
     hypothesis: str
     seed: int
@@ -137,6 +153,19 @@ class BaselinePoint(NamedTuple):
     iteration: int
     discovered: int
     steps: int
+
+
+class BaselineSummary(NamedTuple):
+    """A `baseline_summary.csv` row: a random-explorer curve's seed and last point."""
+
+    seed: int
+    iterations: int
+    discovered: int
+    steps: int
+
+    @classmethod
+    def of(cls, seed: int, last: BaselinePoint) -> BaselineSummary:
+        return cls(seed, last.iteration, last.discovered, last.steps)
 
 
 def build_hypothesis(
@@ -173,16 +202,17 @@ def _seeds(spec: ExperimentSpec) -> list[int]:
     return sorted(set(spec.seeds))
 
 
-def _trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]]):
+def _trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]], row: Callable) -> Iterator:
     """Run one trial per (hypothesis source, row label) and distinct seed, in
-    ascending seed order, and yield its label, seed, records and final state.
-    The trials share one `documents` dict, so each document is read once."""
+    ascending seed order, and yield `row(label, seed, records, final state)`.
+    The trials share one `documents` dict, so each document is read once.
+    Nothing here binds a trial's graph, records or state, so they are freed
+    once its row is made, before the next trial runs."""
     documents: dict[str, list[ParsedEntry]] = {}
     for source, label in sources:
         for seed in _seeds(spec):
-            awm = build_hypothesis(tree, source, seed, documents)
-            records, state = run_with_state(_agent_config(spec, seed), tree, awm)
-            yield label, seed, records, state
+            config = _agent_config(spec, seed)
+            yield row(label, seed, *run_with_state(config, tree, build_hypothesis(tree, source, seed, documents)))
 
 
 def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
@@ -192,17 +222,19 @@ def _curve(records: list[IterationRecord]) -> list[CurvePoint]:
     ]
 
 
-def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[CurvePoint]]:
-    """Per-seed open-ended exploration curves (verified / frontier / graph
-    sizes and cumulative steps per iteration)."""
+def run_open_ended(spec: ExperimentSpec, tree: TechTree) -> Iterator[tuple[int, list[CurvePoint]]]:
+    """Yield each seed's open-ended exploration curve (verified / frontier /
+    graph sizes and cumulative steps per iteration) in ascending seed order,
+    running its trial only when the curve is asked for."""
     sources = [(spec.hypothesis, spec.hypothesis)]
-    return {seed: _curve(records) for _, seed, records, _ in _trials(spec, tree, sources)}
+    return _trials(spec, tree, sources, lambda _label, seed, records, _state: (seed, _curve(records)))
 
 
 def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, str]]) -> list[TaskResult]:
     """One goal-directed trial per (hypothesis source, row label) and seed."""
-    return [
-        TaskResult(
+
+    def result(label: str, seed: int, records: list[IterationRecord], state: AgentState) -> TaskResult:
+        return TaskResult(
             hypothesis=label,
             seed=seed,
             success=int(spec.goal in state.awm.verified),
@@ -210,8 +242,8 @@ def _goal_trials(spec: ExperimentSpec, tree: TechTree, sources: list[tuple[str, 
             iterations=len(records),
             policies_created=len(state.attempts),
         )
-        for label, seed, records, state in _trials(spec, tree, sources)
-    ]
+
+    return list(_trials(spec, tree, sources, result))
 
 
 def run_task(spec: ExperimentSpec, tree: TechTree) -> list[TaskResult]:
@@ -267,11 +299,12 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     return curve
 
 
-def run_baseline_random(spec: ExperimentSpec, tree: TechTree) -> dict[int, list[BaselinePoint]]:
+def run_baseline_random(spec: ExperimentSpec, tree: TechTree) -> Iterator[tuple[int, list[BaselinePoint]]]:
     """The no-model explorer: each iteration makes one random collect attempt
     (fixed success probability, no learning) and one random craft attempt from
-    the accumulated inventory, tracking distinct items ever held."""
-    return {seed: _baseline_trial(spec, tree, seed) for seed in _seeds(spec)}
+    the accumulated inventory, tracking distinct items ever held. Yields each
+    seed's curve in ascending seed order, as `run_open_ended` does."""
+    return ((seed, _baseline_trial(spec, tree, seed)) for seed in _seeds(spec))
 
 
 def run_score(spec: ExperimentSpec, tree: TechTree):
@@ -285,6 +318,10 @@ def run_score(spec: ExperimentSpec, tree: TechTree):
 
 
 def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[tuple]) -> Path:
+    """Write one CSV file, making its directory first: an experiment's output
+    directory appears with its first file, so a run whose first trial fails
+    leaves none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     text = io.StringIO()  # one file write, not one per row
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
@@ -293,18 +330,19 @@ def _write_csv(path: Path, header: list[str] | tuple[str, ...], rows: list[tuple
     return path
 
 
-def _curve_writer(point: type, stem: str, summary: str, summary_header: list[str]):
+def _curve_writer(point: type, stem: str, summary_name: str, summary: type):
     """Writer of one `<stem>_seed<N>.csv` curve per seed, headed by the
-    point's fields, and a summary row of each curve's last point."""
+    point's fields, and a summary file of each curve's `summary` row. It
+    writes each curve as its runner yields it and keeps only the summary
+    rows, so it holds one trial's curve at a time, not every seed's."""
+    zero = point._make((0,) * len(point._fields))  # the last point of an empty curve
 
-    def write(spec: ExperimentSpec, curves: dict, out: Path) -> list[Path]:
+    def write(spec: ExperimentSpec, curves: Iterator[tuple[int, list]], out: Path) -> list[Path]:
         files, rows = [], []
-        for seed in sorted(curves):
-            curve = curves[seed]
+        for seed, curve in curves:
             files.append(_write_csv(out / f"{stem}_seed{seed}.csv", point._fields, curve))
-            last = curve[-1] if curve else (0,) * len(point._fields)
-            rows.append((seed, last[0], last[1], last[-1]))
-        files.append(_write_csv(out / summary, summary_header, rows))
+            rows.append(summary.of(seed, curve[-1] if curve else zero))
+        files.append(_write_csv(out / summary_name, summary._fields, rows))
         return files
 
     return write
@@ -352,25 +390,24 @@ def _write_score(spec: ExperimentSpec, report, out: Path) -> list[Path]:
 # globals at call time, so a wrapper set on the module (as a tracer does)
 # reaches every trial; the table must not hold those three functions.
 EXPERIMENTS = {
-    "open_ended": (
-        run_open_ended,
-        _curve_writer(CurvePoint, "curves", "summary.csv", ["seed", "iterations", "final_verified", "final_steps"]),
-    ),
+    "open_ended": (run_open_ended, _curve_writer(CurvePoint, "curves", "summary.csv", CurveSummary)),
     "task": (run_task, _write_goal_results),
     "robustness": (run_robustness, _write_goal_results),
     "baseline": (
         run_baseline_random,
-        _curve_writer(BaselinePoint, "baseline", "baseline_summary.csv", ["seed", "iterations", "discovered", "steps"]),
+        _curve_writer(BaselinePoint, "baseline", "baseline_summary.csv", BaselineSummary),
     ),
     "score": (run_score, _write_score),
 }
 
 
 def emit_results(spec: ExperimentSpec, results, out_dir) -> list[Path]:
-    """Write the experiment's CSV files plus a manifest. Re-running an
-    identical spec reproduces every byte."""
+    """Write the experiment's CSV files, then its manifest. A curve
+    experiment's `results` yields its curves, so its trials run here, and the
+    output directory is made with the first file, after the first trial. The
+    manifest is written last: a directory without one holds an incomplete run.
+    Re-running an identical spec reproduces every byte."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     files = EXPERIMENTS[spec.experiment][1](spec, results, out)
     manifest = {
         "experiment": spec.experiment,

@@ -374,6 +374,29 @@ def test_invalid_hypothesis_is_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_a_missing_document_is_exit_2_with_one_line_of_stderr_and_no_output(tmp_path, capsys):
+    # The document is read by the first trial, which runs before the output
+    # directory is made.
+    doc, out = tmp_path / "missing.txt", tmp_path / "out"
+    assert main(["explore", "--hypothesis", f"file:{doc}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and str(doc) in err
+    assert not out.exists()
+
+
+# `robustness` always perturbs the ground truth and `baseline` builds no
+# belief graph: neither offers a hypothesis flag it would not read.
+@pytest.mark.parametrize("argv", [["robustness", "--seeds", "3"], ["baseline"]])
+def test_a_command_that_reads_no_hypothesis_has_no_hypothesis_flag(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--hypothesis", "truth", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --hypothesis truth" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def stdin_of(data: bytes, encoding: str = "utf-8") -> io.TextIOWrapper:
     """A standard input holding `data`, decoded by default with `encoding`
     and, as on POSIX, with no newline translation."""

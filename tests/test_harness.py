@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -77,8 +78,8 @@ def test_trials_run_once_per_distinct_seed_in_ascending_order(tree):
     assert [(r.hypothesis, r.seed) for r in robustness] == [
         (label, seed) for label in ("perturb:0,0.1", "empty", "truth") for seed in (0, 1, 3)
     ]
-    assert list(run_open_ended(spec_for("open_ended", **base), tree)) == [0, 1, 3]
-    assert list(run_baseline_random(spec_for("baseline", **base), tree)) == [0, 1, 3]
+    assert [seed for seed, _ in run_open_ended(spec_for("open_ended", **base), tree)] == [0, 1, 3]
+    assert [seed for seed, _ in run_baseline_random(spec_for("baseline", **base), tree)] == [0, 1, 3]
 
 
 def test_grid_cells_run_once_per_distinct_rate_in_the_order_first_given(tree):
@@ -193,7 +194,7 @@ def test_every_trial_runs_on_a_graph_of_its_own(tree, monkeypatch, experiment, g
     monkeypatch.setattr(harness, "run_with_state", recording_run)
     monkeypatch.setattr(harness, "parse_recipe_dict", lambda text: parsed.append(text) or parse(text))
     spec = spec_for(experiment, seeds=(0, 1, 2), max_iterations=20, **grid)
-    results = harness.EXPERIMENTS[experiment][0](spec, tree)
+    results = list(harness.EXPERIMENTS[experiment][0](spec, tree))
     assert ran == [id(g) for g in built]
     assert len(set(ran)) == len(results) == len(built)
     assert len(parsed) == spec.hypothesis.startswith("file:")
@@ -207,14 +208,14 @@ def test_build_hypothesis_reports_bad_perturb_rates(tree, source):
 
 def test_open_ended_single_iteration_cap():
     spec = spec_for("open_ended", seeds=(0, 1), max_iterations=1)
-    curves = run_open_ended(spec, load_tree_file(spec.tree_path))
+    curves = dict(run_open_ended(spec, load_tree_file(spec.tree_path)))
     assert set(curves) == {0, 1}
     assert all(len(c) == 1 for c in curves.values())
 
 
 def test_open_ended_curves_monotone_and_bounded():
     spec = spec_for("open_ended", seeds=(0,), max_iterations=300)
-    curve = run_open_ended(spec, load_tree_file(spec.tree_path))[0]
+    curve = dict(run_open_ended(spec, load_tree_file(spec.tree_path)))[0]
     verified = [p.verified for p in curve]
     assert verified == sorted(verified)
     assert all(p.frontier <= p.graph for p in curve)
@@ -284,7 +285,7 @@ def test_guided_agent_dominates_random_baseline(tree):
         guided_done.append(records[-1].iteration)
 
     spec = spec_for("baseline", seeds=tuple(range(5)), max_iterations=900)
-    curves = run_baseline_random(spec, tree)
+    curves = dict(run_baseline_random(spec, tree))
     baseline_done = [c[-1].iteration for c in curves.values()]
     assert statistics.mean(guided_done) < statistics.mean(baseline_done)
 
@@ -344,7 +345,7 @@ def test_baseline_matches_markov_oracle(tmp_path, monkeypatch):
     path.write_text(serialize_tree(tree))
     flat_curve(monkeypatch, 1.0)
     spec = spec_for("baseline", tree_path=str(path), seeds=tuple(range(2000)), max_iterations=200)
-    curves = run_baseline_random(spec, tree)
+    curves = dict(run_baseline_random(spec, tree))
     finishing = [c[-1].iteration for c in curves.values()]
     assert all(c[-1].discovered == 3 for c in curves.values())
     expected = expected_baseline_iterations()
@@ -355,18 +356,77 @@ def test_baseline_matches_markov_oracle(tmp_path, monkeypatch):
 def test_baseline_zero_probability_flatlines(monkeypatch):
     flat_curve(monkeypatch, 0.0)
     spec = spec_for("baseline", seeds=(0,), max_iterations=25)
-    curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[0]
+    curve = dict(run_baseline_random(spec, load_tree_file(spec.tree_path)))[0]
     assert [p.discovered for p in curve] == [0] * 25
 
 
 def test_baseline_monotone_discovery(monkeypatch):
     flat_curve(monkeypatch, 0.5)
     spec = spec_for("baseline", seeds=(3,), max_iterations=150)
-    curve = run_baseline_random(spec, load_tree_file(spec.tree_path))[3]
+    curve = dict(run_baseline_random(spec, load_tree_file(spec.tree_path)))[3]
     found = [p.discovered for p in curve]
     assert found == sorted(found)
     steps = [p.steps for p in curve]
     assert steps == sorted(steps)
+
+
+@pytest.mark.parametrize(
+    "experiment, trial, seed_of, stem",
+    [
+        ("open_ended", "run_with_state", lambda config, tree, awm: config.seed, "curves"),
+        ("baseline", "_baseline_trial", lambda spec, tree, seed: seed, "baseline"),
+    ],
+)
+def test_each_curve_is_on_disk_before_the_next_trial_starts(tmp_path, monkeypatch, experiment, trial, seed_of, stem):
+    # The output directory does not exist until the first trial has returned.
+    out = tmp_path / "out"
+    started = []
+    original = getattr(harness, trial)
+
+    def recording_trial(*args):
+        started.append((seed_of(*args), sorted(p.name for p in out.iterdir()) if out.exists() else None))
+        return original(*args)
+
+    monkeypatch.setattr(harness, trial, recording_trial)
+    run_experiment(spec_for(experiment, seeds=(4, 0, 2), max_iterations=5), out)
+    assert started == [
+        (0, None),
+        (2, [f"{stem}_seed0.csv"]),
+        (4, [f"{stem}_seed0.csv", f"{stem}_seed2.csv"]),
+    ]
+
+
+def test_a_trial_that_raises_leaves_no_manifest(tmp_path, monkeypatch):
+    # The manifest is written last, so it marks a complete run.
+    calls = []
+    run = harness.run_with_state
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second trial failed")
+        return run(*args)
+
+    monkeypatch.setattr(harness, "run_with_state", failing_second)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="second trial failed"):
+        run_experiment(spec_for("open_ended", seeds=(0, 1, 2), max_iterations=5), out)
+    assert sorted(p.name for p in out.iterdir()) == ["curves_seed0.csv"]
+
+
+def test_a_curve_run_holds_one_trial_curve_not_every_seeds(tmp_path):
+    # Each curve is written as its trial ends, so ten times the seeds does
+    # not take ten times the memory.
+    def peak(n_seeds):
+        spec = spec_for("baseline", seeds=tuple(range(n_seeds)), max_iterations=900)
+        tracemalloc.start()
+        try:
+            run_experiment(spec, tmp_path / str(n_seeds))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(30) < 2 * peak(3)
 
 
 def test_emit_open_ended_header_contract(tmp_path):
