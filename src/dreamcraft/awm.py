@@ -368,7 +368,7 @@ def sample_branch(awm: Awm, candidates: Sequence[str], rng: Random) -> Branch:
     neither."""
     if not candidates:
         raise AwmError("degenerate belief graph: no frontier and nothing verified")
-    return awm.expand_requirements(candidates[rng.randrange(len(candidates))])
+    return awm.expand_requirements(rng.choice(candidates))
 
 
 def remove_cycles(awm: Awm) -> None:

@@ -282,13 +282,13 @@ def _baseline_trial(spec: ExperimentSpec, tree: TechTree, seed: int) -> list[Bas
     curve: list[BaselinePoint] = []
     for iteration in range(1, spec.max_iterations + 1):
         if collectables:
-            item = collectables[rng.randrange(len(collectables))]
+            item = rng.choice(collectables)
             out = attempt_collect(tree, item, inventory, BASELINE_CURVE, rng)
             steps += out.steps
             if out.success:
                 held.add(item)
         if craftables:
-            item = craftables[rng.randrange(len(craftables))]
+            item = rng.choice(craftables)
             out = attempt_craft(tree, item, inventory)
             steps += out.steps
             if out.success:

@@ -18,13 +18,12 @@ from typing import NamedTuple
 
 from .awm import Awm, AwmEdge, NodeBelief, remove_cycles
 from .tech_tree import (
-    CRAFTING_TABLE,
-    FURNACE,
     INGREDIENT,
     TOOL,
     WORKBENCH,
     ParentSpec,
     TechTree,
+    parent_specs,
 )
 
 
@@ -435,20 +434,11 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
         nodes.add(item)
         merged: dict[str, int] = {}
         for ingredient, qty in recipe:
-            if ingredient != item:  # self references carry no information
-                merged[ingredient] = merged.get(ingredient, 0) + qty
-        for ingredient, qty in merged.items():
-            append(AwmEdge(ingredient, item, INGREDIENT, qty))
-        nodes.update(merged)
-        if tool and tool != item:
-            nodes.add(tool)
-            append(AwmEdge(tool, item, TOOL, 1))
-        if table and item != CRAFTING_TABLE:
-            nodes.add(CRAFTING_TABLE)
-            append(AwmEdge(CRAFTING_TABLE, item, WORKBENCH, 1))
-        if furnace and item != FURNACE:
-            nodes.add(FURNACE)
-            append(AwmEdge(FURNACE, item, WORKBENCH, 1))
+            merged[ingredient] = merged.get(ingredient, 0) + qty
+        for parent, kind, qty in parent_specs(merged.items(), tool, table, furnace):
+            if parent != item:  # self references carry no information
+                nodes.add(parent)
+                append(AwmEdge(parent, item, kind, qty))
         beliefs[item] = labelled[not recipe]
     awm = Awm(nodes, edges, beliefs)
     remove_cycles(awm)
@@ -500,7 +490,7 @@ def perturb_ground_truth(tree: TechTree, insert_rate: float, delete_rate: float,
         if rng.random() < delete_rate:
             incoming = awm.parents_of(item)
             if incoming:
-                awm.discard_edge(incoming[rng.randrange(len(incoming))])
+                awm.discard_edge(rng.choice(incoming))
     return awm
 
 

@@ -137,15 +137,19 @@ class Inventory:
         self._counts.clear()
 
 
-def _parent_set(d: ItemDef) -> frozenset[ParentSpec]:
-    parents = [(e.item, INGREDIENT, e.quantity) for e in d.recipe]
-    if d.required_tool is not None:
-        parents.append((d.required_tool, TOOL, 1))
-    if d.requires_crafting_table:
+def parent_specs(recipe: Iterable[tuple[str, int]], tool: str | None, table: bool, furnace: bool) -> list[ParentSpec]:
+    """The typed parent edges of one item definition: each (ingredient,
+    quantity) pair, then the required tool if it names one, then each flagged
+    workbench. The one rule for the ground-truth tree and for the graph built
+    from a recipe document alike."""
+    parents = [(ingredient, INGREDIENT, qty) for ingredient, qty in recipe]
+    if tool:
+        parents.append((tool, TOOL, 1))
+    if table:
         parents.append((CRAFTING_TABLE, WORKBENCH, 1))
-    if d.requires_furnace:
+    if furnace:
         parents.append((FURNACE, WORKBENCH, 1))
-    return frozenset(parents)
+    return parents
 
 
 class TechTree:
@@ -193,7 +197,10 @@ class TechTree:
             if d.requires_furnace and FURNACE not in items:
                 raise TreeValidationError(name, "requires_furnace but no furnace item")
         self.items = items
-        self._parents = {name: _parent_set(d) for name, d in items.items()}
+        self._parents = {
+            name: frozenset(parent_specs(d.recipe, d.required_tool, d.requires_crafting_table, d.requires_furnace))
+            for name, d in items.items()
+        }
         order = topological_order(items, ((p, i) for i, parents in self._parents.items() for p, _, _ in parents))
         if len(order) != len(items):
             cyclic = sorted(items.keys() - set(order))

@@ -286,6 +286,28 @@ def test_build_awm_glass_error_is_parentless(tree, llm_document):
     assert is_acyclic(awm)
 
 
+def test_build_awm_forgives_blank_tools_repeats_and_self_references():
+    # A tool of spaces normalizes to "", which names no parent; a repeated
+    # ingredient's quantities add up; an item listed as its own ingredient,
+    # tool or workbench gets no edge from itself (a graph rejects self edges).
+    result = parse_recipe_dict("""{
+        "axe": {"required_tool": "  ", "recipe": [
+            {"item": "log", "quantity": 1}, {"item": "log", "quantity": 2}, {"item": "axe", "quantity": 1}]},
+        "crafting_table": {"requires_crafting_table": True, "recipe": [{"item": "planks", "quantity": 4}]},
+        "furnace": {"requires_furnace": True, "required_tool": "furnace",
+            "recipe": [{"item": "cobblestone", "quantity": 8}]},
+    }""")
+    assert not result.skipped
+    awm = build_hypothesized_awm(normalize_aliases(result.entries), set())
+    assert awm.edges == {
+        AwmEdge("log", "axe", "ingredient", 3),
+        AwmEdge("planks", "crafting_table", "ingredient", 4),
+        AwmEdge("cobblestone", "furnace", "ingredient", 8),
+    }
+    assert set(awm.nodes) == {"axe", "log", "crafting_table", "planks", "furnace", "cobblestone"}
+    assert not any(awm.believed_collectable(n) for n in ("axe", "crafting_table", "furnace"))
+
+
 def test_build_awm_empty_entries(tree):
     awm = build_hypothesized_awm([], set(tree.items))
     assert awm.nodes == set(tree.items)

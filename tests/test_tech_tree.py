@@ -18,6 +18,7 @@ from dreamcraft.tech_tree import (
     attempt_craft,
     load_tree,
     make_tree,
+    parent_specs,
     serialize_tree,
 )
 from support import check_stored_parents
@@ -211,6 +212,19 @@ def test_ground_truth_parents(tree):
     }
     assert tree.ground_truth_parents("cobblestone") == {("wooden_pickaxe", "tool", 1)}
     check_stored_parents(tree)
+
+
+def test_parent_specs_order_and_blank_tool():
+    # Ingredients in recipe order, then the tool, then each flagged workbench;
+    # a tool that names nothing, "" included, gives no edge.
+    assert parent_specs([("b", 2), ("a", 1)], "pick", True, True) == [
+        ("b", "ingredient", 2),
+        ("a", "ingredient", 1),
+        ("pick", "tool", 1),
+        ("crafting_table", "workbench", 1),
+        ("furnace", "workbench", 1),
+    ]
+    assert parent_specs((), "", False, False) == parent_specs((), None, False, False) == []
 
 
 @pytest.mark.parametrize("lookup", ["definition", "ground_truth_parents"])
