@@ -5,15 +5,15 @@ Nodes are items; edges point from a prerequisite (parent) to the item that
 needs it (child) and are typed ingredient/tool/workbench. Each node is either
 hypothesized or verified. Frontier computation, goal-path pruning, branch
 expansion, and verification-time correction live here. Expanded branches and
-goal path sets are kept between reads, and one write routine, `Awm._write`,
-drops those a write may change.
+goal path sets are kept between reads, and the one write, `Awm.verify_node`,
+drops those it may change.
 """
 from __future__ import annotations
 
 import json
 import warnings
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, KeysView, Sequence
+from collections.abc import Iterable, KeysView, Sequence
 from dataclasses import asdict, dataclass
 from random import Random
 from typing import NamedTuple
@@ -91,10 +91,10 @@ class Awm:
     whose incoming edges all come from verified parents. An edge may name a
     parent that is not a node, which keeps its child off the frontier for
     good. The constructor indexes its nodes, edges and beliefs in one pass,
-    with nothing verified. After it, only `add_edge`, `discard_edge` and
-    `verify_node` change the graph, each through `_write`: `nodes` and
-    `verified` are read-only views, `edges` is a new set on every read and
-    `belief` reads one node.
+    with nothing verified, so a builder hands it the finished graph. After
+    it, only `verify_node` changes the graph: `nodes` and `verified` are
+    read-only views, `edges` is a new set on every read and `belief` reads
+    one node.
 
     The graph keeps name order: the nodes never change after the constructor
     sorts them, and the frontier is a sorted list that a write updates by
@@ -102,7 +102,7 @@ class Awm:
     order, and no reader sorts them again.
 
     `expand_requirements` keeps each target's branch and `prune_to_goal` each
-    goal's path set, until `_write` drops them.
+    goal's path set, until `verify_node` drops them.
     """
 
     def __init__(
@@ -138,55 +138,8 @@ class Awm:
     def edges(self) -> set[AwmEdge]:
         return {e for incoming in self._incoming.values() for e in incoming}
 
-    # -- writes -----------------------------------------------------------------
-
-    def add_edge(self, edge: AwmEdge) -> None:
-        """Store the edge; its endpoints are not added as nodes."""
-        if edge not in self._incoming.get(edge.child, _NO_EDGES):
-            self._write(edge.child, added=(edge,))
-
-    def discard_edge(self, edge: AwmEdge) -> None:
-        if edge in self._incoming.get(edge.child, _NO_EDGES):
-            self._write(edge.child, removed=(edge,))
-
-    def _write(
-        self,
-        node: str,
-        added: Collection[AwmEdge] = (),
-        removed: Collection[AwmEdge] = (),
-        belief: NodeBelief | None = None,
-    ) -> None:
-        """The one write after the constructor: add new incoming edges to the
-        node, remove stored ones and store a new belief (None keeps it).
-
-        A goal's path set (the goal and its ancestors) reads only edges, so an
-        edge write drops every kept one. A target's branch reads only the
-        incoming edges and the beliefs of its closure (the target and its
-        ancestors, the items of its steps), so an edge or belief write drops
-        the kept branches through the node, and a write of nothing drops
-        nothing. The frontier rule is then tested on the node again; a caller
-        that changes the node's verified state re-tests its children too."""
-        if added or removed:
-            incoming = self._incoming.setdefault(node, set())
-            outgoing = self._outgoing
-            for e in removed:
-                incoming.remove(e)
-                outgoing[e.parent].remove(e)
-            for e in added:
-                incoming.add(e)
-                outgoing.setdefault(e.parent, set()).add(e)
-            self._paths.clear()
-        if belief is not None:
-            self._beliefs[node] = belief
-        if added or removed or belief is not None:
-            for target in self._readers.pop(node, ()):
-                for step in self._branches.pop(target):
-                    if step.item != node:
-                        self._readers[step.item].discard(target)
-        self._update_frontier(node)
-
     def _update_frontier(self, item: str) -> None:
-        # The frontier rule, for a node whose edges, parents or state a write changed.
+        # The frontier rule, for a node whose edges, parents or state a verification changed.
         frontier = self._frontier
         i = bisect_left(frontier, item)
         present = i < len(frontier) and frontier[i] == item
@@ -204,12 +157,6 @@ class Awm:
 
     def parents_of(self, item: str) -> list[AwmEdge]:
         return sorted(self._incoming.get(item, ()))
-
-    def children_of(self, item: str) -> list[AwmEdge]:
-        return sorted(self._outgoing.get(item, ()))
-
-    def ingredient_parents(self, item: str) -> dict[str, int]:
-        return {e.parent: e.quantity for e in self._incoming.get(item, ()) if e.kind == INGREDIENT}
 
     def believed_collectable(self, item: str) -> bool:
         """Collect is the believed action when the node is labeled collectable,
@@ -250,7 +197,7 @@ class Awm:
         """Keep only frontier nodes on the hypothesized path to the goal, in
         the frontier's (name) order; if no frontier node lies on such a path,
         return a copy of the frontier. The goal's path set is kept until
-        `_write` drops it."""
+        `verify_node` drops it."""
         on_path = self._paths.get(goal)
         if on_path is None:
             on_path = self._paths[goal] = self.ancestors(goal) | {goal}
@@ -268,7 +215,7 @@ class Awm:
         Quantities are computed bottom-up: a step makes `ceil(need / per_run)`
         runs of `per_run` units (1 for a collect, the believed yield for a
         craft); tool/workbench uses add one non-consumed copy. The branch is
-        kept until `_write` drops it.
+        kept until `verify_node` drops it.
         """
         branch = self._branches.get(target)
         if branch is not None:
@@ -319,10 +266,18 @@ class Awm:
 
     def verify_node(self, item: str, observed: Iterable[ParentSpec], craft_yield: int = 1) -> None:
         """Replace the item's hypothesized incoming edges and belief with the
-        observed ones and mark it verified, in one `_write` of what differs
-        from what is stored. Observed parents are not added as nodes.
-        Verified edges are never changed again; re-verification warns and
-        leaves the graph untouched."""
+        observed ones and mark it verified, writing only what differs from
+        what is stored. Observed parents are not added as nodes. Verified
+        edges are never changed again; re-verification warns and leaves the
+        graph untouched.
+
+        A goal's path set (the goal and its ancestors) reads only edges, so an
+        edge change drops every kept one. A target's branch reads only the
+        incoming edges and the beliefs of its closure (the target and its
+        ancestors, the items of its steps), so an edge or belief change drops
+        the kept branches through the item, and a verification that changes
+        neither drops nothing. The frontier rule is then tested on the item
+        and its children."""
         if item not in self._nodes:
             raise AwmError(f"unknown node {item!r}")
         if item in self._verified:
@@ -334,6 +289,7 @@ class Awm:
         edges = {(parent, item, kind, quantity) for parent, kind, quantity in observed}
         stored = self._incoming.get(item, _NO_EDGES)
         added = [AwmEdge(*e) for e in edges - stored]
+        removed = stored - edges
         collectable = not any(kind == INGREDIENT for _, _, kind, _ in edges)
         if collectable:
             craft_yield = 1
@@ -341,8 +297,25 @@ class Awm:
         changed = held.collectable != collectable or held.craft_yield != craft_yield
         belief = NodeBelief(collectable, craft_yield) if changed else None
         self._verified[item] = None
-        self._write(item, added, stored - edges, belief)
-        for e in self._outgoing.get(item, ()):
+        outgoing = self._outgoing
+        if added or removed:
+            incoming = self._incoming.setdefault(item, set())
+            for e in removed:
+                incoming.remove(e)
+                outgoing[e.parent].remove(e)
+            for e in added:
+                incoming.add(e)
+                outgoing.setdefault(e.parent, set()).add(e)
+            self._paths.clear()
+        if changed:
+            self._beliefs[item] = belief
+        if added or removed or changed:
+            for target in self._readers.pop(item, ()):
+                for step in self._branches.pop(target):
+                    if step.item != item:
+                        self._readers[step.item].discard(target)
+        self._update_frontier(item)
+        for e in outgoing.get(item, ()):
             self._update_frontier(e.child)
 
     # -- export ----------------------------------------------------------------
@@ -371,8 +344,9 @@ def sample_branch(awm: Awm, candidates: Sequence[str], rng: Random) -> Branch:
     return awm.expand_requirements(rng.choice(candidates))
 
 
-def remove_cycles(awm: Awm) -> None:
-    """Break circular dependencies in a hypothesized graph, in place.
+def remove_cycles(edges: Iterable[AwmEdge]) -> set[AwmEdge]:
+    """The edges of a hypothesized graph that are kept once its circular
+    dependencies are broken; the argument is left as it is.
 
     Rule 1: a workbench/tool node drops its outgoing edges to items that appear
     in its own recipe. Rule 2: remaining mutual pairs lose both directions.
@@ -383,26 +357,28 @@ def remove_cycles(awm: Awm) -> None:
     and dropping edges cannot create one, so it is not searched again: the
     search drops the same edges as one restarted after every drop. A node with
     no outgoing edge would finish at once, so the search never enters one.
-    Acyclic graphs are left as they are.
+    Acyclic edge sets are kept whole.
     """
-    outgoing = awm._outgoing  # emptied, never removed, by a discard
-    edges = awm.edges
-    special = {CRAFTING_TABLE, FURNACE} & awm.nodes | {e.parent for e in edges if e.kind == TOOL}
+    kept = set(edges)
+    outgoing: dict[str, list[AwmEdge]] = {}
+    for e in kept:
+        outgoing.setdefault(e.parent, []).append(e)
+    special = {CRAFTING_TABLE, FURNACE} & outgoing.keys() | {e.parent for e in kept if e.kind == TOOL}
+    ingredients = {(e.parent, e.child) for e in kept if e.kind == INGREDIENT}
     for node in sorted(special):  # a drop can change a later node's recipe, not this node's
-        if outgoing.get(node):
-            own_recipe = awm.ingredient_parents(node)
-            for e in [e for e in outgoing[node] if e.child in own_recipe]:
-                awm.discard_edge(e)
-                edges.remove(e)
+        for e in [e for e in outgoing[node] if (e.child, node) in ingredients]:
+            outgoing[node].remove(e)
+            kept.remove(e)
+            ingredients.discard((node, e.child))
 
-    pairs = {(e.parent, e.child) for e in edges}
-    for e in edges:
-        if (e.child, e.parent) in pairs:
-            awm.discard_edge(e)
+    pairs = {(e.parent, e.child) for e in kept}
+    for e in [e for e in kept if (e.child, e.parent) in pairs]:
+        outgoing[e.parent].remove(e)
+        kept.remove(e)
 
     finished: set[str] = set()
-    for root in awm.nodes:
-        if root in finished or not outgoing.get(root):
+    for root in sorted(outgoing):
+        if root in finished or not outgoing[root]:
             continue
         path = [root]  # the nodes being searched; path_edges[i] runs path[i] -> path[i + 1]
         depth = {root: 0}
@@ -412,7 +388,8 @@ def remove_cycles(awm: Awm) -> None:
             for e in pending[-1]:
                 if e.child in depth:
                     dropped = max(path_edges[depth[e.child]:] + [e])  # distinct parents: no ties
-                    awm.discard_edge(dropped)
+                    outgoing[dropped.parent].remove(dropped)
+                    kept.remove(dropped)
                     keep = depth[dropped.parent] + 1
                     for node in path[keep:]:
                         del depth[node]
@@ -431,3 +408,4 @@ def remove_cycles(awm: Awm) -> None:
                 pending.pop()
                 if path_edges:
                     path_edges.pop()
+    return kept

@@ -29,9 +29,10 @@ def _parse_rates(text: str) -> tuple[float, ...]:
 _SPEC_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
 
 
-def _add_common(parser: argparse.ArgumentParser, hypothesis: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, hypothesis: bool = True, iterations: bool = True) -> None:
     """The spec flags. `robustness` always perturbs the ground truth and
-    `baseline` builds no belief graph, so they take no `--hypothesis`."""
+    `baseline` builds no belief graph, so they take no `--hypothesis`;
+    `score` runs no agent, so it takes no `--max-iterations`."""
     d = _SPEC_DEFAULTS
     parser.add_argument("--tree", dest="tree_path", default=str(pickaxe16_path()), help="tree definition file")
     if hypothesis:
@@ -41,7 +42,8 @@ def _add_common(parser: argparse.ArgumentParser, hypothesis: bool = True) -> Non
             help="file:PATH | perturb:INSERT,DELETE | empty | truth",
         )
     parser.add_argument("--seeds", type=_parse_seeds, default=d["seeds"], help="count N or comma list")
-    parser.add_argument("--max-iterations", type=int, default=d["max_iterations"])
+    if iterations:
+        parser.add_argument("--max-iterations", type=int, default=d["max_iterations"])
     parser.add_argument("--out", default="results", help="output directory")
 
 
@@ -75,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, hypothesis=False)
 
     p = sub.add_parser("score", help="score a hypothesis against the ground truth")
-    _add_common(p)
+    _add_common(p, iterations=False)
 
     p = sub.add_parser("parse", help="recipe-dictionary document to belief-graph JSON")
     p.add_argument("input", nargs="?", default="-", help="document path, or - for stdin")

@@ -420,8 +420,8 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
 
     Nodes are the universe plus every name an entry mentions; a node without
     an entry of its own keeps the unknown belief. The graph is constructed
-    once from the collected nodes, edges and beliefs, then cycle removal is
-    applied, and everything starts unverified.
+    once from the collected nodes and beliefs and the edges that cycle
+    removal keeps, and everything starts unverified.
     """
     nodes = set(universe)  # the graph sorts its nodes, so their order here is free
     edges: list[AwmEdge] = []
@@ -440,9 +440,7 @@ def build_hypothesized_awm(entries: list[ParsedEntry], universe: set[str]) -> Aw
                 nodes.add(parent)
                 append(AwmEdge(parent, item, kind, qty))
         beliefs[item] = labelled[not recipe]
-    awm = Awm(nodes, edges, beliefs)
-    remove_cycles(awm)
-    return awm
+    return Awm(nodes, remove_cycles(edges), beliefs)
 
 
 def empty_hypothesis(universe: set[str]) -> Awm:
@@ -477,21 +475,23 @@ def perturb_ground_truth(tree: TechTree, insert_rate: float, delete_rate: float,
     order, with insert_rate add an ingredient edge from the distractor, the
     tree's first parentless item by name, and with delete_rate drop one
     uniformly chosen incoming edge. Both rates are checked first.
-    Deterministic under the seed. No edge enters the distractor, so no
-    inserted edge can close a cycle."""
+    Deterministic under the seed. The result is one graph built on the
+    exact graph's nodes and beliefs and the edited edges. No edge enters the
+    distractor, so no inserted edge can close a cycle."""
     check_rate(insert_rate)
     check_rate(delete_rate)
     distractor = min(i for i in tree.items if not tree.ground_truth_parents(i))
-    awm = ground_truth_awm(tree)
+    truth = ground_truth_awm(tree)
     rng = Random(seed)
-    for item in awm.nodes:
+    edges: list[AwmEdge] = []
+    for item in truth.nodes:
+        incoming = set(truth.parents_of(item))
         if item != distractor and rng.random() < insert_rate:
-            awm.add_edge(AwmEdge(distractor, item, INGREDIENT, 1))
-        if rng.random() < delete_rate:
-            incoming = awm.parents_of(item)
-            if incoming:
-                awm.discard_edge(rng.choice(incoming))
-    return awm
+            incoming.add(AwmEdge(distractor, item, INGREDIENT, 1))
+        if rng.random() < delete_rate and incoming:
+            incoming.remove(rng.choice(sorted(incoming)))
+        edges.extend(incoming)
+    return Awm(truth.nodes, edges, {item: truth.belief(item) for item in truth.nodes})
 
 
 # ---------------------------------------------------------------------------

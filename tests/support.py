@@ -42,9 +42,9 @@ def rebuilt(awm):
     return Awm(awm.nodes, awm.edges, beliefs_of(awm))
 
 
-def is_acyclic(awm) -> bool:
-    """Whether the stored edges form no cycle, by networkx."""
-    return nx.is_directed_acyclic_graph(nx.DiGraph((e.parent, e.child) for e in awm.edges))
+def is_acyclic(edges) -> bool:
+    """Whether the edges form no cycle, by networkx."""
+    return nx.is_directed_acyclic_graph(nx.DiGraph((e.parent, e.child) for e in edges))
 
 
 def perturb_with_distractor(tree, insert_rate, delete_rate, seed, distractor: str):
@@ -52,17 +52,17 @@ def perturb_with_distractor(tree, insert_rate, delete_rate, seed, distractor: st
     then `remove_cycles`, as a recipe document's graph gets. A distractor with
     parents can close cycles, so a run starts from a graph whose cycles were
     broken; with the library's distractor nothing is removed."""
-    awm = ground_truth_awm(tree)
+    truth = ground_truth_awm(tree)
+    edges = truth.edges
     rng = Random(seed)
-    for item in sorted(awm.nodes):
+    for item in sorted(truth.nodes):
         if item != distractor and rng.random() < insert_rate:
-            awm.add_edge(AwmEdge(distractor, item, "ingredient", 1))
+            edges.add(AwmEdge(distractor, item, "ingredient", 1))
         if rng.random() < delete_rate:
-            incoming = awm.parents_of(item)
+            incoming = sorted(e for e in edges if e.child == item)
             if incoming:
-                awm.discard_edge(incoming[rng.randrange(len(incoming))])
-    remove_cycles(awm)
-    return awm
+                edges.remove(incoming[rng.randrange(len(incoming))])
+    return Awm(truth.nodes, remove_cycles(edges), beliefs_of(truth))
 
 
 def parents_of_definition(d) -> set:
@@ -287,6 +287,4 @@ def build_hypothesized_awm_reference(entries: list[ParsedEntry], universe: set[s
         if e.requires_furnace and e.item != FURNACE:
             add(FURNACE, e.item, WORKBENCH, 1)
         beliefs[e.item] = labelled[not e.recipe]
-    awm = Awm(nodes, edges, beliefs)
-    remove_cycles(awm)
-    return awm
+    return Awm(nodes, remove_cycles(edges), beliefs)

@@ -329,9 +329,9 @@ def test_criterion_7_parser_and_metrics(tree16):
 
     entries = normalize_aliases(result.entries)
     awm = build_hypothesized_awm(entries, set(tree16.items))
-    assert is_acyclic(awm)
+    assert is_acyclic(awm.edges)
     assert AwmEdge("crafting_table", "planks", "workbench", 1) not in awm.edges
-    assert awm.ingredient_parents("crafting_table") == {"planks": 4}
+    assert [(e.parent, e.quantity) for e in awm.parents_of("crafting_table") if e.kind == "ingredient"] == [("planks", 4)]
 
     identity = score_hypothesis(ground_truth_awm(tree16), tree16)
     assert identity.collectable_vs_craftable_acc == 100.0

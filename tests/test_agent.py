@@ -274,11 +274,9 @@ def test_policy_scope_before_first_fallback(tree):
     # Break the believed graph so the run must eventually widen; until then,
     # every learned policy lies on the believed goal path.
     def broken():
-        awm = ground_truth_awm(tree)
-        assert awm.parents_of("cobblestone") == [AwmEdge("wooden_pickaxe", "cobblestone", "tool", 1)]
-        for e in awm.parents_of("cobblestone"):
-            awm.discard_edge(e)
-        return awm
+        truth = ground_truth_awm(tree)
+        assert truth.parents_of("cobblestone") == [AwmEdge("wooden_pickaxe", "cobblestone", "tool", 1)]
+        return Awm(truth.nodes, truth.edges - set(truth.parents_of("cobblestone")), beliefs_of(truth))
 
     config = AgentConfig(goal="stone_pickaxe", c0=4, seed=6, max_iterations=400)
     records, _ = run_with_state(config, tree, broken())

@@ -221,55 +221,40 @@ def test_verify_grows_v_by_one(tree, perfect_awm):
 def test_remove_cycles_workbench_rule():
     # The classic mutual dependency: the table's recipe needs planks while
     # planks is predicted to need the table.
-    awm = Awm(
-        nodes={"planks", "crafting_table", "log"},
-        edges={
-            AwmEdge("log", "planks", "ingredient", 1),
-            AwmEdge("planks", "crafting_table", "ingredient", 4),
-            AwmEdge("crafting_table", "planks", "workbench", 1),
-        },
-        beliefs={"planks": NodeBelief(collectable=False)},
-    )
-    assert remove_cycles(awm) is None  # in place
-    assert AwmEdge("crafting_table", "planks", "workbench", 1) not in awm.edges
-    assert AwmEdge("planks", "crafting_table", "ingredient", 4) in awm.edges
-    assert [e for e in awm.parents_of("planks") if e.kind == "workbench"] == []
-    assert is_acyclic(awm)
+    edges = frozenset({
+        AwmEdge("log", "planks", "ingredient", 1),
+        AwmEdge("planks", "crafting_table", "ingredient", 4),
+        AwmEdge("crafting_table", "planks", "workbench", 1),
+    })
+    given = set(edges)
+    kept = remove_cycles(edges)
+    assert edges == given  # the argument comes back unchanged
+    assert kept == edges - {AwmEdge("crafting_table", "planks", "workbench", 1)}
+    assert is_acyclic(kept)
 
 
 def test_remove_cycles_mutual_pair_loses_both():
-    awm = Awm(
-        nodes={"spider_eye", "fermented_spider_eye"},
-        edges={
-            AwmEdge("spider_eye", "fermented_spider_eye", "ingredient", 1),
-            AwmEdge("fermented_spider_eye", "spider_eye", "ingredient", 1),
-        },
-    )
-    remove_cycles(awm)
-    assert awm.edges == set()
+    edges = {
+        AwmEdge("spider_eye", "fermented_spider_eye", "ingredient", 1),
+        AwmEdge("fermented_spider_eye", "spider_eye", "ingredient", 1),
+    }
+    assert remove_cycles(edges) == set()
+    assert len(edges) == 2  # a set argument is not written either
 
 
 def test_remove_cycles_acyclic_fixed_point(perfect_awm):
-    fixed = rebuilt(perfect_awm)
-    remove_cycles(fixed)
-    assert fixed.edges == perfect_awm.edges
-    assert fixed.nodes == perfect_awm.nodes
+    assert remove_cycles(perfect_awm.edges) == perfect_awm.edges
 
 
 def test_remove_cycles_breaks_longer_cycles():
-    awm = Awm(
-        nodes={"a", "b", "c"},
-        edges={
-            AwmEdge("a", "b", "ingredient", 1),
-            AwmEdge("b", "c", "ingredient", 1),
-            AwmEdge("c", "a", "ingredient", 1),
-        },
-    )
-    remove_cycles(awm)
-    assert is_acyclic(awm)
+    kept = remove_cycles([
+        AwmEdge("a", "b", "ingredient", 1),
+        AwmEdge("b", "c", "ingredient", 1),
+        AwmEdge("c", "a", "ingredient", 1),
+    ])
+    assert is_acyclic(kept)
     # lexicographically-last edge of the cycle goes
-    assert AwmEdge("c", "a", "ingredient", 1) not in awm.edges
-    assert len(awm.edges) == 2
+    assert kept == {AwmEdge("a", "b", "ingredient", 1), AwmEdge("b", "c", "ingredient", 1)}
 
 
 def test_awm_edge_is_a_checked_tuple():
@@ -313,13 +298,17 @@ def test_expand_reports_cycles_defensively():
 
 
 def test_a_write_drops_the_kept_branches_it_changes():
-    """Each write below changes some node's branch, and no kept branch
-    outlives a write that changes it: every expansion after the write equals
-    that of a rebuilt graph, and reading a belief writes nothing."""
+    """Each verification below changes some node's branch, and no kept
+    branch outlives a write that changes it: every expansion after the write
+    equals that of a rebuilt graph, and reading a belief writes nothing."""
     awm = Awm(
-        nodes={"a", "b", "c"},
-        edges={AwmEdge("a", "b", "ingredient", 2)},
-        beliefs={"c": NodeBelief(collectable=False, craft_yield=2)},
+        nodes={"a", "b", "c", "d"},
+        edges={AwmEdge("a", "b", "ingredient", 2), AwmEdge("a", "d", "ingredient", 1)},
+        beliefs={
+            "b": NodeBelief(collectable=False),
+            "c": NodeBelief(collectable=False, craft_yield=2),
+            "d": NodeBelief(collectable=True),
+        },
     )
     assert awm.belief("a") == NodeBelief()
 
@@ -327,10 +316,10 @@ def test_a_write_drops_the_kept_branches_it_changes():
         return {n: graph.expand_requirements(n) for n in sorted(graph.nodes)}
 
     writes = [
-        lambda: awm.add_edge(AwmEdge("c", "b", "tool")),
-        lambda: awm.discard_edge(AwmEdge("a", "b", "ingredient", 2)),
+        lambda: awm.verify_node("b", {("a", "ingredient", 2), ("c", "tool", 1)}),  # adds an edge alone
+        lambda: awm.verify_node("d", set()),  # removes an edge alone
         lambda: awm.verify_node("c", set()),  # writes no edge: only the belief in c changes
-        lambda: awm.verify_node("b", {("a", "ingredient", 1)}),
+        lambda: awm.verify_node("a", {("c", "ingredient", 1)}),
     ]
     for write in writes:
         kept = expansions(awm)
@@ -349,11 +338,8 @@ def test_a_write_outside_a_branch_closure_keeps_the_branch():
     )
     kept = awm.expand_requirements("b")  # closure {a, b}
     writes = [
-        lambda: awm.add_edge(AwmEdge("b", "c", "ingredient", 1)),  # out of b: into c
-        lambda: awm.add_edge(AwmEdge("a", "d", "ingredient", 1)),
-        lambda: awm.discard_edge(AwmEdge("b", "d", "tool")),
-        lambda: awm.verify_node("c", set()),  # a new belief in c
-        lambda: awm.verify_node("d", {("a", "ingredient", 1)}),
+        lambda: awm.verify_node("c", {("b", "ingredient", 1)}),  # an edge out of b, and a new belief in c
+        lambda: awm.verify_node("d", {("a", "ingredient", 1)}),  # d's edge from b becomes one from a
     ]
     for write in writes:
         write()
@@ -364,15 +350,23 @@ def test_a_write_outside_a_branch_closure_keeps_the_branch():
     assert awm.expand_requirements("b") is not kept
 
 
-def test_verifying_a_correct_hypothesis_keeps_every_kept_branch(tree, perfect_awm):
+def test_verifying_a_correct_hypothesis_keeps_every_kept_branch(tree, perfect_awm, monkeypatch):
     """When the observed parents are the hypothesized edges and the belief is
-    the one already held, verification writes nothing a branch reads."""
+    the one already held, verification writes nothing a branch or a path set
+    reads: every kept branch stays the same object, and the goal's kept path
+    set is read again without a new ancestor walk."""
     kept = {n: perfect_awm.expand_requirements(n) for n in tree.names()}
+    frontier = perfect_awm.frontier()
+    pruned = perfect_awm.prune_to_goal(frontier, "stone_pickaxe")
+    walks = []
+    monkeypatch.setattr(perfect_awm, "ancestors", walks.append)
     edges = perfect_awm.edges
     for item in perfect_awm.nodes - perfect_awm.verified:
         verify_from_tree(perfect_awm, tree, item)
     assert perfect_awm.edges == edges
     assert all(perfect_awm.expand_requirements(n) is branch for n, branch in kept.items())
+    assert perfect_awm.prune_to_goal(frontier, "stone_pickaxe") == pruned
+    assert walks == []
 
 
 def test_verifying_a_new_yield_alone_drops_the_kept_branch():
@@ -385,29 +379,6 @@ def test_verifying_a_new_yield_alone_drops_the_kept_branch():
     awm.verify_node("y", {("x", "ingredient", 1)}, craft_yield=2)
     assert awm.edges == edges
     assert [step.quantity for step in awm.expand_requirements("z")] == [2, 4, 1]
-
-
-def test_a_redundant_write_keeps_every_kept_branch_and_path_set(tree, perfect_awm, monkeypatch):
-    """Re-adding a stored edge and discarding an absent one write nothing, so
-    every kept branch stays the same object and the goal's kept path set is
-    read again without a new ancestor walk."""
-    kept = {n: perfect_awm.expand_requirements(n) for n in tree.names()}
-    frontier = perfect_awm.frontier()
-    pruned = perfect_awm.prune_to_goal(frontier, "stone_pickaxe")
-    walks = []
-    monkeypatch.setattr(perfect_awm, "ancestors", walks.append)
-    edges = perfect_awm.edges
-    stored = perfect_awm.parents_of("stone_pickaxe")[0]
-    absent = AwmEdge("log", "stone_pickaxe", "ingredient", 99)
-    assert absent not in edges
-    perfect_awm.add_edge(stored)
-    perfect_awm.add_edge(AwmEdge(*stored))  # an equal edge, built again
-    perfect_awm.discard_edge(absent)
-    perfect_awm.discard_edge(AwmEdge("nowhere", "elsewhere", "tool"))  # its child has no incoming edges
-    assert perfect_awm.edges == edges
-    assert all(perfect_awm.expand_requirements(n) is branch for n, branch in kept.items())
-    assert perfect_awm.prune_to_goal(frontier, "stone_pickaxe") == pruned
-    assert walks == []
 
 
 def test_awm_json_round_trip(tree, perfect_awm):

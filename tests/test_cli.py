@@ -110,7 +110,7 @@ def test_score_command(tmp_path):
 @pytest.mark.parametrize(
     "argv, written",
     [
-        (["robustness", "--goal", "planks", "--seeds", "3"], "robustness_summary.csv"),
+        (["robustness", "--goal", "planks", "--seeds", "3", "--max-iterations", "20"], "robustness_summary.csv"),
         (["score", "--hypothesis", "perturb:0.2,0.2"], "accuracy_report.txt"),
     ],
 )
@@ -119,7 +119,7 @@ def test_perturb_runs_on_a_tree_without_sand(tmp_path, argv, written):
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*argv, "--tree", str(tree), "--max-iterations", "20", "--out", str(out)]) == 0
+    assert main([*argv, "--tree", str(tree), "--out", str(out)]) == 0
     assert (out / written).exists()
 
 
@@ -137,7 +137,7 @@ def test_score_rejects_more_than_one_seed(tmp_path, capsys):
         pytest.param(["explore", "--max-iterations", "-1"], id="explore"),
         pytest.param(["task", "log", "--max-iterations", "-1"], id="task"),
         pytest.param(["robustness", "--seeds", "3", "--max-iterations", "-1"], id="robustness"),
-        pytest.param(["score", "--max-iterations", "-1"], id="score"),
+        pytest.param(["score", "--hypothesis", "perturb:1.5,0"], id="score"),
     ],
 )
 def test_every_experiment_rejects_an_invalid_spec_before_any_output(tmp_path, capsys, argv):
@@ -176,10 +176,10 @@ WORKLOAD_FIELDS = {
 
 def test_common_flags_set_every_spec_field_with_the_spec_defaults(tmp_path):
     assert {f.name for f in fields(ExperimentSpec)} == set(COMMON_FLAGS) | SET_BY_SUBCOMMAND == WORKLOAD_FIELDS
-    assert main(["score", "--out", str(tmp_path / "defaults")]) == 0
+    assert main(["explore", "--out", str(tmp_path / "defaults")]) == 0
     recorded = json.loads((tmp_path / "defaults" / "manifest.json").read_text())["spec"]
     assert set(recorded) == WORKLOAD_FIELDS
-    expected = ExperimentSpec(experiment="score", tree_path=str(pickaxe16_path()))
+    expected = ExperimentSpec(experiment="open_ended", tree_path=str(pickaxe16_path()))
     assert recorded == json.loads(json.dumps(asdict(expected)))  # tuples are recorded as lists
 
     tree = tmp_path / "tree.json"
@@ -188,7 +188,7 @@ def test_common_flags_set_every_spec_field_with_the_spec_defaults(tmp_path):
         if name == "tree_path":
             value = expected = str(tree)
         out = tmp_path / name
-        assert main(["score", flag, value, "--out", str(out)]) == 0
+        assert main(["explore", flag, value, "--out", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["spec"][name] == expected, flag
 
 
@@ -394,6 +394,17 @@ def test_a_command_that_reads_no_hypothesis_has_no_hypothesis_flag(tmp_path, cap
         main([*argv, "--hypothesis", "truth", "--out", str(out)])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --hypothesis truth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# `score` builds and scores one hypothesis and runs no agent, so it offers no
+# iteration cap it would not read.
+def test_score_has_no_max_iterations_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["score", "--max-iterations", "7", "--out", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --max-iterations 7" in capsys.readouterr().err
     assert not out.exists()
 
 
